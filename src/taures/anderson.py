@@ -338,8 +338,9 @@ def find_k1(module: AndersonModule, cap=64):
 
     Submultiplicativity of the norm then gives
     sigma_order(phi(t)^(-k1*j)) >= j, the pairing's termination bound.
-    Shallow precision suffices: the order test only reads stored degrees,
-    and floors are re-escalated if power products erode them.
+    Shallow precision suffices: the order test only reads stored degrees
+    at tau-exponent >= -1, so the power chain keeps just that window, and
+    floors are re-escalated if power products erode it.
     """
     precision = 3
     inv = invert_series_matrix(module.phi_t, precision)
@@ -347,7 +348,7 @@ def find_k1(module: AndersonModule, cap=64):
     for k in range(1, cap + 1):
         if sigma_order(acc) >= 1:
             return k
-        acc = mat_mul(acc, inv)
+        acc = mat_mul(acc, inv).truncate(-1)
         if acc.max_floor() > -1:
             precision *= 2
             inv = invert_series_matrix(module.phi_t, precision)

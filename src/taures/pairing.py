@@ -85,15 +85,11 @@ def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
     last_err = None
     for _ in range(MAX_ESCALATIONS + 1):
         try:
-            return _pair_sum(ctx, m, n, k_cut, precision)
+            return _pair_row(ctx, m, [n], k_cut, precision)[0]
         except PrecisionError as err:
             last_err = err
             precision *= 2
     raise last_err
-
-
-def _pair_sum(ctx, m, n, k_cut, precision):
-    return _pair_row(ctx, m, [n], k_cut, precision)[0]
 
 
 def _pair_row(ctx, m, ns, k_cut, precision):

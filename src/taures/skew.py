@@ -192,13 +192,6 @@ class SkewLaurent:
             n >>= 1
         return result
 
-    def scal_left(self, a: PerfElement):
-        """Left multiplication by a scalar: a * f."""
-        return SkewLaurent.scalar(self.pf, a) * self
-
-    def scal_right(self, a: PerfElement):
-        return self * SkewLaurent.scalar(self.pf, a)
-
     def truncate(self, floor):
         """Impose a precision floor (may only lose knowledge)."""
         if self.floor is not None and self.floor > floor:
@@ -228,10 +221,19 @@ class SkewLaurent:
 def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
     """Invert a nonzero element of R((sigma)) to ``precision`` sigma-orders.
 
-    Factor f = tau^d * (1 + h) * u with u = leading coefficient and
-    ord_sigma(h) >= 1, then expand (1+h)^-1 as a truncated geometric
-    series.  The result g carries floor deg_tau(f^-1) - precision + 1 and
-    satisfies f*g == 1 == g*f above the floors the product rule reports.
+    With f = sum_i tau^i a_i of tau-degree d, the inverse g = sum_j tau^j b_j
+    starts at tau^-d, and the product rule turns f*g = 1 into the
+    coefficient recurrence, for k = 0, -1, .., -(precision-1),
+
+        sum_i a_i^(q^(i-k)) * b_(k-i) = [k = 0],
+
+    which solves for b_(k-d) with one division by a_d^(q^(d-k)) per
+    sigma-order; the b_(k-i) with i < d are already known.  Only the a_i
+    with i > d - precision reach the window, and their twists advance by
+    one Frobenius per step.  The cost is O(precision * terms(f))
+    coefficient operations.  The result carries floor -d - precision + 1
+    and satisfies f*g == 1 == g*f above the floors the product rule
+    reports.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -243,27 +245,22 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
-    u = f.coeffs[d]
-    u_inv = pf.one() / u
-    # h = sum_{s>=1} sigma^s * (a_{d-s} / u); exact polynomial part of f
-    h_terms = {}
-    for e, a in f.coeffs.items():
-        if e == d:
-            continue
-        h_terms[e - d] = a / u
-    h = SkewLaurent(pf, h_terms)
-    one = SkewLaurent.one(pf)
-    acc = one
-    series = one
-    for _ in range(1, precision):
-        acc = acc * (-h)
-        if not acc:
-            break
-        series = series + acc
-    series = series.truncate(-(precision - 1))
-    # f^-1 = u^-1 * series * sigma^d
-    out = SkewLaurent.scalar(pf, u_inv) * series
-    return out * SkewLaurent(pf, {-d: pf.one()})
+    # twisted[i] = a_i^(q^(i-k)) for the current k, starting at k = 0
+    lead = f.coeffs[d].q_power_iter(d)
+    twisted = {i: a.q_power_iter(i) for i, a in f.coeffs.items()
+               if d - precision < i < d}
+    b = {-d: pf.one() / lead}
+    for k in range(-1, -precision, -1):
+        lead = lead.q_pow()
+        twisted = {i: a.q_pow() for i, a in twisted.items()}
+        s = pf.zero()
+        for i, a in twisted.items():
+            c = b.get(k - i)
+            if c is not None:
+                s = s - a * c
+        if s:
+            b[k - d] = s / lead
+    return SkewLaurent(pf, b, -d - precision + 1)
 
 
 def render_skew(f: SkewLaurent) -> str:

@@ -8,6 +8,7 @@ semantics for skew products (compose twisted multiplication maps).
 import pytest
 
 from taures.anderson import Differential, TPoly
+from taures.errors import FieldError, PrecisionError
 from taures.fields import Fq, PerfField
 from taures.skew import SkewLaurent
 
@@ -104,6 +105,48 @@ def rand_skew_monomial_lead(rng, pf, lo=-2, hi=2, **kw):
     terms = [(coeff, e) for e, coeff in f.coeffs.items() if e != d]
     terms.append((lead, d))
     return SkewLaurent.from_right_coeffs(pf, terms)
+
+
+def invert_scalar_geometric(f, precision):
+    """Test-only reference for ``invert_scalar``: the geometric series.
+
+    Factor f = tau^d * (1 + h) * u with u = leading coefficient and
+    ord_sigma(h) >= 1, then expand (1+h)^-1 as a geometric series.  Each
+    term is kept at full depth and only the sum is cut to the output
+    floor, so the cost grows exponentially in precision for multi-term
+    leading coefficients; it shares no step with the recurrence.
+    """
+    if precision < 1:
+        raise PrecisionError("inversion precision must be >= 1")
+    if not f:
+        raise FieldError("cannot invert zero (or zero-to-precision)")
+    pf = f.pf
+    d = f.deg_tau()
+    if f.floor is not None and f.floor > d - precision + 1:
+        raise PrecisionError(
+            "operand known to sigma^{} only; sigma^{} needed".format(
+                d - f.floor, precision - 1))
+    u = f.coeffs[d]
+    u_inv = pf.one() / u
+    # h = sum_{s>=1} sigma^s * (a_{d-s} / u); exact polynomial part of f
+    h_terms = {}
+    for e, a in f.coeffs.items():
+        if e == d:
+            continue
+        h_terms[e - d] = a / u
+    h = SkewLaurent(pf, h_terms)
+    one = SkewLaurent.one(pf)
+    acc = one
+    series = one
+    for _ in range(1, precision):
+        acc = acc * (-h)
+        if not acc:
+            break
+        series = series + acc
+    series = series.truncate(-(precision - 1))
+    # f^-1 = u^-1 * series * sigma^d
+    out = SkewLaurent.scalar(pf, u_inv) * series
+    return out * SkewLaurent(pf, {-d: pf.one()})
 
 
 def apply_skew(f, x):

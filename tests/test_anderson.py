@@ -136,6 +136,24 @@ class TestFindK1:
             assert k1 == 2
             assert k1 <= 3
 
+    def test_window_keeps_cutoffs(self, pf2, pf3):
+        # the power chain keeps only tau-exponents >= -1; k1 and K must be
+        # those of the full chain
+        th = pf2.theta()
+        for d in range(1, 11):
+            E = carlitz_tensor(pf2, th, d)
+            assert find_k1(E) == d
+            assert termination_bound(E, d) == 2 * d
+        for pf in (pf2, pf3):
+            th = pf.theta()
+            mau = maurischat(pf, th)
+            assert find_k1(mau) == 2
+            assert termination_bound(mau, 2) == 8
+            for r in (2, 3, 4):
+                E = drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th])
+                assert find_k1(E) == 1
+                assert termination_bound(E, 1) == 2 * r
+
     def test_minimality(self, pf3):
         for d in (2, 3):
             E = carlitz_tensor(pf3, pf3.theta(), d)

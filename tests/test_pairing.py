@@ -2,12 +2,14 @@
 for rank-r modules, sesquilinear expansion, and the inverse map."""
 
 import random
+import time
 
 import pytest
 
 from taures.anderson import (Differential, TPoly, carlitz, carlitz_tensor,
                              drinfeld, maurischat)
 from taures.errors import FieldError
+from taures.fields import Fq, PerfField
 from taures.pairing import (PairingContext, check_perfectness,
                             check_tau_commutation, drinfeld_closed_form,
                             expand_sesquilinear, gram, measure_b,
@@ -140,6 +142,21 @@ class TestClosedForm:
                         assert drinfeld_closed_form(pf, r, g, i, j) == \
                             residue_pair(ctx, E.motive_basis[i],
                                          E.comotive_basis[j])
+
+    def test_family_rank_5_and_6(self, pf2, pf3):
+        # the family g_1..g_{r-1} = theta + 1, g_r = theta; each gram
+        # should take well under a second at these ranks
+        start = time.perf_counter()
+        for pf in (pf2, pf3, PerfField(Fq(5))):
+            th = pf.theta()
+            for r in (5, 6):
+                g = [th + pf.one()] * (r - 1) + [th]
+                G = gram(drinfeld(pf, th, g))
+                for i in range(r):
+                    for j in range(r):
+                        assert G[i, j] == drinfeld_closed_form(pf, r, g, i, j)
+                assert check_perfectness(G).status == "perfect"
+        assert time.perf_counter() - start < 20.0
 
     def test_index_errors(self, pf3):
         with pytest.raises(Exception):

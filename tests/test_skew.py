@@ -8,7 +8,8 @@ import pytest
 from taures.errors import FieldError, PrecisionError
 from taures.skew import SkewLaurent, invert_scalar
 
-from conftest import (apply_skew, rand_perf, rand_skew,
+from conftest import (apply_skew, invert_scalar_geometric, rand_fq,
+                      rand_perf, rand_perf_nonzero, rand_skew,
                       rand_skew_monomial_lead, rand_skew_nonzero)
 
 
@@ -187,11 +188,11 @@ class TestInvertScalar:
         for pf in (pf2, pf3):
             one = SkewLaurent.one(pf)
             for trial in range(60):
-                # arbitrary leading coefficients stay at shallow precision;
-                # monomial leads (the pipeline case) go deeper
+                # arbitrary leading coefficients and monomial leads (the
+                # pipeline case)
                 if trial % 5 == 0:
                     f = rand_skew_nonzero(rng, pf, lo=-2, hi=2)
-                    precision = 3
+                    precision = 6
                 else:
                     f = rand_skew_monomial_lead(rng, pf)
                     precision = 5
@@ -213,6 +214,73 @@ class TestInvertScalar:
         shallow = SkewLaurent(pf3, {0: pf3.one()}, floor=0)
         with pytest.raises(PrecisionError):
             invert_scalar(shallow, 3)
+
+
+def with_lead(rng, pf, lead):
+    """Random element with the given leading coefficient and one to three
+    lower terms within three sigma-orders of it."""
+    d = rng.randint(-2, 2)
+    terms = [(lead, d)]
+    for e in rng.sample(range(d - 3, d), rng.randint(1, 3)):
+        terms.append((rand_perf_nonzero(rng, pf), e))
+    return SkewLaurent.from_right_coeffs(pf, terms)
+
+
+def random_lead(rng, pf, multi_term):
+    """c * theta^m, or theta + c with two terms, for a random unit c."""
+    c = pf.from_fq(rand_fq(rng, pf.fq) or pf.fq.one())
+    return pf.theta() + c if multi_term else c * pf.theta() ** rng.randrange(3)
+
+
+class TestInvertScalarOracle:
+    """The recurrence against the geometric-series reference: the same
+    coefficients and the same floor, for exact and truncated operands."""
+
+    @pytest.mark.parametrize("precision", range(1, 9))
+    def test_matches_geometric(self, pf2, pf3, pf4, precision):
+        rng = random.Random(300 + precision)
+        # a two-term lead makes the inverse's denominators grow like
+        # q^precision, and the reference's cost much faster (q = 4,
+        # precision 4: up to 8 s), so those operands stop at the depth
+        # the reference affords
+        for pf, multi_depth in ((pf2, 6), (pf3, 3), (pf4, 3)):
+            for multi_term in (False, True):
+                if multi_term and precision > multi_depth:
+                    continue
+                for truncated in (False, True):
+                    f = with_lead(rng, pf, random_lead(rng, pf, multi_term))
+                    if truncated:
+                        # known to exactly the depth the inverse needs,
+                        # or one order deeper
+                        f = f.truncate(f.deg_tau() - precision + 1
+                                       - rng.randrange(2))
+                    assert invert_scalar(f, precision) == \
+                        invert_scalar_geometric(f, precision)
+
+
+def test_invert_scalar_properties(pf2, pf3):
+    """Extending the precision only adds terms below the old floor, and
+    f * f^-1 agrees with 1 above its floor."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      q3=st.booleans(),
+                      multi_term=st.booleans(),
+                      precision=st.integers(1, 4),
+                      extra=st.integers(0, 2))
+    def check(seed, q3, multi_term, precision, extra):
+        pf = pf3 if q3 else pf2
+        rng = random.Random(seed)
+        f = with_lead(rng, pf, random_lead(rng, pf, multi_term))
+        inv = invert_scalar(f, precision)
+        assert invert_scalar(f, precision + extra).truncate(inv.floor) \
+            == inv
+        assert (f * inv).agrees_with(SkewLaurent.one(pf))
+
+    check()
 
 
 class TestRingAxioms:
