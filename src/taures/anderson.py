@@ -338,18 +338,23 @@ def find_k1(module: AndersonModule, cap=64):
 
     Submultiplicativity of the norm then gives
     sigma_order(phi(t)^(-k1*j)) >= j, the pairing's termination bound.
-    Shallow precision suffices: the order test only reads stored degrees
-    at tau-exponent >= -1, so the power chain keeps just that window, and
-    floors are re-escalated if power products erode it.
+    The power chain keeps only tau-exponent 0.  When phi(t)^-1 has no
+    positive tau-degree, neither has any power of it, so the test is
+    whether coeff_0 of every entry vanishes, and
+    coeff_0(phi^-k) = coeff_0(phi^-1)^k: each step computes just those
+    terms.  An entry with floor 0 and no stored term has sigma_order 1,
+    so sigma_order(acc) >= 1 reads the test off the window.  A floor
+    above 0, as a positive-degree inverse produces, re-escalates through
+    ``phi_inverse_power``.
     """
     precision = 3
     inv = invert_series_matrix(module.phi_t, precision)
-    acc = inv
+    acc = inv.truncate(0)
     for k in range(1, cap + 1):
         if sigma_order(acc) >= 1:
             return k
-        acc = mat_mul(acc, inv).truncate(-1)
-        if acc.max_floor() > -1:
+        acc = mat_mul(acc, inv, floor=0)
+        if acc.max_floor() > 0:
             precision *= 2
             inv = invert_series_matrix(module.phi_t, precision)
             acc = phi_inverse_power(module, k + 1, precision, inv=inv)

@@ -7,8 +7,7 @@ Three layers live here:
   fixes F_q pointwise, which downstream code relies on.
 * ``SPoly`` -- sparse univariate polynomials over any coefficient ring that
   exposes ``zero()``/``one()`` and whose elements overload +, -, *, /.
-  The same class serves F_p[z], F_q[x], k[t], F_q[t] and (nested through
-  ``PolyRing``) F_q[t][T].
+  The same class serves F_p[z], F_q[x], k[t] and F_q[t].
 * ``PerfElement`` -- an element of the perfection of F_q(theta): a reduced
   rational function num/den over F_q together with a level e >= 0, the value
   being (num/den)(theta^(1/q^e)).  Frobenius and its inverse are exact and
@@ -304,20 +303,6 @@ class Fq:
 
     def __repr__(self):
         return "Fq({})".format(self.q)
-
-
-class PolyRing:
-    """Ring context turning SPoly values into coefficients of another SPoly."""
-
-    def __init__(self, coeff_ring, var):
-        self.coeff_ring = coeff_ring
-        self.var = var
-
-    def zero(self):
-        return SPoly(self.coeff_ring, {})
-
-    def one(self):
-        return SPoly(self.coeff_ring, {0: self.coeff_ring.one()})
 
 
 class SPoly:

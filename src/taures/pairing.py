@@ -97,24 +97,25 @@ def _pair_row(ctx, m, ns, k_cut, precision):
     k-power chain tau*m*phi(t)^-k across the columns.
 
     Only acc-coefficients at tau-exponent >= -deg(n) can reach coeff_0
-    (the inverse matrix has non-positive degree, n non-negative), so the
-    chain is truncated to that window each step; the precision floors
-    certify every extracted coefficient exact.
+    (the inverse matrix has non-positive degree, n non-negative), so each
+    chain product is computed only down to that window, and each pairing
+    product only down to coeff_0; the precision floors certify every
+    extracted coefficient exact.
     """
     pf = ctx.module.pf
     inv = ctx.inverse_at(precision)
     window = -max(_deg_or_zero(n) for n in ns)
     tau_row = m.map(lambda e: SkewLaurent.tau(pf) * e)
-    acc = mat_mul(tau_row, inv).truncate(window)
+    acc = mat_mul(tau_row, inv, floor=window)
     terms = [{} for _ in ns]
     for k in range(1, k_cut + 1):
         for idx, n in enumerate(ns):
-            val = mat_mul(acc, n)[0, 0]
+            val = mat_mul(acc, n, floor=0)[0, 0]
             c = val.coeff(0)  # raises PrecisionError if floor is above 0
             if c:
                 terms[idx][k - 1] = -c
         if k < k_cut:
-            acc = mat_mul(acc, inv).truncate(window)
+            acc = mat_mul(acc, inv, floor=window)
     return [Differential(TPoly(pf, t)) for t in terms]
 
 

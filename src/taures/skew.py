@@ -8,9 +8,14 @@ exponents.  The defining relation tau*a = a^q*tau makes the product rule
 
 Truncation is tracked by ``floor``: all coefficients at tau-degree < floor
 are unknown.  Exact elements carry floor = -inf (stored as None).  The
-product floor is max(floor_f + deg_tau(g), floor_g + deg_tau(f)), which is
-the exact frontier below which an unknown tail can contaminate the result;
-everything at or above the floor is exact, never approximate.
+product floor is max(floor_f + deg(g), floor_g + deg(f)), deg being the
+stored tau-degree, or floor - 1 for a truncated element that stores no
+term.  It is the exact frontier below which an unknown tail can
+contaminate the result; everything at or above the floor is exact, never
+approximate.  The floor also bounds the work: a product forms only the
+term pairs that land at or above it, and a caller that keeps a narrower
+window passes that window as a higher floor, so no discarded term is
+ever computed.
 """
 
 from __future__ import annotations
@@ -154,31 +159,53 @@ class SkewLaurent:
         return SkewLaurent(self.pf, {e: -c for e, c in self.coeffs.items()},
                            self.floor)
 
-    def __mul__(self, other):
+    def __mul__(self, other, floor=None):
+        """The product, computed only at tau-degrees >= its floor.
+
+        The floor is ``_mul_floor``, raised to ``floor`` when the caller
+        passes a higher one because it keeps nothing below it.  Pairs
+        i + j below the floor are skipped before their twist and product,
+        so the result equals ``(self * other).truncate(floor)`` at the
+        cost of the kept terms only.
+        """
+        own = self._mul_floor(other)
+        if own is not None and (floor is None or own > floor):
+            floor = own
+        lowest = NEG_INF if floor is None else floor
         coeffs = {}
         for i, a in self.coeffs.items():
+            lo = lowest - i
             for j, b in other.coeffs.items():
+                if j < lo:
+                    continue
                 c = a.q_power_iter(-j) * b
                 if not c:
                     continue
                 k = i + j
                 s = coeffs.get(k)
                 coeffs[k] = s + c if s is not None else c
-        floor = self._mul_floor(other)
         return SkewLaurent(self.pf, coeffs, floor)
 
     def _mul_floor(self, other):
-        # unknown tail of f can contaminate degrees < floor_f + deg_tau(g)
+        # unknown tail of f can contaminate degrees < floor_f + deg(g),
+        # where deg(g) counts g's own unknown tail when g stores no term
         cands = []
         if self.floor is not None:
-            dg = other.deg_tau()
+            dg = other._deg_bound()
             if dg != NEG_INF:
                 cands.append(self.floor + dg)
         if other.floor is not None:
-            df = self.deg_tau()
+            df = self._deg_bound()
             if df != NEG_INF:
                 cands.append(other.floor + df)
         return max(cands) if cands else None
+
+    def _deg_bound(self):
+        """Highest tau-degree the full element can reach: the stored degree,
+        or just below the floor for a truncated element storing nothing."""
+        if self.floor is None or self.coeffs:
+            return self.deg_tau()
+        return self.floor - 1
 
     def __pow__(self, n):
         if n < 0:

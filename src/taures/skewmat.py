@@ -121,8 +121,12 @@ class SkewMatrix:
         return "SkewMatrix({}x{})".format(self.rows, self.cols)
 
 
-def mat_mul(a: SkewMatrix, b: SkewMatrix) -> SkewMatrix:
-    """Entry-wise sums of skew products; a's entries multiply from the left."""
+def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
+    """Entry-wise sums of skew products; a's entries multiply from the left.
+
+    With ``floor`` the result equals ``mat_mul(a, b).truncate(floor)``, but
+    each entry product computes only the terms at or above it.
+    """
     if a.cols != b.rows:
         raise DimensionError(
             "inner dimensions differ: {}x{} times {}x{}".format(
@@ -132,9 +136,9 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix) -> SkewMatrix:
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            acc = SkewLaurent.zero(pf)
+            acc = SkewLaurent(pf, {}, floor)
             for l in range(a.cols):
-                acc = acc + a.entries[i][l] * b.entries[l][j]
+                acc = acc + a.entries[i][l].__mul__(b.entries[l][j], floor)
             row.append(acc)
         out.append(row)
     return SkewMatrix(pf, out)
@@ -164,9 +168,10 @@ def invert_series_matrix(phi: SkewMatrix, precision,
 
     Returns X with every entry carrying prec_floor <= -precision and
     phi*X == I == X*phi to the precision the product floors certify.
-    Internal scalar divisions run at a working precision derived from the
-    entry degrees; if the target floor is not reached the working precision
-    escalates (up to ``max_retries`` retries) before giving up.
+    Internal scalar divisions start at the target precision.  If the
+    inverse misses the target floor, the working precision grows by the
+    missing depth; if a pivot is known too shallowly to invert, it
+    doubles.  After ``max_retries`` retries the last error is raised.
     """
     if phi.rows != phi.cols:
         raise DimensionError("only square matrices can be inverted")
@@ -186,7 +191,7 @@ def invert_series_matrix(phi: SkewMatrix, precision,
             return x.truncate(-precision)
         # escalate by exactly the missing depth; coefficient degrees grow
         # fast with sigma-precision, so overshooting is the real hazard
-        work += int(deficit) + 1
+        work += int(deficit)
         last_err = PrecisionError(
             "inverse floor {} did not reach -{}".format(
                 x.max_floor(), precision))

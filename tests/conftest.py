@@ -7,10 +7,11 @@ semantics for skew products (compose twisted multiplication maps).
 
 import pytest
 
-from taures.anderson import Differential, TPoly
+from taures.anderson import Differential, TPoly, phi_inverse_power
 from taures.errors import FieldError, PrecisionError
 from taures.fields import Fq, PerfField
 from taures.skew import SkewLaurent
+from taures.skewmat import mat_mul, sigma_order
 
 
 @pytest.fixture(scope="session")
@@ -147,6 +148,49 @@ def invert_scalar_geometric(f, precision):
     # f^-1 = u^-1 * series * sigma^d
     out = SkewLaurent.scalar(pf, u_inv) * series
     return out * SkewLaurent(pf, {-d: pf.one()})
+
+
+def skew_mul_reference(f, g):
+    """Test-only reference for the skew product: every term pair is
+    formed, and only then are the terms below the product floor
+    max(floor_f + deg(g), floor_g + deg(f)) dropped, deg being the stored
+    tau-degree, or floor - 1 for a truncated element storing nothing."""
+    coeffs = {}
+    for i, a in f.coeffs.items():
+        for j, b in g.coeffs.items():
+            c = a.q_power_iter(-j) * b
+            if not c:
+                continue
+            k = i + j
+            s = coeffs.get(k)
+            coeffs[k] = s + c if s is not None else c
+
+    def deg(h):
+        if h:
+            return h.deg_tau()
+        return None if h.floor is None else h.floor - 1
+
+    floors = [lo + deg(other) for lo, other in ((f.floor, g), (g.floor, f))
+              if lo is not None and deg(other) is not None]
+    return SkewLaurent(f.pf, coeffs, max(floors) if floors else None)
+
+
+def find_k1_reference(module, cap=64, precision=2):
+    """Test-only reference for ``find_k1``: the least k with
+    sigma_order(phi(t)^-k) >= 1, the powers multiplied out in full, with
+    no window.  This is the chain ``phi_inverse_power(module, k,
+    precision)`` builds, kept running across k in place of rebuilt for
+    each (carlitz-tensor d = 10, q = 2: 0.6 s against 3.5 s).  Precision
+    2 is the least the Maurischat phi(t) inverts at.
+    """
+    inv = phi_inverse_power(module, 1, precision)
+    acc = inv
+    for k in range(1, cap + 1):
+        assert acc.max_floor() < 0, "the order test reads exponent 0"
+        if sigma_order(acc) >= 1:
+            return k
+        acc = mat_mul(acc, inv)
+    raise AssertionError("no k1 <= {}".format(cap))
 
 
 def apply_skew(f, x):

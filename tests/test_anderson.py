@@ -6,6 +6,7 @@ import random
 import pytest
 
 from taures.errors import FieldError
+from taures.fields import Fq, PerfField
 from taures.anderson import (AndersonModule, Differential, TPoly, carlitz,
                              carlitz_tensor, drinfeld, find_k1, maurischat,
                              phi_inverse_power, phi_of_poly,
@@ -14,7 +15,8 @@ from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul, \
     sigma_order
 
-from conftest import rand_fq
+from conftest import find_k1_reference, rand_fq, rand_perf, \
+    rand_perf_nonzero
 
 
 class TestValidate:
@@ -153,6 +155,24 @@ class TestFindK1:
                 E = drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th])
                 assert find_k1(E) == 1
                 assert termination_bound(E, 1) == 2 * r
+
+    def test_matches_unwindowed_reference(self, pf2, pf3):
+        # the window at exponent 0 decides the same k1 as the full powers
+        cases = [carlitz_tensor(pf2, pf2.theta(), d) for d in range(1, 11)]
+        cases += [carlitz_tensor(pf3, pf3.theta(), d) for d in range(1, 7)]
+        rng = random.Random(44)
+        for pf in (pf2, pf3, PerfField(Fq(5))):
+            th = pf.theta()
+            cases.append(maurischat(pf, th))
+            for r in range(2, 7):
+                cases.append(drinfeld(pf, th,
+                                      [th + pf.one()] * (r - 1) + [th]))
+            for r in (1, 2, 3):
+                g = [rand_perf(rng, pf) for _ in range(r - 1)]
+                cases.append(drinfeld(pf, th,
+                                      g + [rand_perf_nonzero(rng, pf)]))
+        for E in cases:
+            assert find_k1(E) == find_k1_reference(E), E.name
 
     def test_minimality(self, pf3):
         for d in (2, 3):

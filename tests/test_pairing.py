@@ -7,9 +7,9 @@ import time
 import pytest
 
 from taures.anderson import (Differential, TPoly, carlitz, carlitz_tensor,
-                             drinfeld, maurischat)
+                             drinfeld, find_k1, maurischat)
 from taures.errors import FieldError
-from taures.fields import Fq, PerfField
+from taures.fields import Fq, PerfElement, PerfField
 from taures.pairing import (PairingContext, check_perfectness,
                             check_tau_commutation, drinfeld_closed_form,
                             expand_sesquilinear, gram, measure_b,
@@ -379,3 +379,29 @@ def test_gram_render(pf2):
     E = carlitz(pf2, pf2.theta())
     g = gram(E)
     assert g.render() == "1 dt\nK = 2, b = 0, det = 1, perfect = yes"
+
+
+def test_truncated_products_skip_discarded_terms(pf2, pf3, monkeypatch):
+    """Deterministic operation counts: coefficient products made by the
+    windowed k1 chain and by one pairing chain.  Forming every term pair
+    before dropping those below the floor took 15145 and 545."""
+    calls = [0]
+    original = PerfElement.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(PerfElement, "__mul__", counted)
+
+    def count(fn, *args):
+        calls[0] = 0
+        fn(*args)
+        return calls[0]
+
+    tensor = carlitz_tensor(pf3, pf3.theta(), 8)
+    assert count(find_k1, tensor) <= 764
+    ctx = PairingContext(carlitz(pf2, pf2.theta()))
+    tau4 = SkewLaurent.tau(pf2, 4)
+    assert count(residue_pair, ctx, row(pf2, [tau4]), col(pf2, [tau4])) \
+        <= 213

@@ -10,7 +10,8 @@ from taures.skew import SkewLaurent, invert_scalar
 
 from conftest import (apply_skew, invert_scalar_geometric, rand_fq,
                       rand_perf, rand_perf_nonzero, rand_skew,
-                      rand_skew_monomial_lead, rand_skew_nonzero)
+                      rand_skew_monomial_lead, rand_skew_nonzero,
+                      skew_mul_reference)
 
 
 class TestNormalForm:
@@ -78,6 +79,54 @@ class TestMul:
             f = SkewLaurent.from_right_coeffs(pf3, [(a, 1)])
             g = SkewLaurent.from_right_coeffs(pf3, [(b, 1)])
             assert (f * g).coeff(2) == a.q_root() * b
+
+
+def check_mul_against_reference(rng, pf):
+    """One random case of the skew product against the all-pairs
+    reference: exact x exact, exact x truncated (either side) and
+    truncated x truncated, with and without a caller's floor."""
+    f = rand_skew(rng, pf)
+    g = rand_skew(rng, pf)
+    kind = rng.randrange(3)
+    if kind:
+        g = g.truncate(rng.randint(-5, 4))
+    if kind == 2:
+        f = f.truncate(rng.randint(-5, 4))
+    if rng.randrange(2):
+        f, g = g, f
+    ref = skew_mul_reference(f, g)
+    assert f * g == ref
+    w = rng.randint(-6, 6)
+    assert f.__mul__(g, w) == ref.truncate(w)
+    # floors never overstate knowledge: truncating first agrees with the
+    # product above the floor it reports
+    ft = f.truncate(rng.randint(-5, 4))
+    gt = g.truncate(rng.randint(-5, 4))
+    assert (ft * gt).agrees_with(ref)
+    assert (ft * g).agrees_with(ref)
+
+
+class TestMulOracle:
+    def test_matches_reference(self, pf2, pf3, pf4):
+        rng = random.Random(310)
+        for pf in (pf2, pf3, pf4):
+            for _ in range(150):
+                check_mul_against_reference(rng, pf)
+
+
+def test_mul_reference_properties(pf2, pf3, pf4):
+    """The same cases, searched by hypothesis (skipped without it)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      pf=st.sampled_from((pf2, pf3, pf4)))
+    def check(seed, pf):
+        check_mul_against_reference(random.Random(seed), pf)
+
+    check()
 
 
 class TestCoeff:

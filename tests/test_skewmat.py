@@ -48,6 +48,23 @@ class TestMatMul:
         with pytest.raises(DimensionError):
             mat_mul(a, b)
 
+    def test_floor_equals_truncated_product(self, pf2, pf3):
+        rng = random.Random(33)
+
+        def entry(pf):
+            e = rand_skew(rng, pf)
+            return e.truncate(rng.randint(-5, 4)) if rng.randrange(2) else e
+
+        for pf in (pf2, pf3):
+            for _ in range(20):
+                n, m, p = (rng.randint(1, 3) for _ in range(3))
+                a = SkewMatrix(pf, [[entry(pf) for _ in range(m)]
+                                    for _ in range(n)])
+                b = SkewMatrix(pf, [[entry(pf) for _ in range(p)]
+                                    for _ in range(m)])
+                w = rng.randint(-6, 6)
+                assert mat_mul(a, b, floor=w) == mat_mul(a, b).truncate(w)
+
     def test_noncommutative_order(self, pf3):
         # scalar theta times tau: order matters entrywise
         th = SkewMatrix(pf3, [[SkewLaurent.scalar(pf3, pf3.theta())]])
