@@ -5,6 +5,10 @@ pairing's infinite sum into a finite one.
 A module is the data (field, theta, d, phi_t, declared motive/comotive
 bases).  Bases are declared, not computed: the Gram-unit certificate in
 the pairing module retroactively certifies them.
+
+Elements of A tensor R, realized as R[t], are ``SPoly`` over
+``PerfField``; ``twist`` and ``max_level`` are the two operations the
+pairing needs beyond the ring structure.
 """
 
 from __future__ import annotations
@@ -13,115 +17,22 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import ConvergenceError, DimensionError, FieldError
-from .fields import Fq, PerfElement, PerfField, needs_parens
-from .skew import NEG_INF, SkewLaurent
+from .fields import Fq, PerfElement, PerfField, SPoly
+from .skew import SkewLaurent
 from .skewmat import SkewMatrix, invert_series_matrix, mat_mul, sigma_order
 
 
-class TPoly:
-    """Commutative polynomial in t with coefficients in the perfection.
+def twist(poly: SPoly, j=1) -> SPoly:
+    """Raise every coefficient of an R[t] value to the q^j power; t is
+    fixed."""
+    return poly.map_coeffs(lambda c: c.q_power_iter(j))
 
-    A sparse map {t-exponent: nonzero PerfElement}; this is the ring
-    A tensor R realized as R[t].
-    """
 
-    __slots__ = ("pf", "terms")
-
-    def __init__(self, pf: PerfField, terms):
-        self.pf = pf
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, pf):
-        return cls(pf, {})
-
-    @classmethod
-    def const(cls, pf, c: PerfElement):
-        return cls(pf, {0: c})
-
-    @classmethod
-    def t(cls, pf):
-        return cls(pf, {1: pf.one()})
-
-    def degree(self):
-        return max(self.terms) if self.terms else -1
-
-    def coeff(self, e) -> PerfElement:
-        c = self.terms.get(e)
-        return c if c is not None else self.pf.zero()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = s + c if s is not None else c
-        return TPoly(self.pf, terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = s - c if s is not None else -c
-        return TPoly(self.pf, terms)
-
-    def __neg__(self):
-        return TPoly(self.pf, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = terms.get(e)
-                terms[e] = s + p if s is not None else p
-        return TPoly(self.pf, terms)
-
-    def scale(self, c: PerfElement):
-        return TPoly(self.pf, {e: v * c for e, v in self.terms.items()})
-
-    def twist(self, j=1):
-        """Raise every coefficient to the q^j power; t is fixed."""
-        return TPoly(self.pf,
-                     {e: c.q_power_iter(j) for e, c in self.terms.items()})
-
-    def is_constant(self):
-        return self.degree() <= 0
-
-    def max_level(self):
-        return max((c.perfection_level() for c in self.terms.values()),
-                   default=0)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            cs = str(c)
-            if e == 0:
-                parts.append(cs)
-                continue
-            v = "t" if e == 1 else "t^{}".format(e)
-            if c.is_one():
-                parts.append(v)
-            else:
-                if needs_parens(cs) or "/" in cs:
-                    cs = "({})".format(cs)
-                parts.append("{}*{}".format(cs, v))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "TPoly({})".format(self)
+def max_level(poly: SPoly) -> int:
+    """The deepest perfection level among the coefficients of an R[t]
+    value."""
+    return max((c.perfection_level() for c in poly.terms.values()),
+               default=0)
 
 
 class Differential:
@@ -132,12 +43,8 @@ class Differential:
 
     __slots__ = ("poly",)
 
-    def __init__(self, poly: TPoly):
+    def __init__(self, poly: SPoly):
         self.poly = poly
-
-    @classmethod
-    def zero(cls, pf):
-        return cls(TPoly.zero(pf))
 
     def __eq__(self, other):
         return isinstance(other, Differential) and self.poly == other.poly
@@ -158,15 +65,15 @@ class Differential:
         return bool(self.poly)
 
     def scale(self, a):
-        if isinstance(a, TPoly):
+        if isinstance(a, SPoly):
             return Differential(self.poly * a)
         return Differential(self.poly.scale(a))
 
     def twist(self, j=1):
-        return Differential(self.poly.twist(j))
+        return Differential(twist(self.poly, j))
 
     def max_level(self):
-        return self.poly.max_level()
+        return max_level(self.poly)
 
     def __str__(self):
         return "{} dt".format(self.poly)
@@ -211,12 +118,10 @@ class AndersonModule:
         return len(self.motive_basis)
 
     def max_basis_deg(self):
-        dm = max((row.max_deg_tau() for row in self.motive_basis),
-                 default=NEG_INF)
-        dn = max((col.max_deg_tau() for col in self.comotive_basis),
-                 default=NEG_INF)
-        dm = 0 if dm == NEG_INF else int(max(dm, 0))
-        dn = 0 if dn == NEG_INF else int(max(dn, 0))
+        dm = max((row.deg_or_zero() for row in self.motive_basis),
+                 default=0)
+        dn = max((col.deg_or_zero() for col in self.comotive_basis),
+                 default=0)
         return dm, dn
 
 
@@ -287,7 +192,7 @@ def _const_mat_mul(pf, a, b):
     return out
 
 
-def phi_of_poly(module: AndersonModule, a: TPoly) -> SkewMatrix:
+def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:
     """Extend phi to F_q[t]: evaluate a at phi_t, constants embed as c*I."""
     pf = module.pf
     d = module.dim

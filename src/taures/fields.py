@@ -7,7 +7,8 @@ Three layers live here:
   fixes F_q pointwise, which downstream code relies on.
 * ``SPoly`` -- sparse univariate polynomials over any coefficient ring that
   exposes ``zero()``/``one()`` and whose elements overload +, -, *, /.
-  The same class serves F_p[z], F_q[x], k[t] and F_q[t].
+  The same class serves F_p[z], F_q[x], k[t], F_q[t] and, over
+  ``PerfField``, the ring R^perf[t] in which pairing values live.
 * ``PerfElement`` -- an element of the perfection of F_q(theta): a reduced
   rational function num/den over F_q together with a level e >= 0, the value
   being (num/den)(theta^(1/q^e)).  Frobenius and its inverse are exact and
@@ -20,6 +21,7 @@ Everything is immutable after construction; operations are pure.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd as gcd_int
 
@@ -223,37 +225,11 @@ class Fq:
         self._tables = True
 
     def _check_irreducible(self):
-        # Trial factorization over F_p: enumerate monic divisors of degree
-        # <= m // 2.  Desk scale: p^(m//2) stays tiny.
-        p, m = self.p, self.m
-        if p ** (m // 2) > 10 ** 5:
-            raise FieldError("modulus too large for trial factorization")
-        for deg in range(1, m // 2 + 1):
-            for idx in range(p ** deg):
-                div = []
-                k = idx
-                for _ in range(deg):
-                    div.append(k % p)
-                    k //= p
-                div.append(1)
-                if self._poly_divides(div):
-                    raise FieldError(
-                        "modulus is reducible over F_{}".format(p))
-
-    def _poly_divides(self, div):
-        rem = list(self.modulus)
-        p = self.p
-        dd = len(div) - 1
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            c = rem[-1]  # div is monic
-            shift = len(rem) - 1 - dd
-            for i, dc in enumerate(div):
-                rem[shift + i] = (rem[shift + i] - c * dc) % p
-        return not any(rem)
+        fp = Fq(self.p)
+        poly = SPoly(fp, {i: fp.from_int(c)
+                          for i, c in enumerate(self.modulus)})
+        if not irreducible_over(fp, poly):
+            raise FieldError("modulus is reducible over F_{}".format(self.p))
 
     def zero(self):
         return FqElement(self, (0,) * self.m)
@@ -529,7 +505,7 @@ class SPoly:
         return render_poly_in_var(self.terms, var, coeff_str, coeff_is_one)
 
     def __str__(self):
-        return self.render("x")
+        return self.render("t")
 
     def __repr__(self):
         return "SPoly({})".format(self)
@@ -541,7 +517,8 @@ def needs_parens(s):
 
 def render_poly_in_var(terms, var, coeff_str, coeff_is_one):
     """Canonical rendering: decreasing exponent, '*' between coefficient
-    and variable power, unit coefficients omitted on proper powers."""
+    and variable power, unit coefficients omitted on proper powers.  A
+    coefficient that is a sum or a fraction goes in parentheses."""
     if not terms:
         return "0"
     parts = []
@@ -555,40 +532,29 @@ def render_poly_in_var(terms, var, coeff_str, coeff_is_one):
             if coeff_is_one(c):
                 parts.append(v)
             else:
-                if needs_parens(cs):
+                if needs_parens(cs) or "/" in cs:
                     cs = "({})".format(cs)
                 parts.append("{}*{}".format(cs, v))
     return " + ".join(parts)
 
 
 def irreducible_over(field, poly):
-    """Trial-factorization irreducibility over a finite coefficient field."""
+    """Trial-factorization irreducibility over a finite coefficient field:
+    no monic divisor of degree 1..n//2."""
     n = poly.degree()
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    size = 1
-    for _ in range(n // 2):
-        size *= field.q if isinstance(field, Fq) else field.size
-    if size > 10 ** 5:
+    size = field.q if isinstance(field, Fq) else field.size
+    if size ** (n // 2) > 10 ** 5:
         raise FieldError("modulus too large for trial factorization")
     ring = poly.ring
-    # enumerate monic polynomials of degree deg for deg in 1..n//2
     elems = list(field.elements())
     for deg in range(1, n // 2 + 1):
-        def rec(coeffs):
-            if len(coeffs) == deg:
-                div = SPoly(ring, {deg: ring.one()})
-                for i, c in enumerate(coeffs):
-                    if c:
-                        div = div + SPoly(ring, {i: c})
-                if not (poly % div):
-                    return True
+        for coeffs in itertools.product(elems, repeat=deg):
+            div = dict(enumerate(coeffs))
+            div[deg] = ring.one()
+            if not poly % SPoly(ring, div):
                 return False
-            return any(rec(coeffs + [c]) for c in elems)
-        if rec([]):
-            return False
     return True
 
 

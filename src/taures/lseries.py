@@ -17,6 +17,8 @@ must reproduce up to a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule
@@ -70,25 +72,15 @@ class BivariatePoly:
         return (isinstance(other, BivariatePoly)
                 and self.coeffs == other.coeffs)
 
+    @property
+    def terms(self):
+        """{(T-exponent, t-exponent): nonzero F_q coefficient}."""
+        return {(te, e): c for te, poly in enumerate(self.coeffs)
+                for e, c in poly.terms.items()}
+
     def unit_equiv(self, other) -> bool:
         """Equality up to a scalar of F_q^x."""
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        ratio = None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if bool(a) != bool(b):
-                return False
-            if not a:
-                continue
-            if set(a.terms) != set(b.terms):
-                return False
-            for e, c in a.terms.items():
-                r = c / b.terms[e]
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-        return True
+        return poly_unit_equiv(self, other)
 
     def at_T_one(self) -> SPoly:
         acc = SPoly(self.fq, {})
@@ -124,13 +116,13 @@ class BivariatePoly:
         return "BivariatePoly({})".format(self)
 
 
-def charpoly(rows, ring):
+def charpoly(rows, one):
     """Berkowitz characteristic polynomial det(lambda*I - A), division
-    free over any commutative ring; returns coefficients leading-first."""
+    free over any commutative ring whose unit is ``one``; returns
+    coefficients leading-first."""
     n = len(rows)
     if n == 0:
         raise DimensionError("empty matrix")
-    one = ring.one()
     poly = [one, -rows[0][0]]
     for i in range(1, n):
         a = rows[i][i]
@@ -140,42 +132,21 @@ def charpoly(rows, ring):
         svals = []
         vec = col
         for _ in range(i):
-            svals.append(_dot(row, vec, ring))
-            vec = [_dot(rows[r][:i], vec, ring) for r in range(i)]
+            svals.append(_dot(row, vec))
+            vec = [_dot(rows[r][:i], vec) for r in range(i)]
         conv = [one, -a] + [-s for s in svals]
         new = []
         for x in range(i + 2):
-            acc = None
-            for z in range(0, min(x, i + 1) + 1):
-                y = x - z
-                if y >= len(poly):
-                    continue
-                term = conv[z] * poly[y]
-                acc = term if acc is None else acc + term
-            new.append(acc if acc is not None else ring.zero())
+            # new[x] = sum of conv[z] * poly[x - z] over the indices in range
+            zs = range(max(0, x - i), min(x, i + 1) + 1)
+            new.append(_dot([conv[z] for z in zs], [poly[x - z] for z in zs]))
         poly = new
     return poly
 
 
-def _dot(row, vec, ring):
-    acc = None
-    for a, b in zip(row, vec):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ring.zero()
-
-
-class _TPolyRing:
-    """Minimal ring context for SPoly-over-field used inside charpoly."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def zero(self):
-        return SPoly(self.field, {})
-
-    def one(self):
-        return SPoly(self.field, {0: self.field.one()})
+def _dot(row, vec):
+    """sum of row[l] * vec[l] over a non-empty row."""
+    return reduce(add, map(mul, row, vec))
 
 
 def _extract_drinfeld_g(module: AndersonModule):
@@ -220,11 +191,10 @@ def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
     theta = module.theta.as_fq()
     gk = [ext.embed(c.as_fq()) for c in g]
     th_k = ext.embed(theta)
-    tring = _TPolyRing(ext)
 
     def unit_col(i):
-        col = [tring.zero() for _ in range(r)]
-        col[i] = tring.one()
+        col = [SPoly(ext, {}) for _ in range(r)]
+        col[i] = SPoly.const(ext, ext.one())
         return col
 
     t_minus_theta = SPoly(ext, {1: ext.one(), 0: -th_k})
@@ -261,7 +231,7 @@ def _decompose(ext: ExtField, x: ExtElement, basis_inv=None):
     if basis_inv is None:
         return list(x.coeffs)
     coords = list(x.coeffs)
-    return [_dot(row, coords, ext.base) for row in basis_inv]
+    return [_dot(row, coords) for row in basis_inv]
 
 
 def _basis_inverse(ext: ExtField, basis):
@@ -304,8 +274,7 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
             raise DimensionError("basis of k needs {} elements".format(n))
         basis_inv = _basis_inverse(ext, basis)
     size = r * n
-    tring = _TPolyRing(fq)
-    big = [[tring.zero() for _ in range(size)] for _ in range(size)]
+    big = [[SPoly(fq, {}) for _ in range(size)] for _ in range(size)]
     for i in range(r):
         for a in range(n):
             ba = basis[a]
@@ -340,7 +309,7 @@ def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
             tau_matrix.side))
     big = restrict_tau(tau_matrix, ext, basis=basis)
     fq = ext.base
-    coeffs_lead_first = charpoly(big, _TPolyRing(fq))
+    coeffs_lead_first = charpoly(big, SPoly.const(fq, fq.one()))
     coeffs = list(reversed(coeffs_lead_first))
     return BivariatePoly(fq, coeffs)
 
@@ -370,10 +339,9 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     for s in range(1, n):
         twisted = [[twist_poly(tau_matrix.entries[i][j], sign * s)
                     for j in range(r)] for i in range(r)]
-        tring = _TPolyRing(ext)
-        acc = [[_dot(acc[i], [twisted[l][j] for l in range(r)], tring)
+        acc = [[_dot(acc[i], [twisted[l][j] for l in range(r)])
                 for j in range(r)] for i in range(r)]
-    coeffs_lead_first = charpoly(acc, _TPolyRing(ext))
+    coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))
     # polynomial in U = T^n with k[t] coefficients; must descend to F_q
     fq = ext.base
     out = [SPoly(fq, {}) for _ in range(n * r + 1)]
@@ -418,18 +386,20 @@ def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
                     col[l * n + ap] = col[l * n + ap] + val.coeffs[ap]
             cols.append(col)
     mat = [[cols[j][i] for j in range(size)] for i in range(size)]
-    coeffs_lead_first = charpoly(mat, fq)
+    coeffs_lead_first = charpoly(mat, fq.one())
     return SPoly(fq, {size - i: c for i, c in enumerate(coeffs_lead_first)
                       if c})
 
 
-def poly_unit_equiv(a: SPoly, b: SPoly) -> bool:
-    """Equality of F_q[t] elements up to F_q^x."""
-    if set(a.terms) != set(b.terms):
+def poly_unit_equiv(a, b) -> bool:
+    """Equality of F_q[t] (or F_q[t][T]) elements up to F_q^x: the same
+    support, and one ratio between the coefficients."""
+    a_terms, b_terms = a.terms, b.terms
+    if a_terms.keys() != b_terms.keys():
         return False
     ratio = None
-    for e, c in a.terms.items():
-        r = c / b.terms[e]
+    for e, c in a_terms.items():
+        r = c / b_terms[e]
         if ratio is None:
             ratio = r
         elif r != ratio:

@@ -16,17 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldError, PrecisionError
-from .anderson import (AndersonModule, Differential, TPoly, find_k1,
-                       termination_bound, validate)
-from .skew import NEG_INF, SkewLaurent
-from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
-
-MAX_ESCALATIONS = 3
-
-
-def _deg_or_zero(mat: SkewMatrix) -> int:
-    d = mat.max_deg_tau()
-    return 0 if d == NEG_INF else int(max(d, 0))
+from .anderson import (AndersonModule, Differential, find_k1,
+                       termination_bound, twist, validate)
+from .fields import SPoly
+from .skew import SkewLaurent
+from .skewmat import (MAX_ESCALATIONS, SkewMatrix, invert_series_matrix,
+                      mat_mul)
 
 
 class PairingContext:
@@ -77,19 +72,28 @@ def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
     _check_morphism(m, 1, d, "motive element")
     _check_morphism(n, d, 1, "comotive element")
 
-    deg_m = _deg_or_zero(m)
-    deg_n = _deg_or_zero(n)
-    k_cut = max(ctx.k_cutoff, ctx.k1 * (2 + deg_m + deg_n)) + extra_terms
+    k_cut = max(ctx.k_cutoff,
+                ctx.k1 * (2 + m.deg_or_zero() + n.deg_or_zero())) \
+        + extra_terms
+    return _pair_matrix(ctx, [m], [n], k_cut)[0][0]
 
-    precision = deg_m + deg_n + 2
-    last_err = None
-    for _ in range(MAX_ESCALATIONS + 1):
+
+def _pair_matrix(ctx, ms, ns, k_cut):
+    """Pair every motive row of ms against every comotive column of ns.
+
+    The sigma-precision starts at 2 + the largest tau-degree over ms +
+    the largest over ns, and doubles on each PrecisionError, at most
+    MAX_ESCALATIONS times.
+    """
+    precision = 2 + max(m.deg_or_zero() for m in ms) \
+        + max(n.deg_or_zero() for n in ns)
+    for attempt in range(MAX_ESCALATIONS + 1):
         try:
-            return _pair_row(ctx, m, [n], k_cut, precision)[0]
-        except PrecisionError as err:
-            last_err = err
+            return [_pair_row(ctx, m, ns, k_cut, precision) for m in ms]
+        except PrecisionError:
+            if attempt == MAX_ESCALATIONS:
+                raise
             precision *= 2
-    raise last_err
 
 
 def _pair_row(ctx, m, ns, k_cut, precision):
@@ -104,7 +108,7 @@ def _pair_row(ctx, m, ns, k_cut, precision):
     """
     pf = ctx.module.pf
     inv = ctx.inverse_at(precision)
-    window = -max(_deg_or_zero(n) for n in ns)
+    window = -max(n.deg_or_zero() for n in ns)
     tau_row = m.map(lambda e: SkewLaurent.tau(pf) * e)
     acc = mat_mul(tau_row, inv, floor=window)
     terms = [{} for _ in ns]
@@ -116,7 +120,7 @@ def _pair_row(ctx, m, ns, k_cut, precision):
                 terms[idx][k - 1] = -c
         if k < k_cut:
             acc = mat_mul(acc, inv, floor=window)
-    return [Differential(TPoly(pf, t)) for t in terms]
+    return [Differential(SPoly(pf, t)) for t in terms]
 
 
 @dataclass
@@ -162,21 +166,8 @@ def gram(module_or_ctx, extra_terms=0) -> GramMatrix:
     for b in module.comotive_basis:
         _check_morphism(b, d, 1, "comotive basis element")
     k_cut = ctx.k_cutoff + extra_terms
-    dm, dn = module.max_basis_deg()
-    precision = dm + dn + 2
-    entries = None
-    last_err = None
-    for _ in range(MAX_ESCALATIONS + 1):
-        try:
-            entries = [_pair_row(ctx, m, module.comotive_basis, k_cut,
-                                 precision)
-                       for m in module.motive_basis]
-            break
-        except PrecisionError as err:
-            last_err = err
-            precision *= 2
-    if entries is None:
-        raise last_err
+    entries = _pair_matrix(ctx, module.motive_basis, module.comotive_basis,
+                           k_cut)
     b_level = max((e.max_level() for row in entries for e in row), default=0)
     return GramMatrix(entries=entries, k_cutoff=k_cut, b_level=b_level)
 
@@ -188,10 +179,10 @@ def expand_sesquilinear(g: GramMatrix, a, b) -> Differential:
     if len(a) != r or len(b) != r:
         raise DimensionError(
             "coordinate vectors must have length {}".format(r))
-    pf = g.entries[0][0].poly.pf
-    acc = TPoly.zero(pf)
+    pf = g.entries[0][0].poly.ring
+    acc = SPoly(pf, {})
     for i in range(r):
-        ai = a[i].twist(1)
+        ai = twist(a[i], 1)
         if not ai:
             continue
         for j in range(r):
@@ -218,7 +209,7 @@ def check_tau_commutation(module_or_ctx, m: SkewMatrix,
 @dataclass
 class PerfectnessResult:
     status: str  # "perfect" | "not-certified"
-    det: TPoly
+    det: SPoly  # over PerfField
 
     def __bool__(self):
         return self.status == "perfect"
@@ -229,7 +220,7 @@ def check_perfectness(g: GramMatrix) -> PerfectnessResult:
     Gram determinant is a unit of R^perf[t], i.e. a nonzero t-constant."""
     mat = g.poly_matrix()
     d = det_poly_matrix(mat)
-    ok = bool(d) and d.is_constant()
+    ok = bool(d) and d.degree() <= 0
     return PerfectnessResult(status="perfect" if ok else "not-certified",
                              det=d)
 
@@ -240,10 +231,10 @@ def det_poly_matrix(mat):
     n = len(mat)
     if n == 0:
         raise DimensionError("empty matrix")
-    pf = mat[0][0].pf
+    pf = mat[0][0].ring
     if n == 1:
         return mat[0][0]
-    acc = TPoly.zero(pf)
+    acc = SPoly(pf, {})
     for j in range(n):
         entry = mat[0][j]
         if not entry:
@@ -257,9 +248,9 @@ def det_poly_matrix(mat):
 
 def adjugate_poly_matrix(mat):
     n = len(mat)
-    pf = mat[0][0].pf
+    pf = mat[0][0].ring
     if n == 1:
-        return [[TPoly.const(pf, pf.one())]]
+        return [[SPoly.const(pf, pf.one())]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -286,11 +277,11 @@ def pairing_inverse(g: GramMatrix, eta):
     mat = g.poly_matrix()
     adj = adjugate_poly_matrix(mat)
     det_c = cert.det.coeff(0)
-    pf = cert.det.pf
+    pf = cert.det.ring
     inv_det = pf.one() / det_c
     out = []
     for i in range(r):
-        acc = TPoly.zero(pf)
+        acc = SPoly(pf, {})
         for j in range(r):
             eta_j = eta[j].poly if isinstance(eta[j], Differential) else eta[j]
             acc = acc + adj[i][j] * eta_j
@@ -318,7 +309,7 @@ def drinfeld_closed_form(pf, r, g, i, j) -> Differential:
         raise FieldError("need g_1..g_r with g_r != 0")
     target = 1 + i + j - r
     if target < 0:
-        return Differential(TPoly.zero(pf))
+        return Differential(SPoly(pf, {}))
     g_r = g[-1]
     acc = pf.zero()
     for comp in _compositions(target, r):
@@ -333,7 +324,7 @@ def drinfeld_closed_form(pf, r, g, i, j) -> Differential:
             term = -term  # (-1)^(n+1)
         acc = acc + term
     acc = acc * (pf.one() / g_r).q_power_iter(-j)
-    return Differential(TPoly.const(pf, acc))
+    return Differential(SPoly.const(pf, acc))
 
 
 def _compositions(total, max_part):

@@ -13,6 +13,10 @@ from .errors import DimensionError, NotInvertibleError, PrecisionError
 from .fields import PerfField
 from .skew import NEG_INF, SkewLaurent, invert_scalar
 
+# retries of an escalating computation before its last PrecisionError is
+# raised; the pairing module uses the same budget
+MAX_ESCALATIONS = 3
+
 
 class SkewMatrix:
     """Dense matrix of SkewLaurent entries (immutable by convention)."""
@@ -106,6 +110,10 @@ class SkewMatrix:
                 d = max(d, e.deg_tau())
         return d
 
+    def deg_or_zero(self) -> int:
+        """max_deg_tau as an int, raised to 0 (0 for the zero matrix)."""
+        return int(max(self.max_deg_tau(), 0))
+
     def max_level(self):
         return max((e.max_level() for row in self.entries for e in row),
                    default=0)
@@ -162,8 +170,7 @@ def sigma_order(a: SkewMatrix):
     return order
 
 
-def invert_series_matrix(phi: SkewMatrix, precision,
-                         max_retries=3) -> SkewMatrix:
+def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     """Invert a square matrix over R[tau] into Mat(R((sigma))).
 
     Returns X with every entry carrying prec_floor <= -precision and
@@ -171,7 +178,7 @@ def invert_series_matrix(phi: SkewMatrix, precision,
     Internal scalar divisions start at the target precision.  If the
     inverse misses the target floor, the working precision grows by the
     missing depth; if a pivot is known too shallowly to invert, it
-    doubles.  After ``max_retries`` retries the last error is raised.
+    doubles.  After ``MAX_ESCALATIONS`` retries the last error is raised.
     """
     if phi.rows != phi.cols:
         raise DimensionError("only square matrices can be inverted")
@@ -179,7 +186,7 @@ def invert_series_matrix(phi: SkewMatrix, precision,
         raise PrecisionError("inversion precision must be >= 1")
     work = precision
     last_err = None
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         try:
             x = _eliminate(phi, work)
         except PrecisionError as err:
@@ -212,9 +219,12 @@ def _eliminate(phi: SkewMatrix, work):
                 best = d
                 pivot = r
         if pivot is None:
+            if any(a[r][col].floor is not None for r in range(col, n)):
+                # the column is only known to vanish above its floors
+                raise PrecisionError(
+                    "column {} vanishes to the working floor".format(col))
             raise NotInvertibleError(
-                "not invertible to precision: column {} vanishes to the "
-                "working floor".format(col))
+                "not invertible: column {} is zero".format(col))
         if pivot != col:
             a[pivot], a[col] = a[col], a[pivot]
             x[pivot], x[col] = x[col], x[pivot]

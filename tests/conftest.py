@@ -7,9 +7,9 @@ semantics for skew products (compose twisted multiplication maps).
 
 import pytest
 
-from taures.anderson import Differential, TPoly, phi_inverse_power
+from taures.anderson import Differential, phi_inverse_power
 from taures.errors import FieldError, PrecisionError
-from taures.fields import Fq, PerfField
+from taures.fields import Fq, PerfField, SPoly
 from taures.skew import SkewLaurent
 from taures.skewmat import mat_mul, sigma_order
 
@@ -214,8 +214,8 @@ def maurischat_display(pf):
     The signs are derived by hand in test_criterion_3_maurischat_golden.
     """
     th = pf.theta()
-    one = TPoly.const(pf, pf.one())
-    g = TPoly(pf, {0: th.q_pow() + th, 1: -(pf.from_int(2))})
-    zero = TPoly.zero(pf)
+    one = SPoly.const(pf, pf.one())
+    g = SPoly(pf, {0: th.q_pow() + th, 1: -(pf.from_int(2))})
+    zero = SPoly(pf, {})
     rows = [[-one - g, -one, g], [-one, zero, one], [g, one, -g]]
     return [[Differential(p) for p in row] for row in rows]

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from taures.errors import FieldError
-from taures.fields import Fq, PerfField
-from taures.anderson import (AndersonModule, Differential, TPoly, carlitz,
-                             carlitz_tensor, drinfeld, find_k1, maurischat,
-                             phi_inverse_power, phi_of_poly,
-                             termination_bound, validate)
+from taures.fields import Fq, PerfField, SPoly
+from taures.anderson import (AndersonModule, Differential, carlitz,
+                             carlitz_tensor, drinfeld, find_k1, max_level,
+                             maurischat, phi_inverse_power, phi_of_poly,
+                             termination_bound, twist, validate)
 from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul, \
     sigma_order
@@ -65,14 +65,14 @@ class TestValidate:
 class TestPhiOfPoly:
     def test_t_and_one(self, pf3):
         car = carlitz(pf3, pf3.theta())
-        assert phi_of_poly(car, TPoly.t(pf3)) == car.phi_t
-        assert phi_of_poly(car, TPoly.const(pf3, pf3.one())) == \
+        assert phi_of_poly(car, SPoly.gen(pf3)) == car.phi_t
+        assert phi_of_poly(car, SPoly.const(pf3, pf3.one())) == \
             SkewMatrix.identity(pf3, 1)
 
     def test_carlitz_t_squared(self, pf3):
         th = pf3.theta()
         car = carlitz(pf3, th)
-        m = phi_of_poly(car, TPoly(pf3, {2: pf3.one()}))
+        m = phi_of_poly(car, SPoly(pf3, {2: pf3.one()}))
         e = m[0, 0]
         assert e.coeff(0) == th * th
         assert e.coeff(1).q_pow() == th.q_pow() + th  # left coeff theta^q+theta
@@ -83,9 +83,9 @@ class TestPhiOfPoly:
         for pf in (pf2, pf3):
             E = carlitz_tensor(pf, pf.theta(), 2)
             for _ in range(10):
-                a = TPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
+                a = SPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
                                for e in range(rng.randint(1, 4))})
-                b = TPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
+                b = SPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
                                for e in range(rng.randint(1, 4))})
                 left = phi_of_poly(E, a * b)
                 right = mat_mul(phi_of_poly(E, a), phi_of_poly(E, b))
@@ -95,7 +95,7 @@ class TestPhiOfPoly:
 
     def test_rejects_non_constant_coefficients(self, pf3):
         car = carlitz(pf3, pf3.theta())
-        bad = TPoly(pf3, {1: pf3.theta()})
+        bad = SPoly(pf3, {1: pf3.theta()})
         with pytest.raises(FieldError):
             phi_of_poly(car, bad)
 
@@ -106,7 +106,7 @@ class TestPhiInversePower:
         eye = SkewMatrix.identity(pf3, 1)
         for k in (1, 2, 3, 4):
             inv_k = phi_inverse_power(E, k, 4)
-            tk = phi_of_poly(E, TPoly(pf3, {k: pf3.one()}))
+            tk = phi_of_poly(E, SPoly(pf3, {k: pf3.one()}))
             assert mat_mul(tk, inv_k).agrees_with(eye)
             assert mat_mul(inv_k, tk).agrees_with(eye)
 
@@ -200,20 +200,36 @@ class TestTermination:
         assert termination_bound(mau, find_k1(mau)) == 8
 
 
-class TestTPoly:
+class TestRPolyHelpers:
+    """R^perf[t] values are SPoly over PerfField; twist and max_level are
+    the helpers the pairing adds."""
+
     def test_arithmetic(self, pf3):
         th = pf3.theta()
-        t = TPoly.t(pf3)
-        a = t * t + TPoly.const(pf3, th)
-        b = t - TPoly.const(pf3, pf3.one())
+        t = SPoly.gen(pf3)
+        a = t * t + SPoly.const(pf3, th)
+        b = t - SPoly.const(pf3, pf3.one())
         assert (a * b).coeff(3).is_one()
-        assert (a - a) == TPoly.zero(pf3)
-        assert a.twist(1).coeff(0) == th.q_pow()
-        assert a.twist(1).coeff(2).is_one()
+        assert (a - a) == SPoly(pf3, {})
+        assert twist(a, 1).coeff(0) == th.q_pow()
+        assert twist(a, 1).coeff(2).is_one()
+        assert twist(twist(a, 1), -1) == a
 
     def test_render(self, pf3):
         th = pf3.theta()
-        g = TPoly(pf3, {0: th.q_pow() + th, 1: -(pf3.from_int(2))})
+        g = SPoly(pf3, {0: th.q_pow() + th, 1: -(pf3.from_int(2))})
         assert str(g) == "t + theta^3 + theta"
         assert str(Differential(g)) == "t + theta^3 + theta dt"
-        assert str(TPoly.zero(pf3)) == "0"
+        assert str(SPoly(pf3, {})) == "0"
+
+    def test_render_fraction_coefficient(self, pf3):
+        inv_th = pf3.one() / pf3.theta()
+        g = SPoly(pf3, {1: inv_th})
+        assert str(Differential(g)) == "(1/theta)*t dt"
+        assert str(SPoly(pf3, {1: inv_th, 0: inv_th})) == \
+            "(1/theta)*t + 1/theta"
+
+    def test_max_level(self, pf3):
+        th = pf3.theta()
+        assert max_level(SPoly(pf3, {})) == 0
+        assert max_level(SPoly(pf3, {0: th, 2: th.q_root().q_root()})) == 2

@@ -1,0 +1,61 @@
+"""What the benchmark in perfbench/ uses of taures: every function its
+tracer wraps still exists under the name it looks up, and its Gram oracle
+accepts what the CLI prints.  A rename that would break only the
+benchmark fails here."""
+
+import os
+import sys
+
+from taures import carlitz, cli, fields, lseries, pairing
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import oracles  # noqa: E402
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_tracer_installs_and_uninstalls_clean():
+    originals = [getattr(owner, attr)
+                 for _, owner, attr, _, _ in tracer.TARGETS]
+    pf = fields.PerfField(fields.Fq(3))
+    one = fields.Fq(2).one()
+    t = tracer.Tracer().install()
+    try:
+        assert all(getattr(owner, attr) is not original
+                   for (_, owner, attr, _, _), original
+                   in zip(tracer.TARGETS, originals))
+        pairing.gram(carlitz(pf, pf.theta()))
+        lseries.charpoly([[one]], one)
+    finally:
+        t.uninstall()
+    assert [getattr(owner, attr)
+            for _, owner, attr, _, _ in tracer.TARGETS] == originals
+    snap = t.snapshot()
+    assert snap["pairing.gram.calls"] == 1
+    assert snap["skewmat.invert_series_matrix.calls"] > 0
+    assert snap["lseries.charpoly.calls"] == 1
+
+
+def test_drinfeld_gram_oracle_accepts_cli_output(capsys, tmp_path):
+    code, text = run(capsys, "examples", "drinfeld", "--q", "3", "--r", "3",
+                     "--seed", "7")
+    assert code == 0
+    path = tmp_path / "drinfeld.man"
+    path.write_text(text)
+    code, out = run(capsys, "gram", str(path))
+    assert code == 0
+    case = workloads.Case(name="drinfeld q=3 r=3 seed=7", manifest=text,
+                          args=("gram",), check="drinfeld_gram")
+    assert oracles.check_drinfeld_gram(case, out) is None
+    # the oracle reads the entries: a wrong one is reported
+    first, rest = out.split("\n", 1)
+    entry, tail = first.split(" | ", 1)
+    wrong = "{} | {}\n{}".format("1" if entry == "0" else "0", tail, rest)
+    assert oracles.check_drinfeld_gram(case, wrong) is not None

@@ -1,6 +1,8 @@
 """Command dispatch, golden outputs, and exit codes."""
 
 from taures.cli import main
+from taures.parsing import parse_manifest
+from taures.skewmat import invert_series_matrix
 
 CARLITZ_Q2 = """\
 q: 2
@@ -122,6 +124,23 @@ class TestCommands:
         assert code == 0
         assert out == ("sigma^3 * theta^6 + sigma^2 * theta^2 + sigma"
                        " + O(sigma^4)\n")
+
+    def test_invert_order_one_maurischat(self, capsys, tmp_path):
+        # order 1 first eliminates at a working precision too shallow for
+        # the second column, and must escalate instead of exiting 3
+        for q in ("2", "3", "5"):
+            _, manifest_text, _ = run(capsys, "examples", "maurischat",
+                                      "--q", q)
+            path = write(tmp_path, "mau{}.man".format(q), manifest_text)
+            code, out, err = run(capsys, "invert", path, "--order", "1")
+            assert code == 0, err
+            assert out.count("O(sigma^2)") == 4
+            code, _, err = run(capsys, "invert", path, "--order", "2")
+            assert code == 0, err
+            phi = parse_manifest(manifest_text).module.phi_t
+            x1 = invert_series_matrix(phi, 1)
+            assert out == x1.render() + "\n"
+            assert x1.agrees_with(invert_series_matrix(phi, 2))
 
     def test_perfectness(self, capsys, tmp_path):
         path = write(tmp_path, "car.man", CARLITZ_Q2)

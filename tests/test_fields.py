@@ -28,6 +28,40 @@ class TestFq:
         with pytest.raises(FieldError):
             Fq(4, [1, 0, 1])
 
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                     (3, 1), (3, 2), (3, 3)])
+    def test_accepted_moduli_match_gauss_count(self, p, m):
+        # every monic degree-m modulus over F_p; Fq accepts exactly the
+        # irreducible ones, (1/m) sum_{d | m} mu(d) p^(m/d) of them
+        def mobius(n):
+            sign, k = 1, 2
+            while k * k <= n:
+                if n % k == 0:
+                    n //= k
+                    if n % k == 0:
+                        return 0
+                    sign = -sign
+                k += 1
+            return -sign if n > 1 else sign
+
+        gauss = sum(mobius(d) * p ** (m // d)
+                    for d in range(1, m + 1) if m % d == 0) // m
+        accepted = 0
+        for idx in range(p ** m):
+            tail = [idx // p ** i % p for i in range(m)]
+            try:
+                Fq(p ** m, tail + [1])
+            except FieldError as err:
+                assert "modulus is reducible over F_{}".format(p) in str(err)
+                continue
+            accepted += 1
+        assert accepted == gauss
+
+    def test_trial_factorization_cap(self):
+        # 2^17 candidate divisors of degree 17 exceed the 10^5 cap
+        with pytest.raises(FieldError, match="too large for trial"):
+            Fq(2 ** 34, [1, 1] + [0] * 32 + [1])
+
     def test_rejects_non_monic(self):
         with pytest.raises(FieldError):
             Fq(9, [1, 1, 2])

@@ -6,10 +6,10 @@ import time
 
 import pytest
 
-from taures.anderson import (Differential, TPoly, carlitz, carlitz_tensor,
+from taures.anderson import (Differential, carlitz, carlitz_tensor,
                              drinfeld, find_k1, maurischat)
 from taures.errors import FieldError
-from taures.fields import Fq, PerfElement, PerfField
+from taures.fields import Fq, PerfElement, PerfField, SPoly
 from taures.pairing import (PairingContext, check_perfectness,
                             check_tau_commutation, drinfeld_closed_form,
                             expand_sesquilinear, gram, measure_b,
@@ -21,7 +21,7 @@ from conftest import maurischat_display, rand_fq, rand_perf, rand_skew
 
 
 def minus_dt(pf):
-    return Differential(TPoly.const(pf, -(pf.one())))
+    return Differential(SPoly.const(pf, -(pf.one())))
 
 
 def row(pf, entries):
@@ -44,7 +44,7 @@ class TestCarlitz:
         E = carlitz(pf3, th)
         d = residue_pair(E, row(pf3, [SkewLaurent.tau(pf3)]),
                          E.comotive_basis[0])
-        expected = Differential(TPoly(pf3, {0: th.q_pow(),
+        expected = Differential(SPoly(pf3, {0: th.q_pow(),
                                             1: -(pf3.one())}))
         assert d == expected
 
@@ -96,7 +96,7 @@ class TestMaurischat:
             cert = check_perfectness(g)
             assert cert.status == "perfect"
             # det is the t-constant +1, as for maurischat_display
-            assert cert.det == TPoly.const(pf, pf.one())
+            assert cert.det == SPoly.const(pf, pf.one())
 
 
 class TestClosedForm:
@@ -113,7 +113,7 @@ class TestClosedForm:
         g = [pf3.one(), th]
         d = drinfeld_closed_form(pf3, 2, g, 1, 1)
         # (g1/g2) * dt / g2^(q^-1) with g1 = 1, g2 = theta
-        expect = Differential(TPoly.const(
+        expect = Differential(SPoly.const(
             pf3, (pf3.one() / th) * (pf3.one() / th.q_root())))
         assert d == expect
 
@@ -124,7 +124,7 @@ class TestClosedForm:
         G = gram(E)
         assert not G[0, 0]
         for i, j in ((0, 1), (1, 0)):
-            expect = Differential(TPoly.const(
+            expect = Differential(SPoly.const(
                 pf3, -(pf3.one() / th.q_power_iter(-j))))
             assert G[i, j] == expect
 
@@ -169,8 +169,8 @@ class TestSesquilinear:
     def test_unit_vectors_recover_entries(self, pf3):
         E = maurischat(pf3, pf3.theta())
         g = gram(E)
-        zero = TPoly.zero(pf3)
-        one = TPoly.const(pf3, pf3.one())
+        zero = SPoly(pf3, {})
+        one = SPoly.const(pf3, pf3.one())
         for i in range(3):
             for j in range(3):
                 a = [one if k == i else zero for k in range(3)]
@@ -181,8 +181,8 @@ class TestSesquilinear:
         th = pf3.theta()
         E = carlitz(pf3, th)
         g = gram(E)
-        a = [TPoly(pf3, {1: pf3.one(), 0: -th})]
-        b = [TPoly.const(pf3, pf3.one())]
+        a = [SPoly(pf3, {1: pf3.one(), 0: -th})]
+        b = [SPoly.const(pf3, pf3.one())]
         got = expand_sesquilinear(g, a, b)
         direct = residue_pair(E, row(pf3, [SkewLaurent.tau(pf3)]),
                               E.comotive_basis[0])
@@ -193,14 +193,14 @@ class TestSesquilinear:
         rng = random.Random(52)
         E = maurischat(pf3, pf3.theta())
         g = gram(E)
-        one = TPoly.const(pf3, pf3.one())
-        zero = TPoly.zero(pf3)
+        one = SPoly.const(pf3, pf3.one())
+        zero = SPoly(pf3, {})
         b = [one, one, zero]
         ref = expand_sesquilinear(g, [one, zero, zero], b)
         for _ in range(10):
             c = rand_perf(rng, pf3)
             scaled = expand_sesquilinear(
-                g, [TPoly.const(pf3, c), zero, zero], b)
+                g, [SPoly.const(pf3, c), zero, zero], b)
             assert scaled == ref.scale(c.q_pow())
 
     def test_matches_residue_on_random_coordinates(self, pf2, pf3):
@@ -217,10 +217,10 @@ class TestSesquilinear:
                 ctx = PairingContext(E)
                 g = gram(ctx)
                 for _ in range(4):
-                    a = [TPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
+                    a = [SPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
                                     for e in range(max_deg + 1)})
                          for _ in range(r)]
-                    b = [TPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
+                    b = [SPoly(pf, {e: pf.from_fq(rand_fq(rng, pf.fq))
                                     for e in range(max_deg + 1)})
                          for _ in range(r)]
                     via_gram = expand_sesquilinear(g, a, b)
@@ -239,8 +239,8 @@ class TestSesquilinear:
         ctx = PairingContext(E)
         g = gram(ctx)
         for _ in range(5):
-            a = [TPoly.const(pf3, rand_perf(rng, pf3)) for _ in range(3)]
-            b = [TPoly.const(pf3, rand_perf(rng, pf3)) for _ in range(3)]
+            a = [SPoly.const(pf3, rand_perf(rng, pf3)) for _ in range(3)]
+            b = [SPoly.const(pf3, rand_perf(rng, pf3)) for _ in range(3)]
             via_gram = expand_sesquilinear(g, a, b)
             m_acc = SkewMatrix.zeros(pf3, 1, 2)
             n_acc = SkewMatrix.zeros(pf3, 2, 1)
@@ -289,12 +289,12 @@ class TestBilinearity:
                   carlitz_tensor(pf3, pf3.theta(), 2),
                   maurischat(pf3, pf3.theta())):
             ctx = PairingContext(E)
-            t_mat = phi_of_poly(E, TPoly.t(pf3))
+            t_mat = phi_of_poly(E, SPoly.gen(pf3))
             for _ in range(5):
                 m = E.motive_basis[rng.randrange(E.rank)]
                 n = E.comotive_basis[rng.randrange(E.rank)]
                 base = residue_pair(ctx, m, n)
-                t_poly = TPoly.t(pf3)
+                t_poly = SPoly.gen(pf3)
                 assert residue_pair(ctx, mat_mul(m, t_mat), n) == \
                     base.scale(t_poly)
                 assert residue_pair(ctx, m, mat_mul(t_mat, n)) == \
@@ -338,8 +338,8 @@ class TestPerfectnessAndInverse:
     def test_pairing_inverse_columns(self, pf3):
         E = maurischat(pf3, pf3.theta())
         G = gram(E)
-        one = TPoly.const(pf3, pf3.one())
-        zero = TPoly.zero(pf3)
+        one = SPoly.const(pf3, pf3.one())
+        zero = SPoly(pf3, {})
         for j in range(3):
             eta = [G[i, j] for i in range(3)]
             b = pairing_inverse(G, eta)
@@ -349,7 +349,7 @@ class TestPerfectnessAndInverse:
         E = carlitz(pf3, pf3.theta())
         G = gram(E)
         b = pairing_inverse(G, [minus_dt(pf3)])
-        assert b == [TPoly.const(pf3, pf3.one())]
+        assert b == [SPoly.const(pf3, pf3.one())]
 
     def test_pairing_inverse_round_trip(self, pf3):
         rng = random.Random(56)
@@ -357,11 +357,11 @@ class TestPerfectnessAndInverse:
         G = gram(E)
         mat = G.poly_matrix()
         for _ in range(5):
-            b = [TPoly(pf3, {e: pf3.from_fq(rand_fq(rng, pf3.fq))
+            b = [SPoly(pf3, {e: pf3.from_fq(rand_fq(rng, pf3.fq))
                              for e in range(2)}) for _ in range(3)]
             eta = []
             for i in range(3):
-                acc = TPoly.zero(pf3)
+                acc = SPoly(pf3, {})
                 for j in range(3):
                     acc = acc + mat[i][j] * b[j]
                 eta.append(acc)
@@ -369,7 +369,7 @@ class TestPerfectnessAndInverse:
 
     def test_not_certified_rejected(self, pf3):
         from taures.pairing import GramMatrix
-        zero = Differential(TPoly.zero(pf3))
+        zero = Differential(SPoly(pf3, {}))
         G = GramMatrix(entries=[[zero]], k_cutoff=2, b_level=0)
         with pytest.raises(FieldError):
             pairing_inverse(G, [zero])
@@ -379,6 +379,18 @@ def test_gram_render(pf2):
     E = carlitz(pf2, pf2.theta())
     g = gram(E)
     assert g.render() == "1 dt\nK = 2, b = 0, det = 1, perfect = yes"
+
+
+def test_values_are_spoly_over_perffield(pf3):
+    # one sparse polynomial type: pairing values, Gram entries and the
+    # Gram determinant all live in R^perf[t] = SPoly over PerfField
+    E = maurischat(pf3, pf3.theta())
+    g = gram(E)
+    tau = SkewLaurent.tau(pf3)
+    value = residue_pair(E, row(pf3, [tau, tau]), col(pf3, [tau, tau]))
+    polys = [e.poly for r in g.entries for e in r] + [
+        check_perfectness(g).det, value.poly]
+    assert all(isinstance(p, SPoly) and p.ring is pf3 for p in polys)
 
 
 def test_truncated_products_skip_discarded_terms(pf2, pf3, monkeypatch):

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from taures.errors import DimensionError, NotInvertibleError
+from taures.anderson import maurischat
+from taures.errors import DimensionError, NotInvertibleError, PrecisionError
 from taures.skew import SkewLaurent
-from taures.skewmat import (SkewMatrix, invert_series_matrix, mat_mul,
-                            sigma_order)
+from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
+                            mat_mul, sigma_order)
 
 from conftest import rand_perf, rand_skew
 
@@ -171,6 +172,18 @@ class TestInvert:
                                 [SkewLaurent.one(pf3), zero]])
         with pytest.raises(NotInvertibleError):
             invert_series_matrix(sing, 2)
+
+    def test_truncated_zero_column_escalates(self, pf2, pf3):
+        # at working precision 1 the second Maurischat column is known
+        # only to vanish above its floors: a precision shortfall, which
+        # the escalation loop retries, not a proof of non-invertibility
+        for pf in (pf2, pf3):
+            phi = maurischat(pf, pf.theta()).phi_t
+            with pytest.raises(PrecisionError):
+                _eliminate(phi, 1)
+            x1 = invert_series_matrix(phi, 1)
+            assert x1.max_floor() <= -1
+            assert x1.agrees_with(invert_series_matrix(phi, 2))
 
     def test_rejects_non_square(self, pf3):
         mat = SkewMatrix.zeros(pf3, 2, 3)
