@@ -20,6 +20,7 @@ Everything is immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from fractions import Fraction
@@ -225,7 +226,7 @@ class Fq:
         self._tables = True
 
     def _check_irreducible(self):
-        fp = Fq(self.p)
+        fp = _prime_field(self.p)
         poly = SPoly(fp, {i: fp.from_int(c)
                           for i, c in enumerate(self.modulus)})
         if not irreducible_over(fp, poly):
@@ -281,6 +282,13 @@ class Fq:
         return "Fq({})".format(self.q)
 
 
+@functools.lru_cache(maxsize=None)
+def _prime_field(p):
+    """The one F_p that checks the moduli of every F_(p^m); its elements
+    never leave the check, so sharing it does not mix fields."""
+    return Fq(p)
+
+
 class SPoly:
     """Sparse univariate polynomial over a coefficient ring.
 
@@ -302,6 +310,22 @@ class SPoly:
     @classmethod
     def gen(cls, ring):
         return cls(ring, {1: ring.one()})
+
+    @classmethod
+    def sum_of_products(cls, ring, pairs):
+        """sum of a * b over the (a, b) in pairs, accumulated in one term
+        dict: no intermediate product or partial sum is built."""
+        terms = {}
+        get = terms.get
+        for a, b in pairs:
+            b_terms = b.terms.items()
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b_terms:
+                    e = e1 + e2
+                    prod = c1 * c2
+                    s = get(e)
+                    terms[e] = s + prod if s is not None else prod
+        return cls(ring, terms)
 
     def degree(self):
         """Degree, or -1 for the zero polynomial."""

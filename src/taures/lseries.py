@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import add
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule
@@ -119,34 +119,57 @@ class BivariatePoly:
 def charpoly(rows, one):
     """Berkowitz characteristic polynomial det(lambda*I - A), division
     free over any commutative ring whose unit is ``one``; returns
-    coefficients leading-first."""
+    coefficients leading-first.
+
+    Step i works with the leading i x i block, the same for all its
+    matrix-vector products, so the nonzero entries of each block column
+    are collected once, and a product pairs them with the nonzero vector
+    entries only."""
     n = len(rows)
     if n == 0:
         raise DimensionError("empty matrix")
+    zero = one - one
     poly = [one, -rows[0][0]]
+    # cols[c]: the nonzero (row, entry) of column c of the leading block
+    cols = []
     for i in range(1, n):
+        for c in range(i - 1):
+            if rows[i - 1][c]:
+                cols[c].append((i - 1, rows[i - 1][c]))
+        cols.append([(r, rows[r][i - 1]) for r in range(i)
+                     if rows[r][i - 1]])
         a = rows[i][i]
-        row = rows[i][:i]
-        col = [rows[r][i] for r in range(i)]
-        # s_j = row * (leading submatrix)^j * col
-        svals = []
-        vec = col
-        for _ in range(i):
-            svals.append(_dot(row, vec))
-            vec = [_dot(rows[r][:i], vec) for r in range(i)]
+        row = [(c, e) for c, e in enumerate(rows[i][:i]) if e]
+        # s_j = row * (leading block)^j * col for j = 0 .. i - 1
+        vec = [rows[r][i] for r in range(i)]
+        svals = [_dot([(e, vec[c]) for c, e in row if vec[c]], zero)]
+        for _ in range(i - 1):
+            pairs = [[] for _ in range(i)]
+            for c, v in enumerate(vec):
+                if v:
+                    for r, e in cols[c]:
+                        pairs[r].append((e, v))
+            vec = [_dot(p, zero) for p in pairs]
+            svals.append(_dot([(e, vec[c]) for c, e in row if vec[c]], zero))
         conv = [one, -a] + [-s for s in svals]
         new = []
         for x in range(i + 2):
             # new[x] = sum of conv[z] * poly[x - z] over the indices in range
             zs = range(max(0, x - i), min(x, i + 1) + 1)
-            new.append(_dot([conv[z] for z in zs], [poly[x - z] for z in zs]))
+            new.append(_dot([(conv[z], poly[x - z]) for z in zs
+                             if conv[z] and poly[x - z]], zero))
         poly = new
     return poly
 
 
-def _dot(row, vec):
-    """sum of row[l] * vec[l] over a non-empty row."""
-    return reduce(add, map(mul, row, vec))
+def _dot(pairs, zero):
+    """sum of a * b over the (a, b) in the list pairs; ``zero`` when it is
+    empty.  SPoly products are summed into one term dict."""
+    if not pairs:
+        return zero
+    if isinstance(zero, SPoly):
+        return SPoly.sum_of_products(zero.ring, pairs)
+    return reduce(add, (a * b for a, b in pairs))
 
 
 def _extract_drinfeld_g(module: AndersonModule):
@@ -230,8 +253,8 @@ def _decompose(ext: ExtField, x: ExtElement, basis_inv=None):
     is None, else through the inverted change-of-basis matrix)."""
     if basis_inv is None:
         return list(x.coeffs)
-    coords = list(x.coeffs)
-    return [_dot(row, coords) for row in basis_inv]
+    zero = ext.base.zero()
+    return [_dot(list(zip(row, x.coeffs)), zero) for row in basis_inv]
 
 
 def _basis_inverse(ext: ExtField, basis):
@@ -260,7 +283,9 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
     Motive side twists scalars by q, comotive by q^(-1); either way
     tau(b_a e_i) = twist(b_a) * sum_l M[l][i] e_l, decomposed over F_q.
     The default basis is the power basis, whose coordinates are just the
-    coefficient tuple.
+    coefficient tuple.  F_q is Frobenius-fixed, so twist(sum_i c_i w^i) =
+    sum_i c_i twist(w)^i: one Frobenius power of w twists every basis
+    element.
     """
     r = tau_matrix.rank
     n = ext.n
@@ -273,26 +298,28 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
         if len(basis) != n:
             raise DimensionError("basis of k needs {} elements".format(n))
         basis_inv = _basis_inverse(ext, basis)
+    w = ext.gen()
+    tw_w = w.frobenius() if tau_matrix.side == "motive" \
+        else w.frobenius_inv()
+    powers = [ext.one()]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * tw_w)
+    zero = fq.zero()
+    twisted = [ext.element([_dot([(c, p.coeffs[j])
+                                  for c, p in zip(b.coeffs, powers)], zero)
+                            for j in range(n)]) for b in basis]
     size = r * n
-    big = [[SPoly(fq, {}) for _ in range(size)] for _ in range(size)]
+    # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
+    terms = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(r):
         for a in range(n):
-            ba = basis[a]
-            tw = ba.frobenius() if tau_matrix.side == "motive" \
-                else ba.frobenius_inv()
             for l in range(r):
-                poly = tau_matrix.entries[l][i]
-                if not poly:
-                    continue
-                for te, c in poly.terms.items():
-                    coords = _decompose(ext, tw * c, basis_inv)
-                    for ap in range(n):
-                        comp = coords[ap]
+                for te, c in tau_matrix.entries[l][i].terms.items():
+                    coords = _decompose(ext, twisted[a] * c, basis_inv)
+                    for ap, comp in enumerate(coords):
                         if comp:
-                            cur = big[l * n + ap][i * n + a]
-                            big[l * n + ap][i * n + a] = \
-                                cur + SPoly(fq, {te: comp})
-    return big
+                            terms[l * n + ap][i * n + a][te] = comp
+    return [[SPoly(fq, entry) for entry in row] for row in terms]
 
 
 def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
@@ -335,11 +362,12 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
         return p.map_coeffs(tw)
 
     sign = 1 if tau_matrix.side == "motive" else -1
+    zero = SPoly(ext, {})
     acc = tau_matrix.entries
     for s in range(1, n):
         twisted = [[twist_poly(tau_matrix.entries[i][j], sign * s)
                     for j in range(r)] for i in range(r)]
-        acc = [[_dot(acc[i], [twisted[l][j] for l in range(r)])
+        acc = [[_dot([(acc[i][l], twisted[l][j]) for l in range(r)], zero)
                 for j in range(r)] for i in range(r)]
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))
     # polynomial in U = T^n with k[t] coefficients; must descend to F_q

@@ -260,7 +260,8 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
     one Frobenius per step.  The cost is O(precision * terms(f))
     coefficient operations.  The result carries floor -d - precision + 1
     and satisfies f*g == 1 == g*f above the floors the product rule
-    reports.
+    reports; an exact monomial has an exact inverse, returned with no
+    floor.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -272,8 +273,12 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
-    # twisted[i] = a_i^(q^(i-k)) for the current k, starting at k = 0
     lead = f.coeffs[d].q_power_iter(d)
+    if f.floor is None and len(f.coeffs) == 1:
+        # an exact monomial tau^d * a has the exact inverse
+        # tau^-d * a^-(q^d): the recurrence leaves every lower b zero
+        return SkewLaurent(pf, {-d: pf.one() / lead})
+    # twisted[i] = a_i^(q^(i-k)) for the current k, starting at k = 0
     twisted = {i: a.q_power_iter(i) for i, a in f.coeffs.items()
                if d - precision < i < d}
     b = {-d: pf.one() / lead}

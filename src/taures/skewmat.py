@@ -76,11 +76,6 @@ class SkewMatrix:
     def __mul__(self, other):
         return mat_mul(self, other)
 
-    def transpose(self):
-        return SkewMatrix(self.pf, [[self.entries[i][j]
-                                     for i in range(self.rows)]
-                                    for j in range(self.cols)])
-
     def agrees_with(self, other) -> bool:
         self._check_same_shape(other)
         return all(self.entries[i][j].agrees_with(other.entries[i][j])

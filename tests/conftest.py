@@ -5,6 +5,9 @@ same cases; the operator-evaluation helper gives an implementation-free
 semantics for skew products (compose twisted multiplication maps).
 """
 
+from functools import reduce
+from operator import add, mul
+
 import pytest
 
 from taures.anderson import Differential, phi_inverse_power
@@ -191,6 +194,33 @@ def find_k1_reference(module, cap=64, precision=2):
             return k
         acc = mat_mul(acc, inv)
     raise AssertionError("no k1 <= {}".format(cap))
+
+
+def charpoly_reference(rows, one):
+    """Test-only reference for ``lseries.charpoly``: dense Berkowitz, each
+    dot product a fold of ring products and sums over every entry, zeros
+    included, so it shares neither the sparsity nor the fused sums."""
+    def dot(row, vec):
+        return reduce(add, map(mul, row, vec))
+
+    n = len(rows)
+    poly = [one, -rows[0][0]]
+    for i in range(1, n):
+        a = rows[i][i]
+        row = rows[i][:i]
+        col = [rows[r][i] for r in range(i)]
+        svals = []
+        vec = col
+        for _ in range(i):
+            svals.append(dot(row, vec))
+            vec = [dot(rows[r][:i], vec) for r in range(i)]
+        conv = [one, -a] + [-s for s in svals]
+        new = []
+        for x in range(i + 2):
+            zs = range(max(0, x - i), min(x, i + 1) + 1)
+            new.append(dot([conv[z] for z in zs], [poly[x - z] for z in zs]))
+        poly = new
+    return poly
 
 
 def apply_skew(f, x):

@@ -197,6 +197,21 @@ class TestExitCodes:
         assert code == 5
         assert "error[precision]" in err
 
+    def test_singular_phi_not_invertible(self, capsys, tmp_path):
+        # tau * [[1, tau], [1, tau]] over a finite base with theta = 0: its
+        # constant term is nilpotent, so it validates, and its exact
+        # monomial pivot proves the second column zero, not merely zero
+        # above a working floor (which would exit 5)
+        man = ("q: 3\nbase: finite-field\ntheta: 0\ndim: 2\nphi_t:\n"
+               "row: tau | tau^2\nrow: tau | tau^2\nmotive_basis:\n"
+               "row: 1 | 0\nrow: 0 | 1\ncomotive_basis:\ncol: 1 | 0\n"
+               "col: 0 | 1\n")
+        path = write(tmp_path, "sing.man", man)
+        code, out, err = run(capsys, "invert", path, "--order", "2")
+        assert code == 3
+        assert out == ""
+        assert "not invertible: column 1 is zero" in err
+
     def test_pair_sigma_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         code, _, err = run(capsys, "pair", path, "--m", "sigma", "--n", "1")

@@ -83,6 +83,22 @@ class TestFq:
         assert len(elems) == 4
         assert len({e.idx for e in elems}) == 4
 
+    def test_one_prime_field_per_p(self, monkeypatch):
+        # the modulus check of every F_(p^m) shares one F_p and its tables
+        built = []
+        original = Fq._build_tables
+
+        def counted(self):
+            built.append(self.q)
+            original(self)
+
+        monkeypatch.setattr(Fq, "_build_tables", counted)
+        for _ in range(3):
+            Fq(25, [2, 0, 1])
+            Fq(125, [1, 1, 0, 1])
+        assert built.count(25) == 3 and built.count(125) == 3
+        assert built.count(5) <= 1
+
     def test_frobenius_fixes_fq(self, fq4):
         # a^q = a for every a in F_q
         for a in fq4.elements():
@@ -125,6 +141,26 @@ class TestSPoly:
             f = SPoly(fq3, {e: rand_fq(rng, fq3) for e in
                             rng.sample(range(5), rng.randint(1, 3))})
             assert f.subst_power(3) == f * f * f
+
+    def test_sum_of_products(self, fq3):
+        # one term dict for the whole sum: equal to the fold of products,
+        # terms that cancel leave no zero coefficient behind
+        rng = random.Random(8)
+        for _ in range(100):
+            pairs = [(SPoly(fq3, {e: rand_fq(rng, fq3) for e in
+                                  rng.sample(range(5), rng.randint(0, 3))}),
+                      SPoly(fq3, {e: rand_fq(rng, fq3) for e in
+                                  rng.sample(range(5), rng.randint(0, 3))}))
+                     for _ in range(rng.randint(1, 4))]
+            fold = SPoly(fq3, {})
+            for a, b in pairs:
+                fold = fold + a * b
+            assert SPoly.sum_of_products(fq3, pairs) == fold
+        t = SPoly.gen(fq3)
+        one = SPoly.const(fq3, fq3.one())
+        total = SPoly.sum_of_products(fq3, [(t, t + one), (-t, t)])
+        assert total.terms == {1: fq3.one()}
+        assert not SPoly.sum_of_products(fq3, [])
 
     def test_irreducibility_search(self, fq2):
         mod = find_irreducible(fq2, 2)

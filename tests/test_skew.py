@@ -211,6 +211,23 @@ class TestInvertScalar:
         inv = invert_scalar(SkewLaurent.tau(pf3), 1)
         assert inv.coeffs == {-1: pf3.one()}
 
+    def test_exact_monomial_inverse(self, pf3):
+        # an exact monomial tau^d * a inverts exactly: no floor, whatever
+        # the precision asked for
+        one = SkewLaurent.one(pf3)
+        inv = invert_scalar(one, 2)
+        assert inv == one and inv.is_exact()
+        th = pf3.theta()
+        f = SkewLaurent.from_right_coeffs(pf3, [(th, 2)])
+        for precision in (1, 4):
+            inv = invert_scalar(f, precision)
+            assert inv.is_exact()
+            assert inv.coeffs == {-2: pf3.one() / th.q_power_iter(2)}
+            assert f * inv == one and inv * f == one
+        # a truncated monomial is known only to its floor
+        g = SkewLaurent(pf3, {0: pf3.one()}, floor=-3)
+        assert invert_scalar(g, 2).floor == -1
+
     def test_geometric_example(self, pf3):
         th = pf3.theta()
         one = SkewLaurent.one(pf3)

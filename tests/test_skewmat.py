@@ -173,6 +173,26 @@ class TestInvert:
         with pytest.raises(NotInvertibleError):
             invert_series_matrix(sing, 2)
 
+    def test_monomial_pivots_prove_singularity(self, pf3):
+        # the pivot 1 has an exact inverse, so eliminating row 2 of
+        # [[1, tau], [1, tau]] leaves an exactly zero column
+        one = SkewLaurent.one(pf3)
+        tau = SkewLaurent.tau(pf3)
+        sing = SkewMatrix(pf3, [[one, tau], [one, tau]])
+        with pytest.raises(NotInvertibleError, match="column 1 is zero"):
+            invert_series_matrix(sing, 2)
+
+    def test_binomial_pivot_singularity_stays_a_precision_error(self, pf3):
+        # the pivot theta + tau has no exact inverse, only a truncated one,
+        # so the second column is known to vanish only above the working
+        # floor at every escalation: pinned as PrecisionError
+        th = SkewLaurent.scalar(pf3, pf3.theta())
+        tau = SkewLaurent.tau(pf3)
+        row = [th + tau, tau * th]
+        sing = SkewMatrix(pf3, [row, row])
+        with pytest.raises(PrecisionError, match="column 1 vanishes"):
+            invert_series_matrix(sing, 2)
+
     def test_truncated_zero_column_escalates(self, pf2, pf3):
         # at working precision 1 the second Maurischat column is known
         # only to vanish above its floors: a precision shortfall, which
