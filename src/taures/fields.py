@@ -13,7 +13,9 @@ Three layers live here:
   rational function num/den over F_q together with a level e >= 0, the value
   being (num/den)(theta^(1/q^e)).  Frobenius and its inverse are exact and
   cheap: q-power at level 0 scales exponents by q (coefficients are
-  Frobenius-fixed), q-root bumps the level and re-minimizes.
+  Frobenius-fixed), q-root bumps the level and re-minimizes.  A unit or
+  monomial denominator c*theta^k never reaches Euclid: ``coprime`` and
+  the reduction read the common factor off the exponents.
 
 Everything is immutable after construction; operations are pure.
 """
@@ -233,9 +235,13 @@ class Fq:
             raise FieldError("modulus is reducible over F_{}".format(self.p))
 
     def zero(self):
+        if self._tables:
+            return self._elems[0]
         return FqElement(self, (0,) * self.m)
 
     def one(self):
+        if self._tables:
+            return self._elems[1]
         return FqElement(self, (1,) + (0,) * (self.m - 1))
 
     def gen(self):
@@ -304,6 +310,15 @@ class SPoly:
         self.terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
+    def _trusted(cls, ring, terms):
+        """Adopt ``terms`` as is: the caller guarantees every coefficient
+        is nonzero, so the zero filter is skipped."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def const(cls, ring, c):
         return cls(ring, {0: c})
 
@@ -358,7 +373,8 @@ class SPoly:
         return SPoly(self.ring, terms)
 
     def __neg__(self):
-        return SPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return SPoly._trusted(self.ring,
+                              {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         terms = {}
@@ -391,7 +407,8 @@ class SPoly:
 
     def shift(self, k):
         """Multiply by var^k (k may be negative if valuation allows)."""
-        return SPoly(self.ring, {e + k: c for e, c in self.terms.items()})
+        return SPoly._trusted(self.ring,
+                              {e + k: c for e, c in self.terms.items()})
 
     def map_coeffs(self, f):
         return SPoly(self.ring, {e: f(c) for e, c in self.terms.items()})
@@ -401,9 +418,8 @@ class SPoly:
         return self.terms[d]
 
     def is_one(self):
-        return self.terms == {0: self.ring.one()} or (
-            len(self.terms) == 1 and 0 in self.terms
-            and self.terms[0] == self.ring.one())
+        terms = self.terms
+        return len(terms) == 1 and 0 in terms and terms[0].is_one()
 
     # --- field-coefficient operations (divmod and friends) ---
 
@@ -496,14 +512,13 @@ class SPoly:
         # common valuation splits off as a monomial factor; primitive parts
         # of monomials are constants, so the monomial case never hits Euclid
         v = min(a.valuation(), b.valuation())
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            return SPoly._trusted(self.ring, {v: self.ring.one()})
         a = a.shift(-a.valuation())
         b = b.shift(-b.valuation())
-        if len(a.terms) == 1 or len(b.terms) == 1:
-            g = SPoly(self.ring, {0: self.ring.one()})
-        else:
-            while b:
-                a, b = b, a % b
-            g = a.monic()
+        while b:
+            a, b = b, a % b
+        g = a.monic()
         return g.shift(v) if v > 0 else g
 
     def evaluate(self, x):
@@ -514,14 +529,16 @@ class SPoly:
 
     def subst_power(self, k):
         """Substitute var -> var^k (k >= 1): exponent scaling."""
-        return SPoly(self.ring, {e * k: c for e, c in self.terms.items()})
+        return SPoly._trusted(self.ring,
+                              {e * k: c for e, c in self.terms.items()})
 
     def exponents_divisible_by(self, k):
         return all(e % k == 0 for e in self.terms)
 
     def subst_root(self, k):
         """Substitute var^k -> var; exponents must be divisible by k."""
-        return SPoly(self.ring, {e // k: c for e, c in self.terms.items()})
+        return SPoly._trusted(self.ring,
+                              {e // k: c for e, c in self.terms.items()})
 
     def render(self, var, coeff_str=str, coeff_is_one=None):
         if coeff_is_one is None:
@@ -533,6 +550,15 @@ class SPoly:
 
     def __repr__(self):
         return "SPoly({})".format(self)
+
+
+def coprime(a, b):
+    """gcd(a, b) == 1.  A monomial c*x^k shares exactly the factor
+    x^min(k, val) with the other side, so then the answer is whether
+    either side has a constant term; only two non-monomials run Euclid."""
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return 0 in a.terms or 0 in b.terms
+    return a.gcd(b).is_one()
 
 
 def needs_parens(s):
@@ -613,7 +639,10 @@ class ExtField:
     which is exactly the F_q-basis restriction of scalars works over.
     """
 
-    def __init__(self, base: Fq, modulus: SPoly, gen_name="w"):
+    def __init__(self, base: Fq, modulus: SPoly, gen_name="w",
+                 _irreducible=False):
+        # _irreducible: the caller has just proved the modulus irreducible
+        # (find_irreducible), so it is not trial-divided a second time
         self.base = base
         self.gen_name = gen_name
         n = modulus.degree()
@@ -622,7 +651,7 @@ class ExtField:
         lead = modulus.leading()
         if not lead.is_one():
             raise FieldError("extension modulus must be monic")
-        if n > 1 and not irreducible_over(base, modulus):
+        if n > 1 and not _irreducible and not irreducible_over(base, modulus):
             raise FieldError("extension modulus is reducible over F_q")
         self.modulus = modulus
         self.n = n
@@ -774,6 +803,8 @@ class PerfField:
     def __init__(self, fq: Fq):
         self.fq = fq
         self.q = fq.q
+        # shared by every unit denominator; polynomials are never mutated
+        self._one = SPoly(fq, {0: fq.one()})
 
     def zero(self):
         return PerfElement(self, SPoly(self.fq, {}), self._one_poly(), 0)
@@ -782,7 +813,7 @@ class PerfField:
         return PerfElement(self, self._one_poly(), self._one_poly(), 0)
 
     def _one_poly(self):
-        return SPoly(self.fq, {0: self.fq.one()})
+        return self._one
 
     def theta(self):
         return PerfElement(self, SPoly(self.fq, {1: self.fq.one()}),
@@ -821,7 +852,18 @@ class PerfElement:
             self.den = pf._one_poly()
             self.level = 0
             return
-        if not den.is_one():
+        if len(den.terms) == 1:
+            # den = c*x^k and gcd(num, den) = x^min(k, val(num)): dividing
+            # it out and making den monic is a shift and a scale
+            (k, c), = den.terms.items()
+            m = min(k, num.valuation())
+            if m:
+                num = num.shift(-m)
+            if not c.is_one():
+                num = num.scale(c.inverse())
+            den = pf._one_poly() if k == m else \
+                SPoly._trusted(pf.fq, {k - m: pf.fq.one()})
+        else:
             g = num.gcd(den)
             if not g.is_one():
                 num = num // g
@@ -898,32 +940,32 @@ class PerfElement:
         return a, b, e
 
     def __add__(self, other):
-        # radicals are Frobenius-substitution invariants, so coprimality
-        # of the raw denominators already certifies the lifted sum reduced
-        fast = self.den.is_one() and other.den.is_one() or \
-            self.den.gcd(other.den).is_one()
-        (n1, d1), (n2, d2), e = self._common_level(other)
-        if fast:
-            return PerfElement._reduced(self.pf, n1 * d2 + n2 * d1,
-                                        d1 * d2, e)
-        return PerfElement(self.pf, n1 * d2 + n2 * d1, d1 * d2, e)
+        return self._sum(other, SPoly.__add__)
 
     def __sub__(self, other):
-        fast = self.den.is_one() and other.den.is_one() or \
-            self.den.gcd(other.den).is_one()
+        return self._sum(other, SPoly.__sub__)
+
+    def _sum(self, other, op):
+        """self + other or self - other, as ``op`` adds or subtracts the
+        cross-multiplied numerators."""
+        # radicals are Frobenius-substitution invariants, so coprimality
+        # of the raw denominators already certifies the lifted sum reduced
+        fast = coprime(self.den, other.den)
         (n1, d1), (n2, d2), e = self._common_level(other)
+        if d1.is_one() and d2.is_one():
+            num, den = op(n1, n2), d1
+        else:
+            num, den = op(n1 * d2, n2 * d1), d1 * d2
         if fast:
-            return PerfElement._reduced(self.pf, n1 * d2 - n2 * d1,
-                                        d1 * d2, e)
-        return PerfElement(self.pf, n1 * d2 - n2 * d1, d1 * d2, e)
+            return PerfElement._reduced(self.pf, num, den, e)
+        return PerfElement(self.pf, num, den, e)
 
     def __neg__(self):
         return PerfElement(self.pf, -self.num, self.den, self.level,
                            _canonical=True)
 
     def __mul__(self, other):
-        fast = (self.den.is_one() or other.num.gcd(self.den).is_one()) and \
-            (other.den.is_one() or self.num.gcd(other.den).is_one())
+        fast = coprime(other.num, self.den) and coprime(self.num, other.den)
         (n1, d1), (n2, d2), e = self._common_level(other)
         if fast:
             return PerfElement._reduced(self.pf, n1 * n2, d1 * d2, e)
@@ -932,8 +974,8 @@ class PerfElement:
     def __truediv__(self, other):
         if not other:
             raise FieldError("division by zero")
-        fast = (self.den.is_one() or other.den.gcd(self.den).is_one()) and \
-            (not self.num or other.num.gcd(self.num).is_one())
+        fast = coprime(other.den, self.den) and \
+            (not self.num or coprime(other.num, self.num))
         (n1, d1), (n2, d2), e = self._common_level(other)
         if fast:
             num = n1 * d2

@@ -537,7 +537,7 @@ def ext_field_of_degree(fq: Fq, degree) -> ExtField:
         raise SkewParseError("ext degree must be >= 1", 0, 0)
     if degree == 1:
         return ExtField(fq, SPoly(fq, {1: fq.one()}))
-    return ExtField(fq, find_irreducible(fq, degree))
+    return ExtField(fq, find_irreducible(fq, degree), _irreducible=True)
 
 
 def _parse_ext_modulus(text, fq, line, col):

@@ -4,7 +4,10 @@ series matrices by Gaussian elimination over the division ring R((sigma)).
 Row operations multiply from the left throughout, so the noncommutative
 order of scalars is preserved.  Pivoting picks the entry of maximal
 deg_tau (minimal sigma-valuation) in the current column, breaking ties by
-smallest row index, which keeps golden outputs deterministic.
+smallest row index, which keeps golden outputs deterministic.  Each pivot
+is inverted only as deep as the target precision needs, counted from the
+pivot's degree and the degrees of the row it scales, so one elimination
+pass usually reaches the target.
 """
 
 from __future__ import annotations
@@ -170,8 +173,12 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
 
     Returns X with every entry carrying prec_floor <= -precision and
     phi*X == I == X*phi to the precision the product floors certify.
-    Internal scalar divisions start at the target precision.  If the
-    inverse misses the target floor, the working precision grows by the
+    ``work`` is the floor -work that elimination aims each row at; it
+    starts at ``precision``.  Each pivot of degree d is inverted to
+    work + 1 - d + lift sigma-orders (at least 1), lift being the highest
+    tau-degree (at least 0) of the other entries of its row, which leaves
+    the scaled row known to sigma^work.  Later row operations can still
+    raise a floor: if the inverse misses the target, ``work`` grows by the
     missing depth; if a pivot is known too shallowly to invert, it
     doubles.  After ``MAX_ESCALATIONS`` retries the last error is raised.
     """
@@ -224,13 +231,17 @@ def _eliminate(phi: SkewMatrix, work):
             a[pivot], a[col] = a[col], a[pivot]
             x[pivot], x[col] = x[col], x[pivot]
         pivot_entry = a[col][col]
-        if pivot_entry.floor is None:
-            p_eff = work
-        else:
+        deg = int(pivot_entry.deg_tau())
+        # inv has floor -deg - p_eff + 1, and scaling the pivot row by it
+        # raises that floor by the degree of each entry: depth enough for
+        # the highest one leaves the row known to sigma^work
+        others = a[col][:col] + a[col][col + 1:] + x[col]
+        lift = int(max(max(e.deg_tau() for e in others), 0))
+        p_eff = max(1, work + 1 - deg + lift)
+        if pivot_entry.floor is not None:
             # a truncated pivot only supports inversion to the depth it
             # is known; floors on the output keep the accounting honest
-            p_eff = min(work, int(pivot_entry.deg_tau())
-                        - pivot_entry.floor + 1)
+            p_eff = min(p_eff, deg - pivot_entry.floor + 1)
         inv = invert_scalar(pivot_entry, p_eff)
         a[col] = [inv * e for e in a[col]]
         x[col] = [inv * e for e in x[col]]

@@ -11,10 +11,10 @@ from operator import add, mul
 import pytest
 
 from taures.anderson import Differential, phi_inverse_power
-from taures.errors import FieldError, PrecisionError
+from taures.errors import FieldError, NotInvertibleError, PrecisionError
 from taures.fields import Fq, PerfField, SPoly
-from taures.skew import SkewLaurent
-from taures.skewmat import mat_mul, sigma_order
+from taures.skew import NEG_INF, SkewLaurent, invert_scalar
+from taures.skewmat import MAX_ESCALATIONS, SkewMatrix, mat_mul, sigma_order
 
 
 @pytest.fixture(scope="session")
@@ -176,6 +176,122 @@ def skew_mul_reference(f, g):
     floors = [lo + deg(other) for lo, other in ((f.floor, g), (g.floor, f))
               if lo is not None and deg(other) is not None]
     return SkewLaurent(f.pf, coeffs, max(floors) if floors else None)
+
+
+def invert_series_matrix_reference(phi, precision):
+    """Test-only reference for ``invert_series_matrix``: elimination with
+    every pivot inverted to ``work`` sigma-orders counted from its own
+    leading term, whatever its degree, and the whole elimination rerun
+    at ``work + deficit`` when the result misses the target floor (a
+    PrecisionError doubles ``work``).  The same escalation budget applies.
+    """
+    if precision < 1:
+        raise PrecisionError("inversion precision must be >= 1")
+    work = precision
+    last_err = None
+    for _ in range(MAX_ESCALATIONS + 1):
+        try:
+            x = _eliminate_relative(phi, work)
+        except PrecisionError as err:
+            last_err = err
+            work *= 2
+            continue
+        deficit = x.max_floor() + precision
+        if deficit <= 0:
+            return x.truncate(-precision)
+        work += int(deficit)
+        last_err = PrecisionError("inverse floor {} did not reach -{}".format(
+            x.max_floor(), precision))
+    raise last_err
+
+
+def _eliminate_relative(phi, work):
+    n = phi.rows
+    pf = phi.pf
+    a = [row[:] for row in phi.entries]
+    x = [row[:] for row in SkewMatrix.identity(pf, n).entries]
+    for col in range(n):
+        pivot = None
+        best = NEG_INF
+        for r in range(col, n):
+            d = a[r][col].deg_tau()
+            if d != NEG_INF and d > best:
+                best = d
+                pivot = r
+        if pivot is None:
+            if any(a[r][col].floor is not None for r in range(col, n)):
+                raise PrecisionError(
+                    "column {} vanishes to the working floor".format(col))
+            raise NotInvertibleError(
+                "not invertible: column {} is zero".format(col))
+        if pivot != col:
+            a[pivot], a[col] = a[col], a[pivot]
+            x[pivot], x[col] = x[col], x[pivot]
+        pivot_entry = a[col][col]
+        p_eff = work
+        if pivot_entry.floor is not None:
+            p_eff = min(work, int(pivot_entry.deg_tau())
+                        - pivot_entry.floor + 1)
+        inv = invert_scalar(pivot_entry, p_eff)
+        a[col] = [inv * e for e in a[col]]
+        x[col] = [inv * e for e in x[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = a[r][col]
+            if not factor and factor.is_exact():
+                continue
+            a[r] = [e - factor * p for e, p in zip(a[r], a[col])]
+            x[r] = [e - factor * p for e, p in zip(x[r], x[col])]
+    return SkewMatrix(pf, x)
+
+
+def gcd_reference(a, b):
+    """Test-only reference for ``SPoly.gcd``: plain Euclid, then monic,
+    with no monomial or valuation shortcut."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def perf_canonical_reference(pf, num, den, level):
+    """Test-only reference for ``PerfElement``'s canonical form, as
+    (num terms, den terms, level): divide out the gcd found by plain
+    Euclid, whatever the shape of the denominator, make den monic, then
+    strip levels while every exponent is divisible by q."""
+    fq = pf.fq
+    if not num:
+        return {}, {0: fq.one()}, 0
+    g = gcd_reference(num, den)
+    num, den = num // g, den // g
+    inv = den.leading().inverse()
+    num, den = num.scale(inv), den.scale(inv)
+    q = pf.q
+    while level > 0 and all(e % q == 0 for e in num.terms) \
+            and all(e % q == 0 for e in den.terms):
+        num = SPoly(fq, {e // q: c for e, c in num.terms.items()})
+        den = SPoly(fq, {e // q: c for e, c in den.terms.items()})
+        level -= 1
+    return num.terms, den.terms, level
+
+
+def perf_op_reference(a, b, op):
+    """Test-only reference for PerfElement + - * /: lift both fractions
+    to the common level, combine them, and canonicalize by
+    ``perf_canonical_reference``."""
+    pf = a.pf
+    e = max(a.level, b.level)
+    lifted = []
+    for x in (a, b):
+        k = pf.q ** (e - x.level)
+        lifted.append([SPoly(pf.fq, {i * k: c for i, c in p.terms.items()})
+                       for p in (x.num, x.den)])
+    (n1, d1), (n2, d2) = lifted
+    num, den = {"+": (n1 * d2 + n2 * d1, d1 * d2),
+                "-": (n1 * d2 - n2 * d1, d1 * d2),
+                "*": (n1 * n2, d1 * d2),
+                "/": (n1 * d2, d1 * n2)}[op]
+    return perf_canonical_reference(pf, num, den, e)
 
 
 def find_k1_reference(module, cap=64, precision=2):

@@ -3,6 +3,10 @@ tracer wraps still exists under the name it looks up, and its Gram oracle
 accepts what the CLI prints.  A rename that would break only the
 benchmark fails here."""
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import sys
 
@@ -59,3 +63,27 @@ def test_drinfeld_gram_oracle_accepts_cli_output(capsys, tmp_path):
     entry, tail = first.split(" | ", 1)
     wrong = "{} | {}\n{}".format("1" if entry == "0" else "0", tail, rest)
     assert oracles.check_drinfeld_gram(case, wrong) is not None
+
+
+def test_seed_zero_outputs_match_golden_digests(tmp_path):
+    """Every seed-0 case of the four workloads, run in-process through
+    `cli.main`, prints exactly the bytes `perfbench/golden.json` records
+    (the file is only read here)."""
+    with open(os.path.join(ROOT, "perfbench", "golden.json"),
+              encoding="utf-8") as fh:
+        golden = json.load(fh)
+    mismatches, checked = [], 0
+    for workload in workloads.WORKLOADS:
+        cases = workloads.build(workload, 0)
+        workloads.write_manifests(cases, str(tmp_path))
+        for case in cases:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(case.argv(str(tmp_path)))
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            checked += 1
+            if code != 0 or digest != golden[workload][case.name]["sha256"]:
+                mismatches.append((workload, case.name, code))
+    assert checked == sum(len(g) for g in golden.values())
+    assert mismatches == []

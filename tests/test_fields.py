@@ -5,11 +5,15 @@ import random
 
 import pytest
 
+from taures import fields
 from taures.errors import FieldError
-from taures.fields import (ExtField, Fq, PerfElement, SPoly,
+from taures.fields import (ExtField, Fq, PerfElement, SPoly, coprime,
                            find_irreducible, irreducible_over)
+from taures.parsing import ext_field_of_degree
 
-from conftest import rand_fq, rand_perf, rand_perf_nonzero
+from conftest import (gcd_reference, perf_canonical_reference,
+                      perf_op_reference, rand_fq, rand_perf,
+                      rand_perf_nonzero)
 
 
 class TestFq:
@@ -269,6 +273,92 @@ class TestPerfElement:
             assert a == b and a.level == b.level
 
 
+def rand_nonzero_fq(rng, fq):
+    c = rand_fq(rng, fq)
+    return c if c else fq.one()
+
+
+def rand_kernel_poly(rng, fq, shape):
+    """A polynomial of the given shape: zero, a nonzero constant, a
+    monomial c*x^k with k >= 1, or a general one of two or three terms."""
+    if shape == "zero":
+        return SPoly(fq, {})
+    if shape == "constant":
+        return SPoly(fq, {0: rand_nonzero_fq(rng, fq)})
+    if shape == "monomial":
+        return SPoly(fq, {rng.randint(1, 3): rand_nonzero_fq(rng, fq)})
+    exps = rng.sample(range(5), rng.randint(2, 3))
+    return SPoly(fq, {e: rand_nonzero_fq(rng, fq) for e in exps})
+
+
+def snapshot(*elements):
+    return [(dict(x.num.terms), dict(x.den.terms)) for x in elements]
+
+
+def check_kernel_against_reference(rng, pf):
+    """PerfElement canonical forms, coprime and + - * / against the
+    gcd-based references, on constant, monomial and general denominators
+    at levels 0..2; no operand's polynomials change."""
+    fq = pf.fq
+    shapes = ("constant", "monomial", "general")
+    polys = [rand_kernel_poly(rng, fq, s) for s in shapes + ("zero",)]
+    for a in polys:
+        for b in polys:
+            assert coprime(a, b) == a.gcd(b).is_one()
+            assert a.gcd(b) == gcd_reference(a, b)
+    elems = []
+    for den_shape in shapes:
+        num = rand_kernel_poly(rng, fq, rng.choice(shapes + ("zero",)))
+        den = rand_kernel_poly(rng, fq, den_shape)
+        level = rng.randint(0, 2)
+        x = PerfElement(pf, num, den, level)
+        assert (x.num.terms, x.den.terms, x.level) == \
+            perf_canonical_reference(pf, num, den, level)
+        elems.append(x)
+    unit = dict(pf._one_poly().terms)
+    before = snapshot(*elems)
+    for x in elems:
+        for y in elems:
+            for op, fn in (("+", PerfElement.__add__),
+                           ("-", PerfElement.__sub__),
+                           ("*", PerfElement.__mul__),
+                           ("/", PerfElement.__truediv__)):
+                if op == "/" and not y:
+                    continue
+                z = fn(x, y)
+                assert (z.num.terms, z.den.terms, z.level) == \
+                    perf_op_reference(x, y, op), (x, op, y)
+    assert snapshot(*elems) == before
+    assert pf._one_poly().terms == unit == {0: fq.one()}
+
+
+class TestKernelReference:
+    def test_matches_reference(self, pf2, pf3, pf4):
+        rng = random.Random(512)
+        for pf in (pf2, pf3, pf4):
+            for _ in range(40):
+                check_kernel_against_reference(rng, pf)
+
+    def test_unit_objects_are_shared(self, fq4, pf3):
+        assert fq4.one() is fq4.one() and fq4.zero() is fq4.zero()
+        assert pf3.one().den is pf3.zero().den is pf3._one_poly()
+
+
+def test_kernel_reference_properties(pf2, pf3, pf4):
+    """The same checks, searched by hypothesis (skipped without it)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      pf=st.sampled_from((pf2, pf3, pf4)))
+    def check(seed, pf):
+        check_kernel_against_reference(random.Random(seed), pf)
+
+    check()
+
+
 class TestExtField:
     def test_f4_tower(self, fq2):
         ext = ExtField(fq2, find_irreducible(fq2, 2))
@@ -289,6 +379,26 @@ class TestExtField:
         bad = SPoly(fq2, {2: fq2.one(), 0: fq2.one()})
         with pytest.raises(FieldError):
             ExtField(fq2, bad)
+
+    def test_degree_search_checks_each_candidate_once(self, fq2, fq3,
+                                                      monkeypatch):
+        # find_irreducible proves its result irreducible, so the field it
+        # builds does not trial-divide the modulus again
+        checked = []
+        original = fields.irreducible_over
+
+        def counted(field, poly):
+            checked.append(frozenset(poly.terms.items()))
+            return original(field, poly)
+
+        monkeypatch.setattr(fields, "irreducible_over", counted)
+        for fq, n in ((fq2, 4), (fq3, 3), (fq3, 1)):
+            checked.clear()
+            ext = ext_field_of_degree(fq, n)
+            assert ext.n == n
+            assert len(checked) == len(set(checked))
+            if n > 1:
+                assert checked[-1] == frozenset(ext.modulus.terms.items())
 
     def test_frobenius_fixes_base(self, fq3):
         ext = ExtField(fq3, find_irreducible(fq3, 3))

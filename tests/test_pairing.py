@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from taures import skewmat
 from taures.anderson import (Differential, carlitz, carlitz_tensor,
                              drinfeld, find_k1, maurischat)
 from taures.errors import FieldError
@@ -417,3 +418,30 @@ def test_truncated_products_skip_discarded_terms(pf2, pf3, monkeypatch):
     tau4 = SkewLaurent.tau(pf2, 4)
     assert count(residue_pair, ctx, row(pf2, [tau4]), col(pf2, [tau4])) \
         <= 213
+
+
+def test_gram_kernel_counts(pf3, monkeypatch):
+    """Deterministic counts for one carlitz-tensor d = 8, q = 3 `gram`:
+    polynomial gcds, elimination passes and PerfElement constructions.
+    Denominators there are units or theta-powers, which need no gcd, and
+    pivots sized from the target reach it in one pass; the parent commit
+    made 2967 gcds, 6 passes and 5743 constructions."""
+    counts = {"gcd": 0, "eliminate": 0, "init": 0}
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    tensor = carlitz_tensor(pf3, pf3.theta(), 8)
+    counted(SPoly, "gcd", "gcd")
+    counted(skewmat, "_eliminate", "eliminate")
+    counted(PerfElement, "__init__", "init")
+    gram(tensor)
+    assert counts["gcd"] == 0
+    assert counts["eliminate"] <= 3
+    assert counts["init"] <= 3957

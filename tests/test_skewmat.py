@@ -5,13 +5,16 @@ import random
 
 import pytest
 
-from taures.anderson import maurischat
+from taures import skewmat
+from taures.anderson import carlitz_tensor, drinfeld, maurischat
 from taures.errors import DimensionError, NotInvertibleError, PrecisionError
+from taures.fields import Fq, PerfField
 from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul, sigma_order)
 
-from conftest import rand_perf, rand_skew
+from conftest import (invert_series_matrix_reference, rand_perf,
+                      rand_perf_nonzero, rand_skew)
 
 
 def carlitz_tensor_matrix(pf, d):
@@ -194,13 +197,21 @@ class TestInvert:
             invert_series_matrix(sing, 2)
 
     def test_truncated_zero_column_escalates(self, pf2, pf3):
-        # at working precision 1 the second Maurischat column is known
+        # after the exact pivot 1 clears row 1, the second column is known
         # only to vanish above its floors: a precision shortfall, which
         # the escalation loop retries, not a proof of non-invertibility
         for pf in (pf2, pf3):
+            one = SkewLaurent.one(pf)
+            tau = SkewLaurent.tau(pf)
+            for floor in (-3, 0, 1):
+                phi = SkewMatrix(pf, [[one, tau],
+                                      [one, tau + SkewLaurent(pf, {},
+                                                              floor)]])
+                with pytest.raises(PrecisionError,
+                                   match="column 1 vanishes"):
+                    _eliminate(phi, 1)
+            # Maurischat inverts at precision 1 and agrees with precision 2
             phi = maurischat(pf, pf.theta()).phi_t
-            with pytest.raises(PrecisionError):
-                _eliminate(phi, 1)
             x1 = invert_series_matrix(phi, 1)
             assert x1.max_floor() <= -1
             assert x1.agrees_with(invert_series_matrix(phi, 2))
@@ -209,6 +220,67 @@ class TestInvert:
         mat = SkewMatrix.zeros(pf3, 2, 3)
         with pytest.raises(DimensionError):
             invert_series_matrix(mat, 2)
+
+
+def reference_modules():
+    """Carlitz-tensor d = 1..10 at q = 2 and 1..6 at q = 3, Maurischat
+    and the Drinfeld family r = 1..6 at q = 2, 3, 5, and seeded random
+    Drinfeld modules of rank 1..3."""
+    pf2, pf3, pf5 = (PerfField(Fq(q)) for q in (2, 3, 5))
+    cases = [carlitz_tensor(pf2, pf2.theta(), d) for d in range(1, 11)]
+    cases += [carlitz_tensor(pf3, pf3.theta(), d) for d in range(1, 7)]
+    rng = random.Random(71)
+    for pf in (pf2, pf3, pf5):
+        th = pf.theta()
+        cases.append(maurischat(pf, th))
+        for r in range(1, 7):
+            cases.append(drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th]))
+        for r in (1, 2, 3):
+            # a theta-power leading coefficient keeps precision 6 cheap
+            g = [rand_perf(rng, pf) for _ in range(r - 1)]
+            lead = rand_perf_nonzero(rng, pf, max_deg=0, max_level=0)
+            g.append(lead * th ** rng.randrange(3))
+            cases.append(drinfeld(pf, th, g, name="random-drinfeld"))
+    return cases
+
+
+class TestInvertReference:
+    def test_matches_relative_depth_reference(self):
+        # sizing pivots from the target changes the work, not the inverse
+        for E in reference_modules():
+            for precision in range(1, 7):
+                assert invert_series_matrix(E.phi_t, precision) == \
+                    invert_series_matrix_reference(E.phi_t, precision), \
+                    (E.name, E.pf.q, precision)
+
+    def test_matches_reference_with_two_term_leads(self):
+        rng = random.Random(72)
+        for q in (2, 3):
+            pf = PerfField(Fq(q))
+            th = pf.theta()
+            for r in (1, 2, 3):
+                g = [rand_perf(rng, pf) for _ in range(r - 1)]
+                g.append(th + pf.one())
+                phi = drinfeld(pf, th, g).phi_t
+                for precision in range(1, 4):
+                    assert invert_series_matrix(phi, precision) == \
+                        invert_series_matrix_reference(phi, precision)
+
+    def test_one_elimination_pass_per_call(self, monkeypatch):
+        passes = []
+        eliminate = skewmat._eliminate
+
+        def counted(phi, work):
+            passes[-1] += 1
+            return eliminate(phi, work)
+
+        monkeypatch.setattr(skewmat, "_eliminate", counted)
+        for E in reference_modules():
+            for precision in range(1, 7):
+                passes.append(0)
+                invert_series_matrix(E.phi_t, precision)
+                allowed = 2 if E.name == "maurischat" else 1
+                assert passes[-1] <= allowed, (E.name, E.pf.q, precision)
 
 
 class TestSigmaOrder:
