@@ -89,6 +89,8 @@ def _default_modulus_text(q):
 
 
 def _manifest_skeleton(q):
+    if q < 2:  # the searches for p below would never end
+        raise SkewParseError("example needs q >= 2", 0, 0)
     man = Manifest()
     man.q = q
     mod = _default_modulus_text(q)
@@ -265,14 +267,21 @@ def cmd_lseries(args):
             ext = ext_field_of_degree(man.field, 1)
     tau_mot = manifest_tau_matrix(man, "motive", ext)
     tau_com = manifest_tau_matrix(man, "comotive", ext)
+    run_oracle = tau_mot is None
+    if run_oracle:
+        # one build of the Drinfeld matrices serves every route below
+        tau_mot, com = lseries.drinfeld_tau_matrices(module, ext)
+        if tau_com is None:
+            tau_com = com
     fit_m = lseries.fitting_ideal(module, ext, "motive", tau_matrix=tau_mot)
     fit_c = lseries.fitting_ideal(module, ext, "comotive",
                                   tau_matrix=tau_com)
     bf = lseries.brute_force_fitting(module, ext)
     consistent = fit_m.unit_equiv(fit_c) and \
         lseries.poly_unit_equiv(fit_m.at_T_one(), bf)
-    if tau_mot is None:
-        oracle = lseries.fitting_ideal_power_oracle(module, ext, "motive")
+    if run_oracle:
+        oracle = lseries.fitting_ideal_power_oracle(module, ext, "motive",
+                                                    tau_matrix=tau_mot)
         consistent = consistent and oracle.unit_equiv(fit_m)
     print("motive: {}".format(fit_m))
     print("comotive: {}".format(fit_c))
@@ -292,57 +301,36 @@ def cmd_examples(args):
     return 0
 
 
-def build_arg_parser():
-    ap = argparse.ArgumentParser(
-        prog="taures",
-        description="Exact residue-in-tau pairings for Anderson t-modules")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _add_common(p):
+    p.add_argument("manifest", help="path to a module manifest")
+    p.add_argument("--precision-cap", type=int, default=64,
+                   dest="precision_cap",
+                   help="max sigma-precision for escalations")
+    p.add_argument("--k-cap", type=int, default=64, dest="k_cap",
+                   help="search cap for the convergence exponent k1")
 
-    def common(p, manifest=True):
-        if manifest:
-            p.add_argument("manifest", help="path to a module manifest")
-        p.add_argument("--precision-cap", type=int, default=64,
-                       dest="precision_cap",
-                       help="max sigma-precision for escalations")
-        p.add_argument("--k-cap", type=int, default=64, dest="k_cap",
-                       help="search cap for the convergence exponent k1")
 
-    p = sub.add_parser("validate", help="check the module axioms")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("invert", help="phi(t)^-1 as a truncated matrix")
-    common(p)
+def _add_invert(p):
+    _add_common(p)
     p.add_argument("--order", type=int, default=6,
                    help="sigma-precision of the inverse")
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("pair", help="pair a motive row with a comotive "
-                                    "column")
-    common(p)
+
+def _add_pair(p):
+    _add_common(p)
     p.add_argument("--m", required=True,
                    help="motive element ('|'-separated entries)")
     p.add_argument("--n", required=True,
                    help="comotive element ('|'-separated entries)")
-    p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("gram", help="all pairings of the declared bases")
-    common(p)
-    p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("perfectness", help="gram determinant certificate")
-    common(p)
-    p.set_defaults(func=cmd_perfectness)
-
-    p = sub.add_parser("lseries", help="T-deformation fitting ideals over "
-                                       "a finite base")
-    common(p)
+def _add_lseries(p):
+    _add_common(p)
     p.add_argument("--ext-degree", type=int, default=None, dest="ext_degree",
                    help="degree of k over F_q (overrides the manifest)")
-    p.set_defaults(func=cmd_lseries)
 
-    p = sub.add_parser("examples", help="write a built-in example manifest "
-                                        "to stdout")
+
+def _add_examples(p):
     p.add_argument("name", help="carlitz | carlitz-tensor | drinfeld | "
                                 "maurischat")
     p.add_argument("--q", type=int, default=2)
@@ -352,14 +340,57 @@ def build_arg_parser():
                    help="seed for drinfeld coefficients")
     p.add_argument("--g", type=str, default=None,
                    help="comma-separated drinfeld coefficients g_1..g_r")
-    p.set_defaults(func=cmd_examples)
 
+
+# (name, help, adds the command's arguments, handler), in usage order
+COMMANDS = (
+    ("validate", "check the module axioms", _add_common, cmd_validate),
+    ("invert", "phi(t)^-1 as a truncated matrix", _add_invert, cmd_invert),
+    ("pair", "pair a motive row with a comotive column", _add_pair,
+     cmd_pair),
+    ("gram", "all pairings of the declared bases", _add_common, cmd_gram),
+    ("perfectness", "gram determinant certificate", _add_common,
+     cmd_perfectness),
+    ("lseries", "T-deformation fitting ideals over a finite base",
+     _add_lseries, cmd_lseries),
+    ("examples", "write a built-in example manifest to stdout",
+     _add_examples, cmd_examples),
+)
+COMMAND_NAMES = frozenset(row[0] for row in COMMANDS)
+
+
+def build_arg_parser(only=None):
+    """The argument parser; with `only`, just that command's subparser.
+
+    Each subparser is built the same either way, so a command's own
+    usage, help and errors read the same; only the top-level usage line
+    lists fewer commands."""
+    ap = argparse.ArgumentParser(
+        prog="taures",
+        description="Exact residue-in-tau pairings for Anderson t-modules")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, func in COMMANDS:
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return ap
 
 
+def _parse_args(argv):
+    """Parse on the invoked command's parser alone when that settles the
+    call; anything it leaves over, a missing or unknown command and
+    options before the command go to the full tree, so that every
+    top-level message lists all commands, exactly as before."""
+    if argv and argv[0] in COMMAND_NAMES:
+        args, extra = build_arg_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_arg_parser().parse_args(argv)
+
+
 def main(argv=None):
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SkewParseError as err:

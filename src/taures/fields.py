@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from fractions import Fraction
 from math import gcd as gcd_int
 
 from .errors import FieldError
@@ -143,6 +142,8 @@ class FqElement:
         return self.idx == 1
 
     def __str__(self):
+        if self.field.m == 1:
+            return str(self.coeffs[0])
         return render_poly_in_var(
             {i: c for i, c in enumerate(self.coeffs) if c},
             self.field.gen_name, lambda c: str(c), lambda c: c == 1)
@@ -192,40 +193,43 @@ class Fq:
             self._build_tables()
 
     def _build_tables(self):
-        q = self.q
-        elems = list(self.elements())
-        self._elems = elems
-        add_t = [0] * (q * q)
+        """Operation tables on element indices.  Addition and negation go
+        digit by digit on the base-p index; multiplication and inversion
+        add and negate discrete logs to a generator of F_q^x."""
+        q, p = self.q, self.p
+        self._elems = list(self.elements())
+        digit_sum = [[(a + b) % p for b in range(p)] for a in range(p)]
+        rows, negs = [[0]], [0]
+        for _ in range(self.m):
+            # index a0 + p*a' from the tables of the higher digits a'
+            rows = [[c + p * h for h in high for c in digit_sum[a0]]
+                    for high in rows for a0 in range(p)]
+            negs = [(-a0) % p + p * h for h in negs for a0 in range(p)]
+        self._add_t = [s for row in rows for s in row]
+        self._neg_t = negs
+        exp = self._generator_powers()
+        twice = exp + exp
         mul_t = [0] * (q * q)
-        neg_t = [0] * q
         inv_t = [0] * q
-        p, m = self.p, self.m
-        for a in elems:
-            ai = a.idx
-            neg = tuple((-c) % p for c in a.coeffs)
-            ni = 0
-            for c in reversed(neg):
-                ni = ni * p + c
-            neg_t[ai] = ni
-            for b in elems:
-                bi = b.idx
-                s = tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
-                si = 0
-                for c in reversed(s):
-                    si = si * p + c
-                add_t[ai * q + bi] = si
-                mul_t[ai * q + bi] = self._mul(a, b).idx
-        for a in elems:
-            if a.idx:
-                for b in elems:
-                    if mul_t[a.idx * q + b.idx] == 1:
-                        inv_t[a.idx] = b.idx
-                        break
-        self._add_t = add_t
+        for i, a in enumerate(exp):
+            row = a * q
+            for b, ab in zip(exp, twice[i:i + q - 1]):
+                mul_t[row + b] = ab
+            inv_t[a] = exp[-i]
         self._mul_t = mul_t
-        self._neg_t = neg_t
         self._inv_t = inv_t
         self._tables = True
+
+    def _generator_powers(self):
+        """[g^0, g^1, .., g^(q-2)] as indices, for the first generator g
+        of F_q^x in index order."""
+        for g in self._elems[1:]:
+            powers, cur = [1], g
+            while cur.idx != 1:
+                powers.append(cur.idx)
+                cur = self._mul(cur, g)
+            if len(powers) == self.q - 1:
+                return powers
 
     def _check_irreducible(self):
         fp = _prime_field(self.p)
@@ -1039,12 +1043,11 @@ class PerfElement:
         qe = q ** e
 
         def var_for(exp):
-            frac = Fraction(exp, qe)
-            if frac == 1:
-                return "theta"
-            if frac.denominator == 1:
-                return "theta^{}".format(frac.numerator)
-            return "theta^({}/{})".format(frac.numerator, frac.denominator)
+            g = gcd_int(exp, qe)
+            num, den = exp // g, qe // g
+            if den == 1:
+                return "theta" if num == 1 else "theta^{}".format(num)
+            return "theta^({}/{})".format(num, den)
 
         if not poly:
             return "0"

@@ -352,21 +352,19 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     r = tau_matrix.rank
     n = ext.n
     # matrix of tau^n: M * M^(tw) * .. * M^(tw^(n-1)), tw = coefficient
-    # Frobenius (inverse Frobenius on the comotive side)
-    def twist_poly(p, steps):
+    # Frobenius (inverse Frobenius on the comotive side); M^(tw^s) is one
+    # more twist of M^(tw^(s-1))
+    if tau_matrix.side == "motive":
         def tw(c):
-            out = c
-            for _ in range(abs(steps)):
-                out = out.frobenius() if steps > 0 else out.frobenius_inv()
-            return out
-        return p.map_coeffs(tw)
+            return c.frobenius()
+    else:
+        def tw(c):
+            return c.frobenius_inv()
 
-    sign = 1 if tau_matrix.side == "motive" else -1
     zero = SPoly(ext, {})
-    acc = tau_matrix.entries
-    for s in range(1, n):
-        twisted = [[twist_poly(tau_matrix.entries[i][j], sign * s)
-                    for j in range(r)] for i in range(r)]
+    acc = twisted = tau_matrix.entries
+    for _ in range(1, n):
+        twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
         acc = [[_dot([(acc[i][l], twisted[l][j]) for l in range(r)], zero)
                 for j in range(r)] for i in range(r)]
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))

@@ -226,11 +226,14 @@ def _tokens_split_rows(tokens):
 def parse_skew_row(text, pf, theta=None, line=1, col=1):
     """Parse a '|'-separated list of skew expressions."""
     groups = _tokens_split_rows(tokenize(text, line, col))
+    atoms = _skew_env(pf, theta)
+
+    def from_int(n):
+        return SkewLaurent.scalar(pf, pf.from_int(n))
+
     out = []
     for g in groups:
-        parser = _Parser(g, _skew_env(pf, theta),
-                         lambda n: SkewLaurent.scalar(pf, pf.from_int(n)),
-                         _skew_divide)
+        parser = _Parser(g, atoms, from_int, _skew_divide)
         out.append(parser.expr())
         parser.expect_end()
     return out

@@ -210,6 +210,10 @@ class SkewLaurent:
     def __pow__(self, n):
         if n < 0:
             raise FieldError("negative skew power; use invert_scalar")
+        if self.floor is None and len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            if c.is_one():  # (tau^e)^n = tau^(e*n): no product to form
+                return SkewLaurent.tau(self.pf, e * n)
         result = SkewLaurent.one(self.pf)
         base = self
         while n:

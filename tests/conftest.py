@@ -5,6 +5,7 @@ same cases; the operator-evaluation helper gives an implementation-free
 semantics for skew products (compose twisted multiplication maps).
 """
 
+from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
@@ -12,7 +13,9 @@ import pytest
 
 from taures.anderson import Differential, phi_inverse_power
 from taures.errors import FieldError, NotInvertibleError, PrecisionError
-from taures.fields import Fq, PerfField, SPoly
+from taures.fields import (Fq, FqElement, PerfField, SPoly,
+                           needs_parens, render_poly_in_var)
+from taures.lseries import BivariatePoly
 from taures.skew import NEG_INF, SkewLaurent, invert_scalar
 from taures.skewmat import MAX_ESCALATIONS, SkewMatrix, mat_mul, sigma_order
 
@@ -365,3 +368,105 @@ def maurischat_display(pf):
     zero = SPoly(pf, {})
     rows = [[-one - g, -one, g], [-one, zero, one], [g, one, -g]]
     return [[Differential(p) for p in row] for row in rows]
+
+
+def fq_tables_reference(fq):
+    """Test-only reference for ``Fq._build_tables``: every pair (a, b)
+    added coefficientwise and multiplied by ``Fq._mul``, each inverse
+    found by search.  Returns (add, mul, neg, inv) index tables."""
+    q, p = fq.q, fq.p
+    elems = list(fq.elements())
+    add_t, mul_t = [0] * (q * q), [0] * (q * q)
+    neg_t, inv_t = [0] * q, [0] * q
+    for a in elems:
+        neg_t[a.idx] = FqElement(fq, [(-c) % p for c in a.coeffs]).idx
+        for b in elems:
+            s = FqElement(fq, [(x + y) % p
+                               for x, y in zip(a.coeffs, b.coeffs)])
+            add_t[a.idx * q + b.idx] = s.idx
+            mul_t[a.idx * q + b.idx] = fq._mul(a, b).idx
+    for a in elems[1:]:
+        inv_t[a.idx] = next(b.idx for b in elems
+                            if mul_t[a.idx * q + b.idx] == 1)
+    return add_t, mul_t, neg_t, inv_t
+
+
+def perf_str_reference(x):
+    """Test-only reference for ``str(PerfElement)``: each exponent of
+    theta^(1/q^e) reduced as a ``Fraction``."""
+    qe = x.pf.q ** x.level
+
+    def side(poly):
+        if not poly:
+            return "0"
+        parts = []
+        for exp in sorted(poly.terms, reverse=True):
+            c = poly.terms[exp]
+            if exp == 0:
+                parts.append(str(c))
+                continue
+            frac = Fraction(exp, qe)
+            if frac == 1:
+                v = "theta"
+            elif frac.denominator == 1:
+                v = "theta^{}".format(frac.numerator)
+            else:
+                v = "theta^({}/{})".format(frac.numerator, frac.denominator)
+            if c.is_one():
+                parts.append(v)
+            else:
+                cs = str(c)
+                if needs_parens(cs):
+                    cs = "({})".format(cs)
+                parts.append("{}*{}".format(cs, v))
+        return " + ".join(parts)
+
+    ns = side(x.num)
+    if x.den.is_one():
+        return ns
+    ds = side(x.den)
+    if needs_parens(ns):
+        ns = "({})".format(ns)
+    if needs_parens(ds) or "*" in ds:
+        ds = "({})".format(ds)
+    return "{}/{}".format(ns, ds)
+
+
+def power_oracle_reference(tau_matrix, ext):
+    """Test-only reference for ``lseries.fitting_ideal_power_oracle``
+    given its tau matrix: the factor for step s twists every coefficient
+    of the original matrix s times over, and the descent to F_q keeps
+    each coefficient's constant term without checking the rest."""
+    r = tau_matrix.rank
+    n = ext.n
+    sign = 1 if tau_matrix.side == "motive" else -1
+
+    def twist_poly(p, steps):
+        def tw(c):
+            out = c
+            for _ in range(abs(steps)):
+                out = out.frobenius() if steps > 0 else out.frobenius_inv()
+            return out
+        return p.map_coeffs(tw)
+
+    zero = SPoly(ext, {})
+    acc = tau_matrix.entries
+    for s in range(1, n):
+        twisted = [[twist_poly(tau_matrix.entries[i][j], sign * s)
+                    for j in range(r)] for i in range(r)]
+        acc = [[reduce(add, [acc[i][l] * twisted[l][j] for l in range(r)],
+                       zero) for j in range(r)] for i in range(r)]
+    lead_first = charpoly_reference(acc, SPoly.const(ext, ext.one()))
+    fq = ext.base
+    out = [SPoly(fq, {}) for _ in range(n * r + 1)]
+    for u_exp, c in enumerate(reversed(lead_first)):
+        out[u_exp * n] = SPoly(fq, {te: ec.coeffs[0]
+                                    for te, ec in c.terms.items()})
+    return BivariatePoly(fq, out)
+
+
+def fq_str_reference(a):
+    """Test-only reference for ``str(FqElement)``: the general polynomial
+    rendering in the field generator, prime fields included."""
+    return render_poly_in_var({i: c for i, c in enumerate(a.coeffs) if c},
+                              a.field.gen_name, str, lambda c: c == 1)

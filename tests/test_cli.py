@@ -1,6 +1,13 @@
 """Command dispatch, golden outputs, and exit codes."""
 
-from taures.cli import main
+import argparse
+import contextlib
+import io
+import sys
+
+import pytest
+
+from taures.cli import COMMANDS, build_arg_parser, main
 from taures.parsing import parse_manifest
 from taures.skewmat import invert_series_matrix
 
@@ -217,3 +224,90 @@ class TestExitCodes:
         code, _, err = run(capsys, "pair", path, "--m", "sigma", "--n", "1")
         assert code == 3
         assert "R[tau]" in err
+
+
+def outcome(parse, argv):
+    """(stdout, stderr, exit code) of one call; argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+ALL_COMMANDS = "{validate,invert,pair,gram,perfectness,lseries,examples}"
+
+# every call argparse ends itself: help, usage errors and leftovers
+PARSER_EXITS = [
+    [], ["-h"], ["--help"], ["bogus"], ["gra"],
+    *[[name, "-h"] for name, *_ in COMMANDS],
+    ["gram"],
+    ["pair", "m.man", "--n", "1"],
+    ["invert", "m.man", "--order", "two"],
+    ["lseries", "m.man", "--ext-degree"],
+    ["gram", "m.man", "--bogus"],
+    ["--precision-cap", "3", "gram", "m.man"],
+]
+
+
+class TestArgumentText:
+    """`main` parses on the invoked command's parser alone; what it prints
+    must stay what the full tree prints."""
+
+    @pytest.mark.parametrize("argv", PARSER_EXITS,
+                             ids=[" ".join(a) or "<none>"
+                                  for a in PARSER_EXITS])
+    def test_matches_full_tree(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = outcome(lambda a: build_arg_parser().parse_args(a), argv)
+        assert isinstance(full[2], int), "the full tree must exit here"
+        assert outcome(main, argv) == full
+
+    def test_top_level_usage_lists_every_command(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in ([], ["gram", "m.man", "--bogus"],
+                     ["--precision-cap", "3", "gram", "m.man"]):
+            _, err, code = outcome(main, argv)
+            assert code == 2
+            assert err.startswith("usage: taures [-h]")
+            assert ALL_COMMANDS + " ..." in err
+
+    def test_one_command_builds_one_subparser(self, monkeypatch, capsys,
+                                              tmp_path):
+        # the full tree takes 8 parsers and 36 add_argument calls
+        counts = {"parsers": 0, "arguments": 0}
+        init = argparse.ArgumentParser.__init__
+        add = argparse.ArgumentParser.add_argument
+
+        def counted_init(self, *args, **kwargs):
+            counts["parsers"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_add(self, *args, **kwargs):
+            counts["arguments"] += 1
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counted_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            counted_add)
+        path = write(tmp_path, "car.man", CARLITZ_Q2)
+        assert main(["gram", path]) == 0
+        assert counts["parsers"] <= 2
+        assert counts["arguments"] <= 5
+        counts.update(parsers=0, arguments=0)
+        build_arg_parser()
+        assert counts == {"parsers": 8, "arguments": 36}
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["taures", "examples", "carlitz"])
+        assert main() == 0
+        assert capsys.readouterr().out == CARLITZ_Q2
+
+    @pytest.mark.parametrize("q", ["-1", "0", "1"])
+    def test_example_rejects_q_below_two(self, capsys, q):
+        code, out, err = run(capsys, "examples", "carlitz", "--q", q)
+        assert (code, out) == (2, "")
+        assert err == "error[parse] 0:0: example needs q >= 2\n"

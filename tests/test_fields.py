@@ -7,13 +7,23 @@ import pytest
 
 from taures import fields
 from taures.errors import FieldError
-from taures.fields import (ExtField, Fq, PerfElement, SPoly, coprime,
-                           find_irreducible, irreducible_over)
+from taures.fields import (ExtField, Fq, PerfElement, PerfField, SPoly,
+                           coprime, find_irreducible, irreducible_over)
 from taures.parsing import ext_field_of_degree
 
-from conftest import (gcd_reference, perf_canonical_reference,
-                      perf_op_reference, rand_fq, rand_perf,
-                      rand_perf_nonzero)
+from conftest import (fq_str_reference, fq_tables_reference,
+                      gcd_reference, perf_canonical_reference,
+                      perf_op_reference, perf_str_reference, rand_fq,
+                      rand_perf, rand_perf_nonzero)
+
+
+def field_of(q):
+    """F_q with the first irreducible modulus in the search order."""
+    p, m = fields._factor_prime_power(q)
+    if m == 1:
+        return Fq(p)
+    mod = find_irreducible(Fq(p), m)
+    return Fq(q, [mod.coeff(i).coeffs[0] for i in range(m + 1)])
 
 
 class TestFq:
@@ -102,6 +112,20 @@ class TestFq:
             Fq(125, [1, 1, 0, 1])
         assert built.count(25) == 3 and built.count(125) == 3
         assert built.count(5) <= 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
+    def test_tables_match_pairwise_reference(self, q):
+        # tables from discrete logs and base-p digits equal the tables
+        # of every pair multiplied by _mul
+        fq = field_of(q)
+        assert (fq._add_t, fq._mul_t, fq._neg_t, fq._inv_t) == \
+            fq_tables_reference(fq)
+
+    def test_str_matches_reference(self):
+        for q in (2, 3, 5, 7, 4, 8, 9, 25):
+            fq = field_of(q)
+            for a in fq.elements():
+                assert str(a) == fq_str_reference(a)
 
     def test_frobenius_fixes_fq(self, fq4):
         # a^q = a for every a in F_q
@@ -263,6 +287,27 @@ class TestPerfElement:
         val = (pf3.theta() + pf3.one()) / pf3.theta()
         assert str(val) == "(theta + 1)/theta"
         assert str(pf3.zero()) == "0"
+
+    def test_rendering_matches_fraction_reference(self):
+        # exponents of theta^(1/q^e) that reduce to 1, to an integer and
+        # to a proper fraction, over unit, monomial and binomial
+        # denominators with non-unit coefficients
+        rng = random.Random(23)
+        for q in (2, 3, 4):
+            fq = field_of(q)
+            pf = PerfField(fq)
+            nonzero = [c for c in fq.elements() if c]
+            for level in range(4):
+                qe = q ** level
+                for _ in range(30):
+                    exps = {1, qe, 2 * qe, rng.randrange(3 * qe + 1)}
+                    num = SPoly(fq, {e: rng.choice(nonzero) for e in exps})
+                    k = rng.randrange(1, 2 * qe + 1)
+                    den_exps = rng.choice([(0,), (k,), (0, k)])
+                    den = SPoly(fq, {e: rng.choice(nonzero)
+                                     for e in den_exps})
+                    x = PerfElement(pf, num, den, level)
+                    assert str(x) == perf_str_reference(x)
 
     def test_canonicalization_idempotent(self, pf3):
         rng = random.Random(11)

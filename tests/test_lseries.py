@@ -12,13 +12,29 @@ from taures.lseries import (BivariatePoly, TauMatrix, brute_force_fitting,
                             charpoly, drinfeld_tau_matrices, fitting_ideal,
                             fitting_ideal_power_oracle, poly_unit_equiv)
 
-from conftest import charpoly_reference, rand_fq
+from conftest import (charpoly_reference, power_oracle_reference,
+                      rand_fq)
 
 
 def ext_of(fq, n):
     if n == 1:
         return ExtField(fq, SPoly(fq, {1: fq.one()}))
     return ExtField(fq, find_irreducible(fq, n))
+
+
+def gauge_scaled(rng, tau, ext):
+    """tau on the basis scaled by a random diagonal D over k:
+    D^-1 M D^(tw), tw the side's Frobenius.  The tau^n matrix becomes
+    D^-1 P D, with the same characteristic polynomial."""
+    units = [x for x in ext.elements() if x]
+    d = [rng.choice(units) for _ in range(tau.rank)]
+    if tau.side == "motive":
+        tw = [x.frobenius() for x in d]
+    else:
+        tw = [x.frobenius_inv() for x in d]
+    return TauMatrix(side=tau.side, entries=[
+        [e.scale(d[i].inverse() * tw[j]) for j, e in enumerate(row)]
+        for i, row in enumerate(tau.entries)])
 
 
 class TestCharpoly:
@@ -245,6 +261,35 @@ class TestFittingIdeal:
                     fit = fitting_ideal(E, ext, side)
                     oracle = fitting_ideal_power_oracle(E, ext, side)
                     assert oracle.unit_equiv(fit)
+
+    def test_power_oracle_matches_reference(self):
+        # each step's twist is one Frobenius on the previous step's, in
+        # place of s Frobenius powers of the original coefficients
+        rng = random.Random(11)
+        for q, modulus in ((2, None), (3, None), (4, [1, 1, 1]), (5, None)):
+            fq = Fq(q, modulus)
+            pf = PerfField(fq)
+            nonzero = [c for c in fq.elements() if c]
+            for _ in range(3):
+                r = rng.randrange(1, 4)
+                g = [pf.from_fq(rand_fq(rng, fq)) for _ in range(r - 1)]
+                g.append(pf.from_fq(rng.choice(nonzero)))
+                E = drinfeld(pf, pf.from_fq(rng.choice(nonzero)), g)
+                for n in (1, 2, 3):
+                    ext = ext_of(fq, n)
+                    mot, com = drinfeld_tau_matrices(E, ext)
+                    for side, tau in (("motive", mot), ("comotive", com)):
+                        expected = power_oracle_reference(tau, ext)
+                        assert fitting_ideal_power_oracle(
+                            E, ext, side, tau_matrix=tau) == expected
+                        assert fitting_ideal_power_oracle(
+                            E, ext, side) == expected
+                        # the same tau on a basis scaled by units of k:
+                        # its entries leave F_q, so the twists count
+                        scaled = gauge_scaled(rng, tau, ext)
+                        assert fitting_ideal_power_oracle(
+                            E, ext, side, tau_matrix=scaled) == \
+                            power_oracle_reference(scaled, ext) == expected
 
     def test_T_degree(self, pf3):
         E = drinfeld(pf3, pf3.from_int(1), [pf3.one(), pf3.one()])

@@ -106,6 +106,25 @@ def check_mul_against_reference(rng, pf):
     assert (ft * g).agrees_with(ref)
 
 
+class TestPow:
+    def test_matches_repeated_products(self, pf2, pf3):
+        # unit monomials take the shortcut (tau^e)^n = tau^(e n); other
+        # monomials, sums and truncated elements multiply out
+        th = pf3.theta()
+        bases = [SkewLaurent.tau(pf3, e) for e in (-2, -1, 0, 1, 3)]
+        bases += [SkewLaurent(pf3, {2: th}),
+                  SkewLaurent.tau(pf3) + SkewLaurent.scalar(pf3, th),
+                  SkewLaurent.tau(pf3).truncate(-1),
+                  SkewLaurent.tau(pf2, 2)]
+        for base in bases:
+            acc = SkewLaurent.one(base.pf)
+            for n in range(6):
+                power = base ** n
+                assert power == acc
+                assert power.floor == acc.floor
+                acc = acc * base
+
+
 class TestMulOracle:
     def test_matches_reference(self, pf2, pf3, pf4):
         rng = random.Random(310)
