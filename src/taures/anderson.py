@@ -215,27 +215,24 @@ def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:
 
 def phi_inverse_power(module: AndersonModule, k, precision,
                       inv=None) -> SkewMatrix:
-    """Phi(t)^-k to the requested precision, with floor bookkeeping.
+    """Phi(t)^-k to the requested precision, from one deep-enough inverse.
 
-    The inverse is computed once at an escalated precision so that the
-    k-th power still clears the target floor; the loop re-escalates when
-    degree growth eats the margin.
+    If phi(t)^-1 has floor -W and tau-degree at most D >= 0, its k-th
+    power has floor <= -W + (k - 1)*D, so W = precision + (k - 1)*D
+    suffices.  D is read off ``inv`` when given, else off the inverse at
+    ``precision``; either is reused when W does not exceed its depth.
     """
     if k < 1:
         raise DimensionError("k must be >= 1")
-    work = precision
-    for _ in range(4):
-        base = inv if inv is not None and -inv.max_floor() >= work \
-            else invert_series_matrix(module.phi_t, work)
-        acc = base
-        for _ in range(k - 1):
-            acc = mat_mul(acc, base)
-        if acc.max_floor() <= -precision:
-            return acc.truncate(-precision)
-        work *= 2
-        inv = None
-    raise ConvergenceError(
-        "phi(t)^-{} did not reach precision {}".format(k, precision))
+    if inv is None or -inv.max_floor() < precision:
+        inv = invert_series_matrix(module.phi_t, precision)
+    work = precision + (k - 1) * int(max(inv.max_deg_tau(), 0))
+    if -inv.max_floor() < work:
+        inv = invert_series_matrix(module.phi_t, work)
+    acc = inv
+    for _ in range(k - 1):
+        acc = mat_mul(acc, inv)
+    return acc.truncate(-precision)
 
 
 def find_k1(module: AndersonModule, cap=64):
@@ -249,20 +246,18 @@ def find_k1(module: AndersonModule, cap=64):
     coeff_0(phi^-k) = coeff_0(phi^-1)^k: each step computes just those
     terms.  An entry with floor 0 and no stored term has sigma_order 1,
     so sigma_order(acc) >= 1 reads the test off the window.  A floor
-    above 0, as a positive-degree inverse produces, re-escalates through
-    ``phi_inverse_power``.
+    above 0, as a positive-degree inverse produces, means the window
+    cannot be kept: that power is rebuilt by ``phi_inverse_power`` at
+    precision 1, from an inversion deep enough for it.
     """
-    precision = 3
-    inv = invert_series_matrix(module.phi_t, precision)
+    inv = invert_series_matrix(module.phi_t, 3)
     acc = inv.truncate(0)
     for k in range(1, cap + 1):
         if sigma_order(acc) >= 1:
             return k
         acc = mat_mul(acc, inv, floor=0)
         if acc.max_floor() > 0:
-            precision *= 2
-            inv = invert_series_matrix(module.phi_t, precision)
-            acc = phi_inverse_power(module, k + 1, precision, inv=inv)
+            acc = phi_inverse_power(module, k + 1, 1, inv=inv)
     raise ConvergenceError(
         "convergence not certified within cap {}".format(cap))
 

@@ -3,7 +3,7 @@ byte-stable text output.
 
 Commands: validate, invert, pair, gram, perfectness, lseries, examples.
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4
-convergence-cap exceeded, 5 precision escalation exhausted.
+convergence-cap exceeded, 5 precision not reached or not certified.
 """
 
 from __future__ import annotations
@@ -250,10 +250,8 @@ def cmd_perfectness(args):
                                  precision_cap=args.precision_cap)
     g = pairing.gram(ctx)
     cert = pairing.check_perfectness(g)
-    print("K = {}, b = {}, det = {}, perfect = {}".format(
-        g.k_cutoff, g.b_level, cert.det,
-        "yes" if cert.status == "perfect" else "no"))
-    return 0 if cert.status == "perfect" else EXIT_VALIDATION
+    print(pairing.certificate_line(g, cert))
+    return 0 if cert else EXIT_VALIDATION
 
 
 def cmd_lseries(args):
@@ -303,9 +301,9 @@ def cmd_examples(args):
 
 def _add_common(p):
     p.add_argument("manifest", help="path to a module manifest")
-    p.add_argument("--precision-cap", type=int, default=64,
-                   dest="precision_cap",
-                   help="max sigma-precision for escalations")
+    p.add_argument("--precision-cap", type=int,
+                   default=pairing.PRECISION_CAP, dest="precision_cap",
+                   help="max sigma-precision of the pairing's phi(t)^-1")
     p.add_argument("--k-cap", type=int, default=64, dest="k_cap",
                    help="search cap for the convergence exponent k1")
 

@@ -7,8 +7,9 @@ through the explicit expansion over the projective line,
 
 cut at the certified bound K = k1*(2 + deg m + deg n): past it every
 summand's tau-degree is negative, so coeff_0 vanishes.  Every coefficient
-is extracted from a floor-verified product; precision shortfalls escalate
-internally and only surface after three retries.
+is extracted from a floor-verified product.  The sigma-precision of
+phi(t)^-1 is derived from the tau-degrees of the arguments, and phi(t)^-1
+is inverted once at it; the pairing never retries.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ from .anderson import (AndersonModule, Differential, find_k1,
                        termination_bound, twist, validate)
 from .fields import SPoly
 from .skew import SkewLaurent
-from .skewmat import (MAX_ESCALATIONS, SkewMatrix, invert_series_matrix,
-                      mat_mul)
+from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
+
+# the largest sigma-precision a pairing may invert phi(t) at, by default
+PRECISION_CAP = 64
 
 
 class PairingContext:
-    """Shared, immutable data for pairing sums over one module: the
-    convergence constant k1, the cut-off for the declared bases, and a
-    truncated phi(t)^-1 deep enough for them."""
+    """Shared data for pairing sums over one module: the convergence
+    constant k1, the cut-off for the declared bases, and phi(t)^-1,
+    inverted on first use and deepened only when a pairing needs more."""
 
-    def __init__(self, module: AndersonModule, k_cap=64, precision_cap=4096):
+    def __init__(self, module: AndersonModule, k_cap=64,
+                 precision_cap=PRECISION_CAP):
         report = validate(module)
         if not report.ok:
             raise FieldError("module does not validate: " + report.failure)
@@ -37,18 +41,15 @@ class PairingContext:
         self.k1 = find_k1(module, cap=k_cap)
         self.k_cutoff = termination_bound(module, self.k1)
         self.precision_cap = precision_cap
-        dm, dn = module.max_basis_deg()
-        self._precision = dm + dn + 2
-        self._inv = invert_series_matrix(module.phi_t, self._precision)
+        self._inv = None
 
     def inverse_at(self, precision):
         if precision > self.precision_cap:
             raise PrecisionError(
                 "needed sigma-precision {} exceeds cap {}".format(
                     precision, self.precision_cap))
-        if -self._inv.max_floor() < precision:
+        if self._inv is None or -self._inv.max_floor() < precision:
             self._inv = invert_series_matrix(self.module.phi_t, precision)
-            self._precision = precision
         return self._inv
 
 
@@ -81,34 +82,35 @@ def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
 def _pair_matrix(ctx, ms, ns, k_cut):
     """Pair every motive row of ms against every comotive column of ns.
 
-    The sigma-precision starts at 2 + the largest tau-degree over ms +
-    the largest over ns, and doubles on each PrecisionError, at most
-    MAX_ESCALATIONS times.
+    With dm, dn the largest tau-degrees over ms and ns, phi(t)^-1 at
+    sigma-precision P = 2 + dm + dn (floor -P) certifies every
+    coefficient, provided its tau-degree D is <= 0.  The first chain
+    product tau*m*phi(t)^-1 has floor -P + 1 + dm = -1 - dn, below the
+    window -dn.  Each later step keeps its floor at or below the window,
+    since floor_acc + D <= -dn and -P + deg(acc) <= -1 - dn.  The final
+    product with n then has floor <= -dn + dn = 0, so coeff_0 is exact.
+    For D > 0 no such P exists, and PrecisionError names D.
     """
-    precision = 2 + max(m.deg_or_zero() for m in ms) \
-        + max(n.deg_or_zero() for n in ns)
-    for attempt in range(MAX_ESCALATIONS + 1):
-        try:
-            return [_pair_row(ctx, m, ns, k_cut, precision) for m in ms]
-        except PrecisionError:
-            if attempt == MAX_ESCALATIONS:
-                raise
-            precision *= 2
+    dm = max(m.deg_or_zero() for m in ms)
+    dn = max(n.deg_or_zero() for n in ns)
+    inv = ctx.inverse_at(2 + dm + dn)
+    deg = inv.max_deg_tau()
+    if deg > 0:
+        raise PrecisionError(
+            "phi(t)^-1 has tau-degree {} > 0; the pairing's truncation is "
+            "certified only for tau-degree <= 0".format(deg))
+    return [_pair_row(ctx.module.pf, m, ns, k_cut, inv, -dn) for m in ms]
 
 
-def _pair_row(ctx, m, ns, k_cut, precision):
+def _pair_row(pf, m, ns, k_cut, inv, window):
     """Pair one motive row against several comotive columns, sharing the
     k-power chain tau*m*phi(t)^-k across the columns.
 
-    Only acc-coefficients at tau-exponent >= -deg(n) can reach coeff_0
-    (the inverse matrix has non-positive degree, n non-negative), so each
-    chain product is computed only down to that window, and each pairing
-    product only down to coeff_0; the precision floors certify every
-    extracted coefficient exact.
+    Only acc-coefficients at tau-exponent >= window = -deg(n) can reach
+    coeff_0 (the inverse matrix has non-positive degree, n non-negative),
+    so each chain product is computed only down to that window, and each
+    pairing product only down to coeff_0.
     """
-    pf = ctx.module.pf
-    inv = ctx.inverse_at(precision)
-    window = -max(n.deg_or_zero() for n in ns)
     tau_row = m.map(lambda e: SkewLaurent.tau(pf) * e)
     acc = mat_mul(tau_row, inv, floor=window)
     terms = [{} for _ in ns]
@@ -145,11 +147,8 @@ class GramMatrix:
     def render(self):
         lines = [" | ".join(str(e.poly) for e in row) + " dt"
                  for row in self.entries]
-        cert = check_perfectness(self)
-        footer = "K = {}, b = {}, det = {}, perfect = {}".format(
-            self.k_cutoff, self.b_level, cert.det,
-            "yes" if cert.status == "perfect" else "no")
-        return "\n".join(lines + [footer])
+        return "\n".join(lines + [certificate_line(self,
+                                                    check_perfectness(self))])
 
     def __str__(self):
         return self.render()
@@ -223,6 +222,12 @@ def check_perfectness(g: GramMatrix) -> PerfectnessResult:
     ok = bool(d) and d.degree() <= 0
     return PerfectnessResult(status="perfect" if ok else "not-certified",
                              det=d)
+
+
+def certificate_line(g: GramMatrix, cert: PerfectnessResult) -> str:
+    """The one-line Gram certificate: cut-off, depth, det and verdict."""
+    return "K = {}, b = {}, det = {}, perfect = {}".format(
+        g.k_cutoff, g.b_level, cert.det, "yes" if cert else "no")
 
 
 def det_poly_matrix(mat):

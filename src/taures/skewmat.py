@@ -16,8 +16,8 @@ from .errors import DimensionError, NotInvertibleError, PrecisionError
 from .fields import PerfField
 from .skew import NEG_INF, SkewLaurent, invert_scalar
 
-# retries of an escalating computation before its last PrecisionError is
-# raised; the pairing module uses the same budget
+# retries of invert_series_matrix's escalation before its last
+# PrecisionError is raised; no other layer retries
 MAX_ESCALATIONS = 3
 
 

@@ -315,6 +315,17 @@ def find_k1_reference(module, cap=64, precision=2):
     raise AssertionError("no k1 <= {}".format(cap))
 
 
+def positive_degree_manifest(q):
+    """A validating module whose phi(t)^-1 has tau-degree 1:
+    phi(t) = [[theta + tau, tau^3], [0, theta + tau]], identity bases.
+    Its off-diagonal inverse entry is -(theta + tau)^-1 tau^3
+    (theta + tau)^-1, of degree -1 + 3 - 1."""
+    return ("q: {}\nbase: perf-rational\ndim: 2\nphi_t:\n"
+            "row: theta + tau | tau^3\nrow: 0 | theta + tau\n"
+            "motive_basis:\nrow: 1 | 0\nrow: 0 | 1\n"
+            "comotive_basis:\ncol: 1 | 0\ncol: 0 | 1\n").format(q)
+
+
 def charpoly_reference(rows, one):
     """Test-only reference for ``lseries.charpoly``: dense Berkowitz, each
     dot product a fold of ring products and sums over every entry, zeros

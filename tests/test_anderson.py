@@ -7,6 +7,7 @@ import pytest
 
 from taures.errors import FieldError
 from taures.fields import Fq, PerfField, SPoly
+from taures.parsing import parse_manifest
 from taures.anderson import (AndersonModule, Differential, carlitz,
                              carlitz_tensor, drinfeld, find_k1, max_level,
                              maurischat, phi_inverse_power, phi_of_poly,
@@ -15,8 +16,8 @@ from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul, \
     sigma_order
 
-from conftest import find_k1_reference, rand_fq, rand_perf, \
-    rand_perf_nonzero
+from conftest import find_k1_reference, positive_degree_manifest, \
+    rand_fq, rand_perf, rand_perf_nonzero
 
 
 class TestValidate:
@@ -189,6 +190,27 @@ class TestFindK1:
         E = carlitz_tensor(pf3, pf3.theta(), 4)
         with pytest.raises(ConvergenceError):
             find_k1(E, cap=2)
+
+
+class TestPositiveDegreeInverse:
+    """phi(t)^-1 of tau-degree D = 1: powers lose D floor per factor, so
+    both phi_inverse_power and find_k1 need the inversion deepened."""
+
+    @pytest.mark.parametrize("q,k1", [(2, 2), (3, 3), (5, 3)])
+    def test_find_k1_matches_reference(self, q, k1):
+        E = parse_manifest(positive_degree_manifest(q)).module
+        assert validate(E).ok
+        assert invert_series_matrix(E.phi_t, 3).max_deg_tau() == 1
+        assert find_k1(E) == find_k1_reference(E, precision=8) == k1
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_powers_match_deep_inverse(self, q):
+        E = parse_manifest(positive_degree_manifest(q)).module
+        inv = invert_series_matrix(E.phi_t, 12)
+        acc = inv
+        for k in (2, 3, 4):
+            acc = mat_mul(acc, inv)
+            assert phi_inverse_power(E, k, 3) == acc.truncate(-3), k
 
 
 class TestTermination:

@@ -11,6 +11,8 @@ from taures.cli import COMMANDS, build_arg_parser, main
 from taures.parsing import parse_manifest
 from taures.skewmat import invert_series_matrix
 
+from conftest import positive_degree_manifest
+
 CARLITZ_Q2 = """\
 q: 2
 base: perf-rational
@@ -203,6 +205,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "gram", path, "--precision-cap", "1")
         assert code == 5
         assert "error[precision]" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gram",), ("perfectness",),
+        ("pair", "--m", "1 | 0", "--n", "1 | 0")])
+    def test_positive_degree_inverse(self, capsys, tmp_path, argv):
+        path = write(tmp_path, "pos.man", positive_degree_manifest(3))
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (5, "")
+        assert "error[precision]" in err
+        assert "phi(t)^-1 has tau-degree 1 > 0" in err
 
     def test_singular_phi_not_invertible(self, capsys, tmp_path):
         # tau * [[1, tau], [1, tau]] over a finite base with theta = 0: its

@@ -6,19 +6,21 @@ import time
 
 import pytest
 
-from taures import skewmat
+from taures import anderson, pairing, skewmat
 from taures.anderson import (Differential, carlitz, carlitz_tensor,
                              drinfeld, find_k1, maurischat)
-from taures.errors import FieldError
+from taures.errors import FieldError, PrecisionError
 from taures.fields import Fq, PerfElement, PerfField, SPoly
 from taures.pairing import (PairingContext, check_perfectness,
                             check_tau_commutation, drinfeld_closed_form,
                             expand_sesquilinear, gram, measure_b,
                             pairing_inverse, residue_pair)
+from taures.parsing import parse_manifest
 from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul
 
-from conftest import maurischat_display, rand_fq, rand_perf, rand_skew
+from conftest import (maurischat_display, positive_degree_manifest,
+                      rand_fq, rand_perf, rand_skew)
 
 
 def minus_dt(pf):
@@ -445,3 +447,52 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     assert counts["gcd"] == 0
     assert counts["eliminate"] <= 3
     assert counts["init"] <= 3957
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Records (module, precision) of every phi(t) inversion that
+    `anderson` and `pairing` make."""
+    calls = []
+    for mod in (anderson, pairing):
+        def recorded(phi, precision, name=mod.__name__):
+            calls.append((name, precision))
+            return invert_series_matrix(phi, precision)
+        monkeypatch.setattr(mod, "invert_series_matrix", recorded)
+    return calls
+
+
+def test_gram_inverts_phi_three_times(pf3, inversions):
+    # find_k1 at 3, termination_bound at 2, the pairing at 2 + dm + dn = 2r
+    th = pf3.theta()
+    for r in (2, 3, 4):
+        inversions.clear()
+        gram(drinfeld(pf3, th, [th + pf3.one()] * (r - 1) + [th]))
+        assert [p for _, p in inversions] == [3, 2, 2 * r], r
+
+
+def test_pair_inverts_phi_three_times(pf2, inversions):
+    # the context inverts on first use, at the 2 + 2k the pair needs, and
+    # not first at its bases' 2 + dm + dn = 2
+    for k in (1, 2, 3):
+        inversions.clear()
+        ctx = PairingContext(carlitz(pf2, pf2.theta()))
+        tk = SkewLaurent.tau(pf2, k)
+        residue_pair(ctx, row(pf2, [tk]), col(pf2, [tk]))
+        assert [p for _, p in inversions] == [3, 2, 2 + 2 * k], k
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_positive_degree_inverse_is_refused_once(q, inversions):
+    # phi(t)^-1 of tau-degree 1 has no pairing precision that certifies
+    # coeff_0; the pairing inverts once and names the degree
+    E = parse_manifest(positive_degree_manifest(q)).module
+    pf = E.pf
+    m = row(pf, [SkewLaurent.one(pf), SkewLaurent.zero(pf)])
+    n = col(pf, [SkewLaurent.one(pf), SkewLaurent.zero(pf)])
+    for call in (gram, lambda ctx: residue_pair(ctx, m, n)):
+        ctx = PairingContext(E)
+        inversions.clear()
+        with pytest.raises(PrecisionError, match="tau-degree 1 > 0"):
+            call(ctx)
+        assert inversions == [("taures.pairing", 2)]
