@@ -182,13 +182,21 @@ def validate(module: AndersonModule) -> ValidationReport:
 
 
 def _const_mat_mul(pf, a, b):
+    """a * b for square matrices over R^perf; only products of two nonzero
+    entries are formed, each summed into its row's dict."""
     n = len(a)
-    out = [[pf.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k]:
-                for j in range(n):
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    zero = pf.zero()
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for a_row in a:
+        acc = {}
+        for k, x in enumerate(a_row):
+            if x:
+                for j, y in b_rows[k]:
+                    p = x * y
+                    s = acc.get(j)
+                    acc[j] = s + p if s is not None else p
+        out.append([acc.get(j, zero) for j in range(n)])
     return out
 
 
@@ -213,21 +221,18 @@ def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:
     return result
 
 
-def phi_inverse_power(module: AndersonModule, k, precision,
-                      inv=None) -> SkewMatrix:
+def phi_inverse_power(module: AndersonModule, k, precision) -> SkewMatrix:
     """Phi(t)^-k to the requested precision, from one deep-enough inverse.
 
     If phi(t)^-1 has floor -W and tau-degree at most D >= 0, its k-th
     power has floor <= -W + (k - 1)*D, so W = precision + (k - 1)*D
-    suffices.  D is read off ``inv`` when given, else off the inverse at
-    ``precision``; either is reused when W does not exceed its depth.
+    suffices.  D is read off the inverse at ``precision``.
     """
     if k < 1:
         raise DimensionError("k must be >= 1")
-    if inv is None or -inv.max_floor() < precision:
-        inv = invert_series_matrix(module.phi_t, precision)
+    inv = invert_series_matrix(module.phi_t, precision)
     work = precision + (k - 1) * int(max(inv.max_deg_tau(), 0))
-    if -inv.max_floor() < work:
+    if work > precision:
         inv = invert_series_matrix(module.phi_t, work)
     acc = inv
     for _ in range(k - 1):
@@ -240,24 +245,31 @@ def find_k1(module: AndersonModule, cap=64):
 
     Submultiplicativity of the norm then gives
     sigma_order(phi(t)^(-k1*j)) >= j, the pairing's termination bound.
-    The power chain keeps only tau-exponent 0.  When phi(t)^-1 has no
-    positive tau-degree, neither has any power of it, so the test is
-    whether coeff_0 of every entry vanishes, and
-    coeff_0(phi^-k) = coeff_0(phi^-1)^k: each step computes just those
-    terms.  An entry with floor 0 and no stored term has sigma_order 1,
-    so sigma_order(acc) >= 1 reads the test off the window.  A floor
-    above 0, as a positive-degree inverse produces, means the window
-    cannot be kept: that power is rebuilt by ``phi_inverse_power`` at
+    When phi(t)^-1 has no positive tau-degree (D <= 0), neither has any
+    power of it, so the test is whether coeff_0 of every entry vanishes;
+    only coefficient-0 terms meet at exponent 0, untwisted, so
+    coeff_0(phi^-k) = C0^k for C0 = coeff_0(phi(t)^-1), an ordinary
+    matrix power over the field R^perf.  k1 is then the nilpotency index
+    of C0, which is at most dim: if C0^min(cap, dim) != 0, no k1 <= cap
+    exists.  For D > 0 each power is rebuilt by ``phi_inverse_power`` at
     precision 1, from an inversion deep enough for it.
     """
     inv = invert_series_matrix(module.phi_t, 3)
-    acc = inv.truncate(0)
-    for k in range(1, cap + 1):
-        if sigma_order(acc) >= 1:
-            return k
-        acc = mat_mul(acc, inv, floor=0)
-        if acc.max_floor() > 0:
-            acc = phi_inverse_power(module, k + 1, 1, inv=inv)
+    if inv.max_deg_tau() <= 0:
+        c0 = [[e.coeff(0) for e in row] for row in inv.entries]
+        limit = min(cap, module.dim)
+        power = c0
+        for k in range(1, limit + 1):
+            if not any(c for row in power for c in row):
+                return k
+            if k < limit:
+                power = _const_mat_mul(module.pf, power, c0)
+    else:
+        acc = inv
+        for k in range(1, cap + 1):
+            if sigma_order(acc) >= 1:
+                return k
+            acc = phi_inverse_power(module, k + 1, 1)
     raise ConvergenceError(
         "convergence not certified within cap {}".format(cap))
 

@@ -381,6 +381,15 @@ class SPoly:
                               {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        # a one-term side is a shift and a scale; coefficient rings are
+        # domains, so no product of nonzero coefficients vanishes
+        poly, mono = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(mono.terms) == 1:
+            (k, c), = mono.terms.items()
+            if c.is_one():
+                return poly.shift(k)
+            return SPoly._trusted(self.ring, {e + k: v * c for e, v
+                                              in poly.terms.items()})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -1022,15 +1031,21 @@ class PerfElement:
                                     self.level + 1)
 
     def q_power_iter(self, j):
-        """a^(q^j) for any integer j (negative = roots)."""
-        a = self
-        if j >= 0:
-            for _ in range(j):
-                a = a.q_pow()
-        else:
-            for _ in range(-j):
-                a = a.q_root()
-        return a
+        """a^(q^j) for any integer j (negative = roots), in one step: the
+        level falls by j as far as it can and one exponent scaling by q^rest
+        covers the rest; a root raises the level and re-minimizes once."""
+        if j < 0:
+            return PerfElement._reduced(self.pf, self.num, self.den,
+                                        self.level - j)
+        if j == 0:
+            return self
+        rest = j - self.level
+        if rest <= 0:
+            return PerfElement(self.pf, self.num, self.den, -rest,
+                               _canonical=True)
+        k = self.pf.q ** rest
+        return PerfElement(self.pf, self.num.subst_power(k),
+                           self.den.subst_power(k), 0, _canonical=True)
 
     def perfection_level(self):
         return self.level

@@ -363,8 +363,12 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
 
     zero = SPoly(ext, {})
     acc = twisted = tau_matrix.entries
+    # a twist fixes F_q, so a matrix over F_q[t] is its own twist
+    in_fq = all(not any(c.coeffs[1:]) for row in twisted for e in row
+                for c in e.terms.values())
     for _ in range(1, n):
-        twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
+        if not in_fq:
+            twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
         acc = [[_dot([(acc[i][l], twisted[l][j]) for l in range(r)], zero)
                 for j in range(r)] for i in range(r)]
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))

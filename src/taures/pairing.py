@@ -29,8 +29,9 @@ PRECISION_CAP = 64
 
 class PairingContext:
     """Shared data for pairing sums over one module: the convergence
-    constant k1, the cut-off for the declared bases, and phi(t)^-1,
-    inverted on first use and deepened only when a pairing needs more."""
+    constant k1, the cut-off for the declared bases, and the cap on the
+    sigma-precision of phi(t)^-1, which phi(t) itself keeps inverted to
+    the deepest precision asked of it."""
 
     def __init__(self, module: AndersonModule, k_cap=64,
                  precision_cap=PRECISION_CAP):
@@ -41,16 +42,13 @@ class PairingContext:
         self.k1 = find_k1(module, cap=k_cap)
         self.k_cutoff = termination_bound(module, self.k1)
         self.precision_cap = precision_cap
-        self._inv = None
 
     def inverse_at(self, precision):
         if precision > self.precision_cap:
             raise PrecisionError(
                 "needed sigma-precision {} exceeds cap {}".format(
                     precision, self.precision_cap))
-        if self._inv is None or -self._inv.max_floor() < precision:
-            self._inv = invert_series_matrix(self.module.phi_t, precision)
-        return self._inv
+        return invert_series_matrix(self.module.phi_t, precision)
 
 
 def _check_morphism(mat: SkewMatrix, rows, cols, what):

@@ -6,8 +6,14 @@ order of scalars is preserved.  Pivoting picks the entry of maximal
 deg_tau (minimal sigma-valuation) in the current column, breaking ties by
 smallest row index, which keeps golden outputs deterministic.  Each pivot
 is inverted only as deep as the target precision needs, counted from the
-pivot's degree and the degrees of the row it scales, so one elimination
-pass usually reaches the target.
+pivot's degree, the degrees of the row it scales and the degrees of the
+column it clears, so one elimination pass reaches the target.
+
+A matrix keeps the deepest inverse certified for it: every request at or
+below that sigma-precision is a truncation of it, and only a deeper
+request eliminates again.  So find_k1, termination_bound and the pairing
+of one module share one elimination whenever the first of them asks for
+the deepest inverse.
 """
 
 from __future__ import annotations
@@ -22,12 +28,17 @@ MAX_ESCALATIONS = 3
 
 
 class SkewMatrix:
-    """Dense matrix of SkewLaurent entries (immutable by convention)."""
+    """Dense matrix of SkewLaurent entries (immutable by convention).
 
-    __slots__ = ("pf", "rows", "cols", "entries")
+    ``_inverse`` is the deepest inverse ``invert_series_matrix`` has
+    certified for this matrix, or None.
+    """
+
+    __slots__ = ("pf", "rows", "cols", "entries", "_inverse")
 
     def __init__(self, pf: PerfField, entries):
         self.pf = pf
+        self._inverse = None
         self.entries = [list(row) for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
@@ -131,23 +142,40 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
     """Entry-wise sums of skew products; a's entries multiply from the left.
 
     With ``floor`` the result equals ``mat_mul(a, b).truncate(floor)``, but
-    each entry product computes only the terms at or above it.
+    each entry product computes only the terms at or above it.  An exact
+    zero operand (no term, no floor) adds neither terms nor a floor, so its
+    products are skipped; each entry sums the kept products' terms in one
+    dict, under the highest of their floors.
     """
     if a.cols != b.rows:
         raise DimensionError(
             "inner dimensions differ: {}x{} times {}x{}".format(
                 a.rows, a.cols, b.rows, b.cols))
     pf = a.pf
+    b_rows = [[(j, y) for j, y in enumerate(row)
+               if y.coeffs or y.floor is not None] for row in b.entries]
     out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = SkewLaurent(pf, {}, floor)
-            for l in range(a.cols):
-                acc = acc + a.entries[i][l].__mul__(b.entries[l][j], floor)
-            row.append(acc)
-        out.append(row)
+    for a_row in a.entries:
+        parts = [[] for _ in range(b.cols)]
+        for l, x in enumerate(a_row):
+            if x.coeffs or x.floor is not None:
+                for j, y in b_rows[l]:
+                    parts[j].append(x.__mul__(y, floor))
+        out.append([_sum_products(pf, p, floor) for p in parts])
     return SkewMatrix(pf, out)
+
+
+def _sum_products(pf, products, floor):
+    if len(products) == 1:
+        return products[0]  # its floor is already at or above ``floor``
+    coeffs = {}
+    for p in products:
+        if p.floor is not None and (floor is None or p.floor > floor):
+            floor = p.floor
+        for k, c in p.coeffs.items():
+            s = coeffs.get(k)
+            coeffs[k] = s + c if s is not None else c
+    return SkewLaurent(pf, coeffs, floor)
 
 
 def sigma_order(a: SkewMatrix):
@@ -171,21 +199,27 @@ def sigma_order(a: SkewMatrix):
 def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     """Invert a square matrix over R[tau] into Mat(R((sigma))).
 
-    Returns X with every entry carrying prec_floor <= -precision and
+    Returns X with every entry carrying prec_floor -precision and
     phi*X == I == X*phi to the precision the product floors certify.
-    ``work`` is the floor -work that elimination aims each row at; it
-    starts at ``precision``.  Each pivot of degree d is inverted to
-    work + 1 - d + lift sigma-orders (at least 1), lift being the highest
-    tau-degree (at least 0) of the other entries of its row, which leaves
-    the scaled row known to sigma^work.  Later row operations can still
-    raise a floor: if the inverse misses the target, ``work`` grows by the
-    missing depth; if a pivot is known too shallowly to invert, it
-    doubles.  After ``MAX_ESCALATIONS`` retries the last error is raised.
+    The deepest inverse certified so far is kept on ``phi``; a request at
+    or below its depth is answered by truncating it, structurally equal
+    to a fresh inversion.  Otherwise ``work``, the floor -work that
+    elimination aims each row at, starts at ``precision``.  Each pivot of
+    degree d is inverted to work + 1 - d + lift sigma-orders (at least 1),
+    lift being the highest tau-degree (at least 0) of the other entries of
+    its row plus that of the other entries of its column, which leaves the
+    scaled row known to sigma^work and every row it clears as well.  If
+    the inverse still misses the target, ``work`` grows by the missing
+    depth; if a pivot is known too shallowly to invert, it doubles.  After
+    ``MAX_ESCALATIONS`` retries the last error is raised.
     """
     if phi.rows != phi.cols:
         raise DimensionError("only square matrices can be inverted")
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
+    cached = phi._inverse
+    if cached is not None and cached.max_floor() <= -precision:
+        return cached.truncate(-precision)
     work = precision
     last_err = None
     for _ in range(MAX_ESCALATIONS + 1):
@@ -197,7 +231,8 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
             continue
         deficit = x.max_floor() + precision
         if deficit <= 0:
-            return x.truncate(-precision)
+            phi._inverse = x.truncate(-precision)
+            return phi._inverse
         # escalate by exactly the missing depth; coefficient degrees grow
         # fast with sigma-precision, so overshooting is the real hazard
         work += int(deficit)
@@ -234,9 +269,13 @@ def _eliminate(phi: SkewMatrix, work):
         deg = int(pivot_entry.deg_tau())
         # inv has floor -deg - p_eff + 1, and scaling the pivot row by it
         # raises that floor by the degree of each entry: depth enough for
-        # the highest one leaves the row known to sigma^work
+        # the highest one leaves the row known to sigma^work.  Clearing
+        # row r then subtracts a[r][col] * (pivot row), which raises the
+        # floor again by deg a[r][col]: the highest of those joins the lift
         others = a[col][:col] + a[col][col + 1:] + x[col]
-        lift = int(max(max(e.deg_tau() for e in others), 0))
+        factors = [a[r][col] for r in range(n) if r != col]
+        lift = int(max(max(e.deg_tau() for e in others), 0)) \
+            + int(max(max((e.deg_tau() for e in factors), default=0), 0))
         p_eff = max(1, work + 1 - deg + lift)
         if pivot_entry.floor is not None:
             # a truncated pivot only supports inversion to the depth it

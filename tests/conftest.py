@@ -181,6 +181,22 @@ def skew_mul_reference(f, g):
     return SkewLaurent(f.pf, coeffs, max(floors) if floors else None)
 
 
+def mat_mul_reference(a, b, floor=None):
+    """Test-only reference for ``skewmat.mat_mul``: every entry product is
+    formed, exact zeros included, and folded into a running SkewLaurent
+    sum that starts empty at ``floor``."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = SkewLaurent(a.pf, {}, floor)
+            for l in range(a.cols):
+                acc = acc + a[i, l].__mul__(b[l, j], floor)
+            row.append(acc)
+        out.append(row)
+    return SkewMatrix(a.pf, out)
+
+
 def invert_series_matrix_reference(phi, precision):
     """Test-only reference for ``invert_series_matrix``: elimination with
     every pivot inverted to ``work`` sigma-orders counted from its own
@@ -276,6 +292,25 @@ def perf_canonical_reference(pf, num, den, level):
         den = SPoly(fq, {e // q: c for e, c in den.terms.items()})
         level -= 1
     return num.terms, den.terms, level
+
+
+def q_power_iter_reference(x, j):
+    """Test-only reference for ``PerfElement.q_power_iter``: |j| single
+    Frobenius steps, q_pow for j > 0 and q_root for j < 0."""
+    for _ in range(abs(j)):
+        x = x.q_pow() if j > 0 else x.q_root()
+    return x
+
+
+def spoly_mul_reference(a, b):
+    """Test-only reference for ``SPoly.__mul__``: every term pair is
+    formed and summed, whatever the number of terms on either side."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            s = terms.get(e1 + e2)
+            terms[e1 + e2] = s + c1 * c2 if s is not None else c1 * c2
+    return SPoly(a.ring, terms)
 
 
 def perf_op_reference(a, b, op):

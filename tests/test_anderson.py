@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from taures.errors import FieldError
+from taures import anderson, skewmat
+from taures.errors import ConvergenceError, FieldError
 from taures.fields import Fq, PerfField, SPoly
 from taures.parsing import parse_manifest
 from taures.anderson import (AndersonModule, Differential, carlitz,
@@ -185,11 +186,76 @@ class TestFindK1:
                 acc = mat_mul(acc, inv)
             assert sigma_order(acc) <= 0
 
-    def test_cap_error(self, pf3):
-        from taures.errors import ConvergenceError
+    def test_cap_error(self, pf2, pf3):
+        # k1 = d is the nilpotency index of C0: any cap below it fails
         E = carlitz_tensor(pf3, pf3.theta(), 4)
         with pytest.raises(ConvergenceError):
             find_k1(E, cap=2)
+        for pf in (pf2, pf3):
+            E = carlitz_tensor(pf, pf.theta(), 5)
+            for cap in (0, 1, 4):
+                with pytest.raises(ConvergenceError,
+                                   match="within cap {}$".format(cap)):
+                    find_k1(E, cap=cap)
+            assert find_k1(E, cap=5) == find_k1(E, cap=64) == 5
+
+    def test_non_nilpotent_c0_fails_at_once(self, monkeypatch):
+        # phi(t) = diag(theta, theta + tau) validates, but
+        # C0 = diag(1/theta, 0) is not nilpotent: C0^dim != 0 settles the
+        # error after dim - 1 products, without running the cap out
+        E = parse_manifest(
+            "q: 2\nbase: perf-rational\ndim: 2\nphi_t:\n"
+            "row: theta | 0\nrow: 0 | theta + tau\n"
+            "motive_basis:\nrow: 1 | 0\ncomotive_basis:\ncol: 1 | 0\n"
+        ).module
+        assert validate(E).ok
+        products = []
+
+        def counted(*args, _mul=anderson._const_mat_mul):
+            products.append(1)
+            return _mul(*args)
+
+        monkeypatch.setattr(anderson, "_const_mat_mul", counted)
+        with pytest.raises(ConvergenceError, match="within cap 64$"):
+            find_k1(E)
+        assert len(products) == E.dim - 1
+
+    def test_no_power_chain_without_positive_degree(self, pf2, pf3,
+                                                    monkeypatch):
+        # tau-degree D <= 0: k1 is read off powers of the constant matrix
+        # C0, so no skew matrix product is formed
+        calls = []
+        for mod in (anderson, skewmat):
+            def counted(*args, _mul=mod.mat_mul, **kwargs):
+                calls.append(1)
+                return _mul(*args, **kwargs)
+            monkeypatch.setattr(mod, "mat_mul", counted)
+        for pf in (pf2, pf3):
+            th = pf.theta()
+            cases = [(carlitz_tensor(pf, th, d), d) for d in range(1, 9)]
+            cases += [(maurischat(pf, th), 2)]
+            cases += [(drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th]), 1)
+                      for r in range(1, 5)]
+            for E, k1 in cases:
+                assert find_k1(E) == k1, E.name
+        assert calls == []
+        # D > 0 keeps the chain of rebuilt powers
+        E = parse_manifest(positive_degree_manifest(2)).module
+        assert find_k1(E) == 2 and calls
+
+
+class TestConstMatMul:
+    def test_matches_dense_product(self, pf2, pf3):
+        rng = random.Random(46)
+        for pf in (pf2, pf3):
+            for n in (1, 2, 3, 5):
+                a, b = ([[rand_perf(rng, pf) if rng.randrange(3) else
+                          pf.zero() for _ in range(n)] for _ in range(n)]
+                        for _ in range(2))
+                dense = [[sum((a[i][k] * b[k][j] for k in range(n)),
+                              pf.zero()) for j in range(n)]
+                         for i in range(n)]
+                assert anderson._const_mat_mul(pf, a, b) == dense
 
 
 class TestPositiveDegreeInverse:

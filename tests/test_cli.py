@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import sys
 
@@ -179,6 +180,32 @@ class TestCommands:
         assert lines[3] == "K = 8, b = 0, det = 1, perfect = yes"
 
 
+# stdout sha256 of `taures gram` on carlitz-tensor examples beyond the
+# benchmark's grid, recorded before find_k1 read k1 off C0 and phi(t)
+# kept its inverse
+TENSOR_GRAM_SHA256 = {
+    (2, 12): "46bd1d66f0bb8638e59e77cf0906d786"
+             "caa62dee01f26748f32c33f983476c2e",
+    (2, 16): "c326570b55d1ee315eb3cf2bf8bc013e"
+             "eef122d3b0abdc1b3cdbdba820f235bf",
+    (3, 12): "38d1ae9b5683642b4e98ac724292e4da"
+             "f4e2837e9ff8919ea6c2b91ecd2cef2c",
+    (3, 16): "50662f1ad724ffb077e60f67f35e3711"
+             "10f927f565e75c031f18b22018f50109",
+}
+
+
+@pytest.mark.parametrize("q,d", sorted(TENSOR_GRAM_SHA256))
+def test_tensor_gram_digest(capsys, tmp_path, q, d):
+    _, manifest_text, _ = run(capsys, "examples", "carlitz-tensor",
+                              "--q", str(q), "--d", str(d))
+    path = write(tmp_path, "ct.man", manifest_text)
+    code, out, _ = run(capsys, "gram", path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        TENSOR_GRAM_SHA256[q, d]
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):
         path = write(tmp_path, "bad.man", "q: 2\nwhat: 1\n")
@@ -197,6 +224,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "gram", path, "--k-cap", "2")
         assert code == 4
         assert "error[convergence]" in err
+
+    @pytest.mark.parametrize("cap,code", [(3, 4), (4, 4), (5, 0)])
+    def test_k_cap_against_the_nilpotency_index(self, capsys, tmp_path,
+                                                cap, code):
+        # carlitz-tensor d = 5 has k1 = 5: a cap below it exits 4
+        _, manifest_text, _ = run(capsys, "examples", "carlitz-tensor",
+                                  "--q", "2", "--d", "5")
+        path = write(tmp_path, "ct5.man", manifest_text)
+        got, out, err = run(capsys, "gram", path, "--k-cap", str(cap))
+        assert got == code
+        if code:
+            assert err == "error[convergence]: convergence not certified " \
+                "within cap {}\n".format(cap)
+        else:
+            assert "K = 10, b = 0, det = 1, perfect = yes" in out
 
     def test_precision_cap(self, capsys, tmp_path):
         code, manifest_text, _ = run(capsys, "examples", "maurischat",

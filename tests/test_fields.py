@@ -13,8 +13,9 @@ from taures.parsing import ext_field_of_degree
 
 from conftest import (fq_str_reference, fq_tables_reference,
                       gcd_reference, perf_canonical_reference,
-                      perf_op_reference, perf_str_reference, rand_fq,
-                      rand_perf, rand_perf_nonzero)
+                      perf_op_reference, perf_str_reference,
+                      q_power_iter_reference, rand_fq, rand_perf,
+                      rand_perf_nonzero, spoly_mul_reference)
 
 
 def field_of(q):
@@ -387,6 +388,54 @@ class TestKernelReference:
     def test_unit_objects_are_shared(self, fq4, pf3):
         assert fq4.one() is fq4.one() and fq4.zero() is fq4.zero()
         assert pf3.one().den is pf3.zero().den is pf3._one_poly()
+
+
+def canonical(x):
+    return (x.num.terms, x.den.terms, x.level)
+
+
+class TestOneStepKernel:
+    """q_power_iter in one step and SPoly products with a one-term side,
+    against |j| single Frobenius steps and the general term-pair product,
+    on zero, constant, monomial and general numerators and denominators
+    at levels 0..2."""
+
+    SHAPES = ("constant", "monomial", "general")
+
+    def elements(self, rng, pf):
+        fq = pf.fq
+        out = [pf.zero()]
+        for den_shape in self.SHAPES:
+            for num_shape in self.SHAPES:
+                num = rand_kernel_poly(rng, fq, num_shape)
+                den = rand_kernel_poly(rng, fq, den_shape)
+                out.append(PerfElement(pf, num, den, rng.randint(0, 2)))
+        return out
+
+    def test_q_power_iter_matches_single_steps(self, pf2, pf3, pf4):
+        rng = random.Random(513)
+        for pf in (pf2, pf3, pf4):
+            for x in self.elements(rng, pf) + self.elements(rng, pf):
+                for j in range(-3, 4):
+                    assert canonical(x.q_power_iter(j)) == \
+                        canonical(q_power_iter_reference(x, j)), (x, j)
+
+    def test_monomial_products_match_general_product(self, pf2, pf3, pf4):
+        rng = random.Random(514)
+        for pf in (pf2, pf3, pf4):
+            fq = pf.fq
+            polys = [rand_kernel_poly(rng, fq, shape)
+                     for shape in self.SHAPES + ("zero",)]
+            polys += [SPoly(fq, {0: fq.one()}), SPoly(fq, {2: fq.one()})]
+            elems = self.elements(rng, pf)
+            polys += [SPoly(pf, {e: c}) for e, c in enumerate(elems) if c]
+            polys += [SPoly(pf, {3: pf.one()}),
+                      SPoly(pf, dict(enumerate(elems[1:4])))]
+            for a in polys:
+                for b in polys:
+                    if a.ring is b.ring:
+                        assert (a * b).terms == \
+                            spoly_mul_reference(a, b).terms, (a, b)
 
 
 def test_kernel_reference_properties(pf2, pf3, pf4):

@@ -425,9 +425,11 @@ def test_truncated_products_skip_discarded_terms(pf2, pf3, monkeypatch):
 def test_gram_kernel_counts(pf3, monkeypatch):
     """Deterministic counts for one carlitz-tensor d = 8, q = 3 `gram`:
     polynomial gcds, elimination passes and PerfElement constructions.
-    Denominators there are units or theta-powers, which need no gcd, and
-    pivots sized from the target reach it in one pass; the parent commit
-    made 2967 gcds, 6 passes and 5743 constructions."""
+    Denominators there are units or theta-powers, which need no gcd;
+    pivots sized from the target reach it in one pass, and find_k1's
+    inverse at precision 3 serves the precision-2 requests after it.
+    Three passes, one per inversion, made 3957 constructions; before
+    that, 2967 gcds, 6 passes and 5743 constructions."""
     counts = {"gcd": 0, "eliminate": 0, "init": 0}
 
     def counted(owner, name, key):
@@ -445,8 +447,8 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     counted(PerfElement, "__init__", "init")
     gram(tensor)
     assert counts["gcd"] == 0
-    assert counts["eliminate"] <= 3
-    assert counts["init"] <= 3957
+    assert counts["eliminate"] <= 1
+    assert counts["init"] <= 1437
 
 
 @pytest.fixture

@@ -13,8 +13,8 @@ from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul, sigma_order)
 
-from conftest import (invert_series_matrix_reference, rand_perf,
-                      rand_perf_nonzero, rand_skew)
+from conftest import (invert_series_matrix_reference, mat_mul_reference,
+                      rand_perf, rand_perf_nonzero, rand_skew)
 
 
 def carlitz_tensor_matrix(pf, d):
@@ -68,6 +68,31 @@ class TestMatMul:
                                     for _ in range(m)])
                 w = rng.randint(-6, 6)
                 assert mat_mul(a, b, floor=w) == mat_mul(a, b).truncate(w)
+
+    def test_sparse_sum_matches_fold(self, pf2, pf3):
+        # skipping exact zeros and summing each entry in one dict gives
+        # the fold of every product: same terms, same floor
+        rng = random.Random(35)
+
+        def entry(pf):
+            kind = rng.randrange(4)
+            if kind == 0:
+                return SkewLaurent.zero(pf)
+            if kind == 1:
+                return SkewLaurent(pf, {}, rng.randint(-4, 2))
+            e = rand_skew(rng, pf)
+            return e.truncate(rng.randint(-5, 4)) if kind == 2 else e
+
+        for pf in (pf2, pf3):
+            for _ in range(40):
+                n, m, p = (rng.randint(1, 4) for _ in range(3))
+                a = SkewMatrix(pf, [[entry(pf) for _ in range(m)]
+                                    for _ in range(n)])
+                b = SkewMatrix(pf, [[entry(pf) for _ in range(p)]
+                                    for _ in range(m)])
+                for w in (None, rng.randint(-6, 6)):
+                    assert mat_mul(a, b, floor=w) == \
+                        mat_mul_reference(a, b, floor=w)
 
     def test_noncommutative_order(self, pf3):
         # scalar theta times tau: order matters entrywise
@@ -279,8 +304,44 @@ class TestInvertReference:
             for precision in range(1, 7):
                 passes.append(0)
                 invert_series_matrix(E.phi_t, precision)
-                allowed = 2 if E.name == "maurischat" else 1
-                assert passes[-1] <= allowed, (E.name, E.pf.q, precision)
+                assert passes[-1] <= 1, (E.name, E.pf.q, precision)
+
+
+class TestInverseCache:
+    """phi keeps the deepest inverse certified for it; shallower requests
+    are truncations of it, deeper ones eliminate again."""
+
+    def test_either_order_matches_reference(self):
+        for E in reference_modules():
+            ref = {p: invert_series_matrix_reference(E.phi_t, p)
+                   for p in range(1, 7)}
+            for deep in range(2, 7):
+                for shallow in range(1, deep):
+                    for order in ((deep, shallow), (shallow, deep)):
+                        # a fresh copy of phi(t), with nothing kept on it
+                        phi = SkewMatrix(E.pf, E.phi_t.entries)
+                        for p in order:
+                            assert invert_series_matrix(phi, p) == ref[p], \
+                                (E.name, E.pf.q, order, p)
+
+    def test_deeper_request_eliminates_again(self, pf2, pf3, monkeypatch):
+        passes = [0]
+        eliminate = skewmat._eliminate
+
+        def counted(phi, work):
+            passes[0] += 1
+            return eliminate(phi, work)
+
+        monkeypatch.setattr(skewmat, "_eliminate", counted)
+        for pf in (pf2, pf3):
+            th = pf.theta()
+            for E in (maurischat(pf, th), carlitz_tensor(pf, th, 3),
+                      drinfeld(pf, th, [th + pf.one(), th])):
+                passes[0] = 0
+                for p, total in ((3, 1), (1, 1), (2, 1), (3, 1), (4, 2),
+                                 (2, 2), (4, 2), (6, 3)):
+                    invert_series_matrix(E.phi_t, p)
+                    assert passes[0] == total, (E.name, pf.q, p)
 
 
 class TestSigmaOrder:
