@@ -332,19 +332,54 @@ class SPoly:
 
     @classmethod
     def sum_of_products(cls, ring, pairs):
-        """sum of a * b over the (a, b) in pairs, accumulated in one term
-        dict: no intermediate product or partial sum is built."""
+        """sum of a(x^ka) * b(x^kb) over the (a, ka, b, kb) in pairs, in
+        one term dict: no product or partial sum is built, and a key whose
+        sum cancels is dropped at once (coefficient rings are fields, so
+        no other coefficient vanishes).  A one-term b re-keys a, scaled
+        unless its coefficient is 1, into distinct keys inserted in bulk
+        (the first such copy becomes the dict); only the keys the dict
+        already holds are summed one by one."""
         terms = {}
         get = terms.get
-        for a, b in pairs:
+        for a, ka, b, kb in pairs:
             b_terms = b.terms.items()
+            if len(b_terms) == 1:
+                (e2, c2), = b_terms
+                e2 *= kb
+                if c2.is_one():
+                    part = {e1 * ka + e2: c1 for e1, c1 in a.terms.items()}
+                else:
+                    part = {e1 * ka + e2: c1 * c2
+                            for e1, c1 in a.terms.items()}
+                if not terms:
+                    terms = part
+                    get = terms.get
+                    continue
+                for e in terms.keys() & part.keys():
+                    s = terms.pop(e) + part[e]
+                    if s:
+                        part[e] = s
+                    else:
+                        del part[e]
+                terms.update(part)
+                continue
+            if kb != 1:
+                b_terms = [(e2 * kb, c2) for e2, c2 in b_terms]
             for e1, c1 in a.terms.items():
+                e1 *= ka
                 for e2, c2 in b_terms:
                     e = e1 + e2
-                    prod = c1 * c2
+                    c = c1 * c2
                     s = get(e)
-                    terms[e] = s + prod if s is not None else prod
-        return cls(ring, terms)
+                    if s is None:
+                        terms[e] = c
+                    else:
+                        s = s + c
+                        if s:
+                            terms[e] = s
+                        else:
+                            del terms[e]
+        return cls._trusted(ring, terms)
 
     def degree(self):
         """Degree, or -1 for the zero polynomial."""
@@ -363,41 +398,36 @@ class SPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = s + c if s is not None else c
-        return SPoly(self.ring, terms)
+        return self._plus(other.terms.items())
 
     def __sub__(self, other):
+        return self._plus((e, -c) for e, c in other.terms.items())
+
+    def _plus(self, items):
+        """self plus the (exponent, nonzero coefficient) items; a key whose
+        sum cancels is dropped there, so no zero filter runs after."""
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = s - c if s is not None else -c
-        return SPoly(self.ring, terms)
+        get = terms.get
+        for e, c in items:
+            s = get(e)
+            if s is None:
+                terms[e] = c
+            else:
+                s = s + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return SPoly._trusted(self.ring, terms)
 
     def __neg__(self):
         return SPoly._trusted(self.ring,
                               {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        # a one-term side is a shift and a scale; coefficient rings are
-        # domains, so no product of nonzero coefficients vanishes
-        poly, mono = (other, self) if len(self.terms) == 1 else (self, other)
-        if len(mono.terms) == 1:
-            (k, c), = mono.terms.items()
-            if c.is_one():
-                return poly.shift(k)
-            return SPoly._trusted(self.ring, {e + k: v * c for e, v
-                                              in poly.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                prod = c1 * c2
-                s = terms.get(e)
-                terms[e] = s + prod if s is not None else prod
-        return SPoly(self.ring, terms)
+        a, b = (self, other) if len(self.terms) >= len(other.terms) \
+            else (other, self)  # a one-term side goes second, as b
+        return SPoly.sum_of_products(self.ring, [(a, 1, b, 1)])
 
     def __pow__(self, n):
         if n < 0:
@@ -973,6 +1003,39 @@ class PerfElement:
             return PerfElement._reduced(self.pf, num, den, e)
         return PerfElement(self.pf, num, den, e)
 
+    @classmethod
+    def twisted_sum(cls, pf, triples):
+        """sum of a^(q^j) * b over the (a, j, b) in triples (not empty).
+
+        Products of unit-denominator factors are summed in one numerator
+        dict at their common level L and reduced once: a^(q^j) is a.num at
+        level a.level - j, so its exponents scale by q^(L - a.level + j),
+        and those of b.num by q^(L - b.level).  Other products are added
+        by ``+``."""
+        if len(triples) == 1 and triples[0][2].is_one():
+            a, j, _ = triples[0]
+            return a.q_power_iter(j)
+        q = pf.q
+        fused = []
+        rest = []
+        level = 0
+        for a, j, b in triples:
+            if a.den.is_one() and b.den.is_one():
+                fused.append((a, j, b))
+                level = max(level, a.level - j, b.level)
+            else:
+                rest.append(a.q_power_iter(j) * b)
+        total = None
+        if fused:
+            num = SPoly.sum_of_products(
+                pf.fq, [(a.num, q ** (level - a.level + j),
+                         b.num, q ** (level - b.level))
+                        for a, j, b in fused])
+            total = cls._reduced(pf, num, pf._one_poly(), level)
+        for c in rest:
+            total = c if total is None else total + c
+        return total
+
     def __neg__(self):
         return PerfElement(self.pf, -self.num, self.den, self.level,
                            _canonical=True)
@@ -1053,33 +1116,35 @@ class PerfElement:
     # --- rendering ---
 
     def _render_side(self, poly):
-        q = self.pf.q
-        e = self.level
-        qe = q ** e
-
-        def var_for(exp):
-            g = gcd_int(exp, qe)
-            num, den = exp // g, qe // g
-            if den == 1:
-                return "theta" if num == 1 else "theta^{}".format(num)
-            return "theta^({}/{})".format(num, den)
-
+        """Terms by decreasing exponent of theta^(1/q^e), reduced by a gcd
+        only when not a multiple of q^e; each coefficient's prefix is
+        formatted once.  A deep pairing prints a million terms, hence the
+        f-strings, the cheapest formatting."""
         if not poly:
             return "0"
+        terms = poly.terms
+        qe = self.pf.q ** self.level
+        prefixes = {}  # coefficient index -> "" for 1, else "c*"
         parts = []
-        for exp in sorted(poly.terms, reverse=True):
-            c = poly.terms[exp]
+        for exp in sorted(terms, reverse=True):
+            c = terms[exp]
             if exp == 0:
                 parts.append(str(c))
                 continue
-            v = var_for(exp)
-            if c.is_one():
-                parts.append(v)
+            if exp % qe:
+                g = gcd_int(exp, qe)
+                v = f"theta^({exp // g}/{qe // g})"
+            elif exp == qe:
+                v = "theta"
             else:
+                v = f"theta^{exp // qe}"
+            prefix = prefixes.get(c.idx)
+            if prefix is None:
                 cs = str(c)
-                if needs_parens(cs):
-                    cs = "({})".format(cs)
-                parts.append("{}*{}".format(cs, v))
+                prefix = "" if c.is_one() else \
+                    f"({cs})*" if needs_parens(cs) else f"{cs}*"
+                prefixes[c.idx] = prefix
+            parts.append(prefix + v)
         return " + ".join(parts)
 
     def __str__(self):

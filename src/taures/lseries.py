@@ -57,9 +57,6 @@ class BivariatePoly:
             coeffs = [c.scale(inv) for c in coeffs]
         self.coeffs = coeffs
 
-    def degree_T(self):
-        return len(self.coeffs) - 1
-
     def coeff(self, te):
         if 0 <= te < len(self.coeffs):
             return self.coeffs[te]
@@ -168,7 +165,8 @@ def _dot(pairs, zero):
     if not pairs:
         return zero
     if isinstance(zero, SPoly):
-        return SPoly.sum_of_products(zero.ring, pairs)
+        return SPoly.sum_of_products(zero.ring,
+                                     [(a, 1, b, 1) for a, b in pairs])
     return reduce(add, (a * b for a, b in pairs))
 
 

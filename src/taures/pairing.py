@@ -102,14 +102,17 @@ def _pair_matrix(ctx, ms, ns, k_cut):
 
 def _pair_row(pf, m, ns, k_cut, inv, window):
     """Pair one motive row against several comotive columns, sharing the
-    k-power chain tau*m*phi(t)^-k across the columns.
+    k-power chain (-tau)*m*phi(t)^-k across the columns.
 
-    Only acc-coefficients at tau-exponent >= window = -deg(n) can reach
-    coeff_0 (the inverse matrix has non-positive degree, n non-negative),
-    so each chain product is computed only down to that window, and each
-    pairing product only down to coeff_0.
+    Starting from -tau (-1 lies in F_q, so it twists as tau does) makes
+    each coeff_0 the pairing's coefficient, with no negation after.  Only
+    acc-coefficients at tau-exponent >= window = -deg(n) can reach coeff_0
+    (the inverse matrix has non-positive degree, n non-negative), so each
+    chain product is computed only down to that window, and each pairing
+    product only down to coeff_0.
     """
-    tau_row = m.map(lambda e: SkewLaurent.tau(pf) * e)
+    minus_tau = SkewLaurent(pf, {1: -pf.one()})
+    tau_row = m.map(lambda e: minus_tau * e)
     acc = mat_mul(tau_row, inv, floor=window)
     terms = [{} for _ in ns]
     for k in range(1, k_cut + 1):
@@ -117,7 +120,7 @@ def _pair_row(pf, m, ns, k_cut, inv, window):
             val = mat_mul(acc, n, floor=0)[0, 0]
             c = val.coeff(0)  # raises PrecisionError if floor is above 0
             if c:
-                terms[idx][k - 1] = -c
+                terms[idx][k - 1] = c
         if k < k_cut:
             acc = mat_mul(acc, inv, floor=window)
     return [Differential(SPoly(pf, t)) for t in terms]

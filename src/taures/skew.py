@@ -16,6 +16,10 @@ approximate.  The floor also bounds the work: a product forms only the
 term pairs that land at or above it, and a caller that keeps a narrower
 window passes that window as a higher floor, so no discarded term is
 ever computed.
+
+A product, or a sum of products (a ``mat_mul`` entry), is one
+``sum_of_products``, which sums each kept coefficient once over all its
+term pairs.
 """
 
 from __future__ import annotations
@@ -62,16 +66,6 @@ class SkewLaurent:
     @classmethod
     def scalar(cls, pf, a: PerfElement):
         return cls(pf, {0: a} if a else {})
-
-    @classmethod
-    def from_right_coeffs(cls, pf, terms):
-        """terms: iterable of (coefficient, exponent), already right-normal."""
-        coeffs = {}
-        for a, e in terms:
-            if a:
-                s = coeffs.get(e)
-                coeffs[e] = s + a if s is not None else a
-        return cls(pf, coeffs)
 
     @classmethod
     def from_left_coeffs(cls, pf, terms):
@@ -163,28 +157,10 @@ class SkewLaurent:
         """The product, computed only at tau-degrees >= its floor.
 
         The floor is ``_mul_floor``, raised to ``floor`` when the caller
-        passes a higher one because it keeps nothing below it.  Pairs
-        i + j below the floor are skipped before their twist and product,
-        so the result equals ``(self * other).truncate(floor)`` at the
-        cost of the kept terms only.
+        passes a higher one because it keeps nothing below it; see
+        ``sum_of_products``.
         """
-        own = self._mul_floor(other)
-        if own is not None and (floor is None or own > floor):
-            floor = own
-        lowest = NEG_INF if floor is None else floor
-        coeffs = {}
-        for i, a in self.coeffs.items():
-            lo = lowest - i
-            for j, b in other.coeffs.items():
-                if j < lo:
-                    continue
-                c = a.q_power_iter(-j) * b
-                if not c:
-                    continue
-                k = i + j
-                s = coeffs.get(k)
-                coeffs[k] = s + c if s is not None else c
-        return SkewLaurent(self.pf, coeffs, floor)
+        return sum_of_products(self.pf, [(self, other)], floor)
 
     def _mul_floor(self, other):
         # unknown tail of f can contaminate degrees < floor_f + deg(g),
@@ -247,6 +223,33 @@ class SkewLaurent:
 
     def __repr__(self):
         return "SkewLaurent({})".format(self)
+
+
+def sum_of_products(pf: PerfField, pairs, floor=None) -> SkewLaurent:
+    """sum of x * y over the (x, y) in pairs, at tau-degrees >= its floor.
+
+    The floor is the highest ``_mul_floor`` of the pairs, raised to
+    ``floor`` when the caller keeps nothing below it.  Term pairs below
+    the floor are skipped before their twist and product, so the result
+    is the truncated sum at the cost of the kept terms only.  Each
+    coefficient, sum over the pairs of sum_{i+j=k} a_i^(q^-j) * b_j, is
+    one ``PerfElement.twisted_sum``: no product or partial sum is built.
+    """
+    for x, y in pairs:
+        own = x._mul_floor(y)
+        if own is not None and (floor is None or own > floor):
+            floor = own
+    lowest = NEG_INF if floor is None else floor
+    groups = {}
+    for x, y in pairs:
+        y_terms = y.coeffs.items()
+        for i, a in x.coeffs.items():
+            lo = lowest - i
+            for j, b in y_terms:
+                if j >= lo:
+                    groups.setdefault(i + j, []).append((a, -j, b))
+    return SkewLaurent(pf, {k: PerfElement.twisted_sum(pf, g)
+                            for k, g in groups.items()}, floor)
 
 
 def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:

@@ -14,13 +14,14 @@ below that sigma-precision is a truncation of it, and only a deeper
 request eliminates again.  So find_k1, termination_bound and the pairing
 of one module share one elimination whenever the first of them asks for
 the deepest inverse.
+
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, NotInvertibleError, PrecisionError
 from .fields import PerfField
-from .skew import NEG_INF, SkewLaurent, invert_scalar
+from .skew import NEG_INF, SkewLaurent, invert_scalar, sum_of_products
 
 # retries of invert_series_matrix's escalation before its last
 # PrecisionError is raised; no other layer retries
@@ -142,10 +143,10 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
     """Entry-wise sums of skew products; a's entries multiply from the left.
 
     With ``floor`` the result equals ``mat_mul(a, b).truncate(floor)``, but
-    each entry product computes only the terms at or above it.  An exact
-    zero operand (no term, no floor) adds neither terms nor a floor, so its
-    products are skipped; each entry sums the kept products' terms in one
-    dict, under the highest of their floors.
+    each entry computes only the terms at or above it.  An exact zero
+    operand (no term, no floor) adds neither terms nor a floor, so its
+    products are skipped; each entry is one ``skew.sum_of_products`` of
+    the rest, which sums each coefficient once over every product.
     """
     if a.cols != b.rows:
         raise DimensionError(
@@ -156,26 +157,13 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
                if y.coeffs or y.floor is not None] for row in b.entries]
     out = []
     for a_row in a.entries:
-        parts = [[] for _ in range(b.cols)]
+        pairs = [[] for _ in range(b.cols)]
         for l, x in enumerate(a_row):
             if x.coeffs or x.floor is not None:
                 for j, y in b_rows[l]:
-                    parts[j].append(x.__mul__(y, floor))
-        out.append([_sum_products(pf, p, floor) for p in parts])
+                    pairs[j].append((x, y))
+        out.append([sum_of_products(pf, p, floor) for p in pairs])
     return SkewMatrix(pf, out)
-
-
-def _sum_products(pf, products, floor):
-    if len(products) == 1:
-        return products[0]  # its floor is already at or above ``floor``
-    coeffs = {}
-    for p in products:
-        if p.floor is not None and (floor is None or p.floor > floor):
-            floor = p.floor
-        for k, c in p.coeffs.items():
-            s = coeffs.get(k)
-            coeffs[k] = s + c if s is not None else c
-    return SkewLaurent(pf, coeffs, floor)
 
 
 def sigma_order(a: SkewMatrix):

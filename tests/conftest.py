@@ -13,7 +13,7 @@ import pytest
 
 from taures.anderson import Differential, phi_inverse_power
 from taures.errors import FieldError, NotInvertibleError, PrecisionError
-from taures.fields import (Fq, FqElement, PerfField, SPoly,
+from taures.fields import (Fq, FqElement, PerfElement, PerfField, SPoly,
                            needs_parens, render_poly_in_var)
 from taures.lseries import BivariatePoly
 from taures.skew import NEG_INF, SkewLaurent, invert_scalar
@@ -48,6 +48,22 @@ def pf3(fq3):
 @pytest.fixture(scope="session")
 def pf4(fq4):
     return PerfField(fq4)
+
+
+def from_right_coeffs(pf, terms):
+    """The SkewLaurent sum of tau^e * a over the (a, e) in terms, which
+    are already right-normal."""
+    coeffs = {}
+    for a, e in terms:
+        if a:
+            s = coeffs.get(e)
+            coeffs[e] = s + a if s is not None else a
+    return SkewLaurent(pf, coeffs)
+
+
+def degree_T(f):
+    """Degree in T of a BivariatePoly."""
+    return len(f.coeffs) - 1
 
 
 def rand_fq(rng, fq):
@@ -111,7 +127,7 @@ def rand_skew_monomial_lead(rng, pf, lo=-2, hi=2, **kw):
     lead = pf.from_fq(c) * (pf.theta() ** rng.randrange(3))
     terms = [(coeff, e) for e, coeff in f.coeffs.items() if e != d]
     terms.append((lead, d))
-    return SkewLaurent.from_right_coeffs(pf, terms)
+    return from_right_coeffs(pf, terms)
 
 
 def invert_scalar_geometric(f, precision):
@@ -181,20 +197,88 @@ def skew_mul_reference(f, g):
     return SkewLaurent(f.pf, coeffs, max(floors) if floors else None)
 
 
+def skew_product_reference(f, g, floor=None):
+    """Test-only reference for one product of ``skew.sum_of_products``:
+    each term pair at or above the product floor (``_mul_floor``, raised
+    to ``floor``) is one PerfElement product, folded into its coefficient
+    by ``+``."""
+    own = f._mul_floor(g)
+    if own is not None and (floor is None or own > floor):
+        floor = own
+    lowest = NEG_INF if floor is None else floor
+    coeffs = {}
+    for i, a in f.coeffs.items():
+        for j, b in g.coeffs.items():
+            if i + j < lowest:
+                continue
+            c = a.q_power_iter(-j) * b
+            if not c:
+                continue
+            s = coeffs.get(i + j)
+            coeffs[i + j] = s + c if s is not None else c
+    return SkewLaurent(f.pf, coeffs, floor)
+
+
+def sum_of_products_reference(pf, pairs, floor=None):
+    """Test-only reference for ``skew.sum_of_products``: each product by
+    ``skew_product_reference``, and their terms folded by ``+`` under the
+    highest of their floors and ``floor``."""
+    products = [skew_product_reference(x, y, floor) for x, y in pairs]
+    coeffs = {}
+    for p in products:
+        if p.floor is not None and (floor is None or p.floor > floor):
+            floor = p.floor
+        for k, c in p.coeffs.items():
+            s = coeffs.get(k)
+            coeffs[k] = s + c if s is not None else c
+    return SkewLaurent(pf, coeffs, floor)
+
+
 def mat_mul_reference(a, b, floor=None):
     """Test-only reference for ``skewmat.mat_mul``: every entry product is
-    formed, exact zeros included, and folded into a running SkewLaurent
-    sum that starts empty at ``floor``."""
+    formed by ``skew_product_reference``, exact zeros included, and
+    folded into a running SkewLaurent sum that starts empty at
+    ``floor``."""
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
             acc = SkewLaurent(a.pf, {}, floor)
             for l in range(a.cols):
-                acc = acc + a[i, l].__mul__(b[l, j], floor)
+                acc = acc + skew_product_reference(a[i, l], b[l, j], floor)
             row.append(acc)
         out.append(row)
     return SkewMatrix(a.pf, out)
+
+
+def rand_kernel_coeff(rng, pf):
+    """Random nonzero element with a unit, monomial or general (two-term)
+    denominator, at level 0..3 before canonicalization."""
+    fq = pf.fq
+    one = fq.one()
+    num = SPoly(fq, {e: rand_fq(rng, fq)
+                     for e in rng.sample(range(7), rng.randint(1, 6))})
+    if not num:
+        num = SPoly.const(fq, one)
+    k = rng.randint(1, 3)
+    den = rng.choice([{0: one}, {k: one}, {0: one, k: one}])
+    x = PerfElement(pf, num, SPoly(fq, den), 0)
+    return x.q_power_iter(-rng.randint(0, 3))
+
+
+def rand_kernel_skew(rng, pf):
+    """Random element for the product kernel: tau-exponents -3..3 of both
+    signs, coefficients by ``rand_kernel_coeff``; an exact zero, a
+    truncated empty element or a truncated one now and then."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return SkewLaurent.zero(pf)
+    if kind == 1:
+        return SkewLaurent(pf, {}, rng.randint(-4, 2))
+    f = SkewLaurent(pf, {e: rand_kernel_coeff(rng, pf)
+                         for e in rng.sample(range(-3, 4),
+                                             rng.randint(1, 3))})
+    return f.truncate(rng.randint(-5, 3)) if kind == 2 else f
 
 
 def invert_series_matrix_reference(phi, precision):

@@ -168,6 +168,36 @@ class TestClosedForm:
             drinfeld_closed_form(pf3, 2, [pf3.one(), pf3.zero()], 0, 0)
 
 
+def carlitz_closed_form(pf, i, j):
+    """pair(tau^i, tau^j) on the Carlitz module, read off its motive:
+    -prod_{a=1..i} (t - theta^(q^a)) * prod_{b=0..j-1} (t - theta^(q^-b)) dt.
+    """
+    t = SPoly.gen(pf)
+    value = SPoly.const(pf, -pf.one())
+    th = pf.theta()
+    for a in range(1, i + 1):
+        value = value * (t - SPoly.const(pf, th.q_power_iter(a)))
+    for b in range(j):
+        value = value * (t - SPoly.const(pf, th.q_power_iter(-b)))
+    return Differential(value)
+
+
+CARLITZ_FIELDS = {2: Fq(2), 3: Fq(3), 4: Fq(4, [1, 1, 1]), 5: Fq(5),
+                  9: Fq(9, [1, 0, 1])}
+
+
+@pytest.mark.parametrize("q, top", [(2, 6), (3, 6), (4, 4), (5, 4), (9, 4)])
+def test_carlitz_closed_form(q, top):
+    # an oracle for the pairing chain that shares no step with it
+    pf = PerfField(CARLITZ_FIELDS[q])
+    ctx = PairingContext(carlitz(pf, pf.theta()))
+    for i in range(top + 1):
+        for j in range(top + 1):
+            value = residue_pair(ctx, row(pf, [SkewLaurent.tau(pf, i)]),
+                                 col(pf, [SkewLaurent.tau(pf, j)]))
+            assert value == carlitz_closed_form(pf, i, j), (i, j)
+
+
 class TestSesquilinear:
     def test_unit_vectors_recover_entries(self, pf3):
         E = maurischat(pf3, pf3.theta())
@@ -420,6 +450,27 @@ def test_truncated_products_skip_discarded_terms(pf2, pf3, monkeypatch):
     tau4 = SkewLaurent.tau(pf2, 4)
     assert count(residue_pair, ctx, row(pf2, [tau4]), col(pf2, [tau4])) \
         <= 213
+
+
+def test_pair_chain_adds_no_perf_elements(pf2, monkeypatch):
+    """Each coefficient of a chain product is one fused sum, so the chain
+    of a Carlitz tau^6 pair makes no PerfElement sum; the fold of
+    products made 286."""
+    ctx = PairingContext(carlitz(pf2, pf2.theta()))
+    tau6 = SkewLaurent.tau(pf2, 6)
+    ctx.inverse_at(2 + 6 + 6)
+    calls = [0]
+    original = PerfElement._sum
+
+    def counted(self, other, op):
+        calls[0] += 1
+        return original(self, other, op)
+
+    monkeypatch.setattr(PerfElement, "_sum", counted)
+    value = residue_pair(ctx, row(pf2, [tau6]), col(pf2, [tau6]))
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert value == carlitz_closed_form(pf2, 6, 6)
 
 
 def test_gram_kernel_counts(pf3, monkeypatch):

@@ -6,12 +6,15 @@ import random
 import pytest
 
 from taures.errors import FieldError, PrecisionError
-from taures.skew import SkewLaurent, invert_scalar
+from taures.fields import PerfElement, SPoly
+from taures.skew import SkewLaurent, invert_scalar, sum_of_products
 
-from conftest import (apply_skew, invert_scalar_geometric, rand_fq,
+from conftest import (apply_skew, from_right_coeffs,
+                      invert_scalar_geometric, rand_fq,
                       rand_perf, rand_perf_nonzero, rand_skew,
+                      rand_kernel_coeff, rand_kernel_skew,
                       rand_skew_monomial_lead, rand_skew_nonzero,
-                      skew_mul_reference)
+                      skew_mul_reference, sum_of_products_reference)
 
 
 class TestNormalForm:
@@ -24,7 +27,7 @@ class TestNormalForm:
     def test_degree_zero_side_independent(self, pf3):
         a = pf3.theta() + pf3.one()
         left = SkewLaurent.from_left_coeffs(pf3, [(a, 0)])
-        right = SkewLaurent.from_right_coeffs(pf3, [(a, 0)])
+        right = from_right_coeffs(pf3, [(a, 0)])
         assert left == right
 
     def test_left_coeff_sigma(self, pf3):
@@ -37,7 +40,7 @@ class TestNormalForm:
         rng = random.Random(21)
         for _ in range(100):
             f = rand_skew(rng, pf3)
-            g = SkewLaurent.from_right_coeffs(
+            g = from_right_coeffs(
                 pf3, [(c, e) for e, c in f.coeffs.items()])
             assert f == g
 
@@ -52,7 +55,7 @@ class TestMul:
 
     def test_sigma_theta_squared(self, pf3):
         th = pf3.theta()
-        f = SkewLaurent.from_right_coeffs(pf3, [(th, -1)])
+        f = from_right_coeffs(pf3, [(th, -1)])
         prod = f * f
         assert prod.coeffs == {-2: th.q_pow() * th}
 
@@ -76,8 +79,8 @@ class TestMul:
         for _ in range(20):
             a = rand_perf(rng, pf3)
             b = rand_perf(rng, pf3)
-            f = SkewLaurent.from_right_coeffs(pf3, [(a, 1)])
-            g = SkewLaurent.from_right_coeffs(pf3, [(b, 1)])
+            f = from_right_coeffs(pf3, [(a, 1)])
+            g = from_right_coeffs(pf3, [(b, 1)])
             assert (f * g).coeff(2) == a.q_root() * b
 
 
@@ -104,6 +107,64 @@ def check_mul_against_reference(rng, pf):
     gt = g.truncate(rng.randint(-5, 4))
     assert (ft * gt).agrees_with(ref)
     assert (ft * g).agrees_with(ref)
+
+
+class TestSumOfProducts:
+    """The fused kernel against the product-by-product fold: unit,
+    monomial and general denominators, levels 0..3, tau-exponents of both
+    signs, truncated operands and callers' floors."""
+
+    def test_matches_fold(self, pf2, pf3, pf4):
+        rng = random.Random(61)
+        for pf in (pf2, pf3, pf4):
+            for _ in range(80):
+                pairs = [(rand_kernel_skew(rng, pf), rand_kernel_skew(rng, pf))
+                         for _ in range(rng.randint(0, 4))]
+                for w in (None, rng.randint(-6, 6)):
+                    assert sum_of_products(pf, pairs, w) == \
+                        sum_of_products_reference(pf, pairs, w)
+                if pairs:
+                    x, y = pairs[0]
+                    w = rng.randint(-6, 6)
+                    assert x.__mul__(y, w) == \
+                        sum_of_products_reference(pf, [(x, y)], w)
+
+    def test_cancels_to_zero_at_q2(self, pf2):
+        # x*y + x*y = 0 in characteristic 2, for large numerators too,
+        # with and without a general denominator beside
+        rng = random.Random(62)
+        fq = pf2.fq
+        big = PerfElement(pf2, SPoly(fq, {e: fq.one() for e in range(9)}),
+                          pf2.one().den, 0)
+        for _ in range(60):
+            x = SkewLaurent(pf2, {rng.randint(-3, 3): big.q_power_iter(
+                -rng.randint(0, 3))})
+            y = rand_kernel_skew(rng, pf2)
+            z = rand_kernel_skew(rng, pf2)
+            u = rand_kernel_skew(rng, pf2)
+            assert not sum_of_products(pf2, [(x, y), (x, y)]).coeffs
+            got = sum_of_products(pf2, [(x, y), (z, u), (x, y)])
+            assert got == sum_of_products_reference(pf2, [(z, u), (x, y),
+                                                          (x, y)])
+            assert got.coeffs == \
+                sum_of_products(pf2, [(z, u)], got.floor).coeffs
+
+    def test_twisted_sum_matches_fold(self, pf2, pf3, pf4):
+        # a^(q^j) * b summed over triples whose twists land on levels on
+        # both sides of 0, each coefficient reduced once
+        rng = random.Random(63)
+        for pf in (pf2, pf3, pf4):
+            for _ in range(60):
+                triples = [(rand_kernel_coeff(rng, pf), rng.randint(-2, 2),
+                            rand_kernel_coeff(rng, pf))
+                           for _ in range(rng.randint(1, 4))]
+                fold = pf.zero()
+                for a, j, b in triples:
+                    fold = fold + a.q_power_iter(j) * b
+                assert PerfElement.twisted_sum(pf, triples) == fold
+                a, j, b = triples[0]
+                assert not PerfElement.twisted_sum(
+                    pf, [(a, j, b), (-a, j, b)])
 
 
 class TestPow:
@@ -152,7 +213,7 @@ class TestCoeff:
     def test_coeff_examples(self, pf3):
         th = pf3.theta()
         c = rand_perf(random.Random(1), pf3)
-        f = SkewLaurent.from_right_coeffs(pf3, [(th, 0), (c, 1)])
+        f = from_right_coeffs(pf3, [(th, 0), (c, 1)])
         assert f.coeff(0) == th
         assert f.coeff(1) == c
         assert not f.coeff(5)
@@ -181,7 +242,7 @@ class TestDegree:
         assert SkewLaurent.tau(pf3).deg_tau() == 1
         assert SkewLaurent.sigma(pf3).deg_tau() == -1
         assert SkewLaurent.zero(pf3).deg_tau() == float("-inf")
-        f = SkewLaurent.from_right_coeffs(
+        f = from_right_coeffs(
             pf3, [(pf3.theta(), 0), (pf3.one(), 3)])
         assert f.deg_tau() == 3
 
@@ -198,7 +259,7 @@ class TestFloors:
         # exact f of degree 1 against g known to sigma^3: the product is
         # contaminated below floor_g + deg(f)
         th = pf3.theta()
-        f = SkewLaurent.from_right_coeffs(pf3, [(th, 0), (pf3.one(), 1)])
+        f = from_right_coeffs(pf3, [(th, 0), (pf3.one(), 1)])
         g = SkewLaurent(pf3, {-1: pf3.one(), -2: th}, floor=-3)
         prod = f * g
         assert prod.floor == -3 + 1
@@ -237,7 +298,7 @@ class TestInvertScalar:
         inv = invert_scalar(one, 2)
         assert inv == one and inv.is_exact()
         th = pf3.theta()
-        f = SkewLaurent.from_right_coeffs(pf3, [(th, 2)])
+        f = from_right_coeffs(pf3, [(th, 2)])
         for precision in (1, 4):
             inv = invert_scalar(f, precision)
             assert inv.is_exact()
@@ -250,7 +311,7 @@ class TestInvertScalar:
     def test_geometric_example(self, pf3):
         th = pf3.theta()
         one = SkewLaurent.one(pf3)
-        f = one - SkewLaurent.from_right_coeffs(pf3, [(th, -1)])
+        f = one - from_right_coeffs(pf3, [(th, -1)])
         inv = invert_scalar(f, 3)
         assert inv.coeff(0).is_one()
         assert inv.coeff(-1) == th
@@ -261,7 +322,7 @@ class TestInvertScalar:
 
     def test_drinfeld_example(self, pf3):
         th = pf3.theta()
-        f = SkewLaurent.from_right_coeffs(pf3, [(th, 0), (pf3.one(), 1)])
+        f = from_right_coeffs(pf3, [(th, 0), (pf3.one(), 1)])
         inv = invert_scalar(f, 3)
         assert inv.coeff(-1).is_one()
         assert inv.coeff(-2) == -(th.q_pow())
@@ -308,7 +369,7 @@ def with_lead(rng, pf, lead):
     terms = [(lead, d)]
     for e in rng.sample(range(d - 3, d), rng.randint(1, 3)):
         terms.append((rand_perf_nonzero(rng, pf), e))
-    return SkewLaurent.from_right_coeffs(pf, terms)
+    return from_right_coeffs(pf, terms)
 
 
 def random_lead(rng, pf, multi_term):
@@ -404,7 +465,7 @@ class TestRingAxioms:
 
 def test_rendering(pf2):
     th = pf2.theta()
-    f = SkewLaurent.from_right_coeffs(
+    f = from_right_coeffs(
         pf2, [(th.q_root(), -2), (pf2.one(), 0), (th, 1)])
     assert str(f) == "sigma^2 * theta^(1/2) + 1 + tau * theta"
     g = SkewLaurent(pf2, {0: pf2.one()}, floor=-2)

@@ -13,8 +13,9 @@ from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul, sigma_order)
 
-from conftest import (invert_series_matrix_reference, mat_mul_reference,
-                      rand_perf, rand_perf_nonzero, rand_skew)
+from conftest import (from_right_coeffs, invert_series_matrix_reference,
+                      mat_mul_reference, rand_kernel_skew, rand_perf,
+                      rand_perf_nonzero, rand_skew)
 
 
 def carlitz_tensor_matrix(pf, d):
@@ -94,6 +95,22 @@ class TestMatMul:
                     assert mat_mul(a, b, floor=w) == \
                         mat_mul_reference(a, b, floor=w)
 
+    def test_kernel_matches_fold(self, pf2, pf3, pf4):
+        # entries with unit, monomial and general denominators at levels
+        # 0..3, exact zeros and truncated entries, each entry one fused
+        # sum against the product-by-product fold
+        rng = random.Random(36)
+        for pf in (pf2, pf3, pf4):
+            for _ in range(12):
+                n, m, p = (rng.randint(1, 3) for _ in range(3))
+                a = SkewMatrix(pf, [[rand_kernel_skew(rng, pf)
+                                     for _ in range(m)] for _ in range(n)])
+                b = SkewMatrix(pf, [[rand_kernel_skew(rng, pf)
+                                     for _ in range(p)] for _ in range(m)])
+                for w in (None, rng.randint(-6, 6)):
+                    assert mat_mul(a, b, floor=w) == \
+                        mat_mul_reference(a, b, floor=w)
+
     def test_noncommutative_order(self, pf3):
         # scalar theta times tau: order matters entrywise
         th = SkewMatrix(pf3, [[SkewLaurent.scalar(pf3, pf3.theta())]])
@@ -104,7 +121,7 @@ class TestMatMul:
 class TestInvert:
     def test_1x1_drinfeld(self, pf3):
         th = pf3.theta()
-        phi = SkewMatrix(pf3, [[SkewLaurent.from_right_coeffs(
+        phi = SkewMatrix(pf3, [[from_right_coeffs(
             pf3, [(th, 0), (pf3.one(), 1)])]])
         x = invert_series_matrix(phi, 3)
         e = x[0, 0]
@@ -352,7 +369,7 @@ class TestSigmaOrder:
         assert sigma_order(s_eye) == 1
         assert sigma_order(SkewMatrix.zeros(pf3, 2, 2)) == float("inf")
         th = pf3.theta()
-        phi = SkewMatrix(pf3, [[SkewLaurent.from_right_coeffs(
+        phi = SkewMatrix(pf3, [[from_right_coeffs(
             pf3, [(th, 0), (pf3.one(), 1)])]])
         assert sigma_order(invert_series_matrix(phi, 3)) == 1
 
