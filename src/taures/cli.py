@@ -16,7 +16,7 @@ from .errors import (ConvergenceError, DimensionError, FieldError,
                      NotInvertibleError, PrecisionError, SkewParseError,
                      TauresError)
 from . import anderson, lseries, pairing
-from .fields import Fq, find_irreducible
+from .fields import Fq, _factor_prime_power, find_irreducible
 from .parsing import (Manifest, manifest_ext_field, manifest_tau_matrix,
                       parse_manifest, parse_skew_row, ext_field_of_degree)
 from .skewmat import SkewMatrix, invert_series_matrix
@@ -71,32 +71,20 @@ def _payload(entry):
 
 # --- built-in example registry ---
 
-def _default_modulus_text(q):
-    p = 2
-    while q % p:
-        p += 1
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        m += 1
-    if m == 1:
-        return None
-    fp = Fq(p)
-    poly = find_irreducible(fp, m)
-    return poly.render("z", coeff_str=lambda c: str(c.coeffs[0]),
-                       coeff_is_one=lambda c: c.is_one())
-
-
 def _manifest_skeleton(q):
-    if q < 2:  # the searches for p below would never end
+    """q and, for q = p^m with m > 1, the first irreducible modulus."""
+    if q < 2:
         raise SkewParseError("example needs q >= 2", 0, 0)
+    try:
+        p, m = _factor_prime_power(q)
+    except FieldError as err:
+        raise SkewParseError(err.args[0], 0, 0) from None
     man = Manifest()
     man.q = q
-    mod = _default_modulus_text(q)
-    if mod is not None:
-        man.modulus = mod
-    man.base = "perf-rational"
+    if m > 1:
+        man.modulus = find_irreducible(Fq(p), m).render(
+            "z", coeff_str=lambda c: str(c.coeffs[0]),
+            coeff_is_one=lambda c: c.is_one())
     return man
 
 
@@ -111,6 +99,9 @@ def example_carlitz(q=2):
 
 
 def example_carlitz_tensor(q=2, d=2):
+    if d < 1:
+        raise SkewParseError(
+            "carlitz-tensor example needs d >= 1, got {}".format(d), 0, 0)
     man = _manifest_skeleton(q)
     man.dim = d
     man.rank = 1
@@ -123,8 +114,6 @@ def example_carlitz_tensor(q=2, d=2):
         if i == d - 1:
             entries[0] = "tau" if d > 1 else "theta + tau"
         rows.append(" | ".join(entries))
-    if d == 1:
-        rows = ["theta + tau"]
     man.phi_rows = rows
     man.motive_rows = [" | ".join(["1"] + ["0"] * (d - 1))]
     man.comotive_cols = [" | ".join(["0"] * (d - 1) + ["1"])]
@@ -142,16 +131,16 @@ def example_maurischat(q=2):
 
 
 def example_drinfeld(q=2, r=2, seed=None, g_texts=None):
+    if r < 1:
+        raise SkewParseError(
+            "drinfeld example needs r >= 1, got {}".format(r), 0, 0)
     man = _manifest_skeleton(q)
     man.dim = 1
     man.rank = r
     if g_texts is None:
         rng = random.Random(seed if seed is not None else 0)
-        p = 2
-        while q % p:
-            p += 1
         pool = ["1", "theta", "theta + 1", "theta^2"]
-        if p > 2:
+        if q % 2:  # p > 2
             pool += ["2", "2*theta"]
         g_texts = [pool[rng.randrange(len(pool))] for _ in range(r - 1)]
         lead_pool = ["1", "theta", "theta^2"]
@@ -214,6 +203,11 @@ def cmd_invert(args):
     return 0
 
 
+def _context(args, module):
+    return pairing.PairingContext(module, k_cap=args.k_cap,
+                                  precision_cap=args.precision_cap)
+
+
 def cmd_pair(args):
     man = _load(args.manifest)
     module = man.module
@@ -227,28 +221,19 @@ def cmd_pair(args):
             0, 0)
     m = SkewMatrix(pf, [m_entries])
     n = SkewMatrix(pf, [[e] for e in n_entries])
-    ctx = pairing.PairingContext(module, k_cap=args.k_cap,
-                                 precision_cap=args.precision_cap)
-    result = pairing.residue_pair(ctx, m, n)
-    print(result)
+    print(pairing.residue_pair(_context(args, module), m, n))
     return 0
 
 
 def cmd_gram(args):
-    man = _load(args.manifest)
-    ctx = pairing.PairingContext(man.module, k_cap=args.k_cap,
-                                 precision_cap=args.precision_cap)
-    g = pairing.gram(ctx)
+    g = pairing.gram(_context(args, _load(args.manifest).module))
     print(g.render())
     print(WEIGHT_NOTE)
     return 0
 
 
 def cmd_perfectness(args):
-    man = _load(args.manifest)
-    ctx = pairing.PairingContext(man.module, k_cap=args.k_cap,
-                                 precision_cap=args.precision_cap)
-    g = pairing.gram(ctx)
+    g = pairing.gram(_context(args, _load(args.manifest).module))
     cert = pairing.check_perfectness(g)
     print(pairing.certificate_line(g, cert))
     return 0 if cert else EXIT_VALIDATION

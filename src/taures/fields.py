@@ -61,6 +61,17 @@ def _factor_prime_power(q):
     return p, m
 
 
+def power(base, n, one):
+    """base^n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 class FqElement:
     """An element of F_q in the polynomial basis w.r.t. the field modulus.
 
@@ -120,14 +131,7 @@ class FqElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one())
 
     def inverse(self):
         if not self:
@@ -432,14 +436,7 @@ class SPoly:
     def __pow__(self, n):
         if n < 0:
             raise FieldError("negative polynomial power")
-        result = SPoly(self.ring, {0: self.ring.one()})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, SPoly(self.ring, {0: self.ring.one()}))
 
     def scale(self, c):
         return SPoly(self.ring, {e: v * c for e, v in self.terms.items()})
@@ -734,15 +731,10 @@ class ExtField:
         return ExtElement(self, tuple(coeffs))
 
     def elements(self):
-        def rec(i):
-            if i == self.n:
-                yield []
-                return
-            for rest in rec(i + 1):
-                for c in self.base.elements():
-                    yield [c] + rest
-        for coeffs in rec(0):
-            yield ExtElement(self, tuple(coeffs))
+        """Every element, the coefficient of 1 varying fastest."""
+        base = list(self.base.elements())
+        for coeffs in itertools.product(base, repeat=self.n):
+            yield ExtElement(self, coeffs[::-1])
 
     def _mul(self, a, b):
         n = self.n
@@ -806,14 +798,7 @@ class ExtElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one())
 
     def inverse(self):
         if not self:
@@ -1067,14 +1052,7 @@ class PerfElement:
     def __pow__(self, n):
         if n < 0:
             return (self.pf.one() / self) ** (-n)
-        result = self.pf.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.pf.one())
 
     # --- Frobenius tower ---
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import SkewParseError
+from .errors import FieldError, SkewParseError
 from .anderson import AndersonModule
-from .fields import ExtField, Fq, PerfField, SPoly, find_irreducible
+from .fields import (ExtField, Fq, PerfField, SPoly, _factor_prime_power,
+                     find_irreducible)
 from .skew import SkewLaurent
 from .skewmat import SkewMatrix
 
@@ -169,7 +170,28 @@ class _Parser:
             tok.value or "end of input"), tok.line, tok.col)
 
 
+def _evaluate(tokens, atoms, from_int, divide):
+    """Value of one whole expression: trailing tokens are an error."""
+    parser = _Parser(tokens, atoms, from_int, divide)
+    val = parser.expr()
+    parser.expect_end()
+    return val
+
+
+def _evaluate_row(text, line, col, *env):
+    """Values of the '|'-separated expressions in ``text``."""
+    groups = [[]]
+    for tok in tokenize(text, line, col):
+        if tok.kind == "sym" and tok.value == "|":
+            groups[-1].append(Token("end", "", tok.line, tok.col))
+            groups.append([])
+        else:
+            groups[-1].append(tok)
+    return [_evaluate(g, *env) for g in groups]
+
+
 def _skew_env(pf: PerfField, theta=None, allow_theta=True):
+    """(atoms, from_int, divide) of the skew expression grammar."""
     atoms = {
         "tau": SkewLaurent.tau(pf),
         "sigma": SkewLaurent.sigma(pf),
@@ -180,7 +202,8 @@ def _skew_env(pf: PerfField, theta=None, allow_theta=True):
     if pf.fq.m > 1:
         atoms[pf.fq.gen_name] = SkewLaurent.scalar(
             pf, pf.from_fq(pf.fq.gen()))
-    return atoms
+    return (atoms, lambda n: SkewLaurent.scalar(pf, pf.from_int(n)),
+            _skew_divide)
 
 
 def _skew_divide(a: SkewLaurent, b: SkewLaurent, op: Token):
@@ -202,41 +225,13 @@ def _skew_divide(a: SkewLaurent, b: SkewLaurent, op: Token):
 def parse_skew_expr(text, pf: PerfField, theta=None, line=1, col=1,
                     allow_theta=True) -> SkewLaurent:
     """Parse one skew expression into normal form."""
-    tokens = tokenize(text, line, col)
-    parser = _Parser(tokens, _skew_env(pf, theta, allow_theta),
-                     lambda n: SkewLaurent.scalar(pf, pf.from_int(n)),
-                     _skew_divide)
-    val = parser.expr()
-    parser.expect_end()
-    return val
-
-
-def _tokens_split_rows(tokens):
-    """Split a token list on '|' symbols into per-entry sublists."""
-    groups = [[]]
-    for tok in tokens:
-        if tok.kind == "sym" and tok.value == "|":
-            groups[-1].append(Token("end", "", tok.line, tok.col))
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    return groups
+    return _evaluate(tokenize(text, line, col),
+                     *_skew_env(pf, theta, allow_theta))
 
 
 def parse_skew_row(text, pf, theta=None, line=1, col=1):
     """Parse a '|'-separated list of skew expressions."""
-    groups = _tokens_split_rows(tokenize(text, line, col))
-    atoms = _skew_env(pf, theta)
-
-    def from_int(n):
-        return SkewLaurent.scalar(pf, pf.from_int(n))
-
-    out = []
-    for g in groups:
-        parser = _Parser(g, atoms, from_int, _skew_divide)
-        out.append(parser.expr())
-        parser.expect_end()
-    return out
+    return _evaluate_row(text, line, col, *_skew_env(pf, theta))
 
 
 def parse_tpoly_row(text, ext: ExtField, line=1, col=1):
@@ -263,34 +258,22 @@ def parse_tpoly_row(text, ext: ExtField, line=1, col=1):
             return SPoly(ext, {})
         return SPoly.const(ext, a.coeff(0) / b.coeff(0))
 
-    groups = _tokens_split_rows(tokenize(text, line, col))
-    out = []
-    for g in groups:
-        parser = _Parser(g, atoms, from_int, divide)
-        out.append(parser.expr())
-        parser.expect_end()
-    return out
+    return _evaluate_row(text, line, col, atoms, from_int, divide)
 
 
-def parse_fppoly(text, p, var, line=1, col=1):
-    """Parse a univariate polynomial over F_p (for moduli): returns an
-    int coefficient list, constant first."""
-    fp = Fq(p)
-    atoms = {var: SPoly(fp, {1: fp.one()})}
+def _no_divide(a, b, op):
+    raise SkewParseError("'/' is not legal in a modulus", op.line, op.col)
 
-    def divide(a, b, op):
-        raise SkewParseError("'/' is not legal in a modulus", op.line,
-                             op.col)
 
-    tokens = tokenize(text, line, col)
-    parser = _Parser(tokens, atoms,
-                     lambda n: SPoly.const(fp, fp.from_int(n)), divide)
-    val = parser.expr()
-    parser.expect_end()
-    out = [0] * (val.degree() + 1)
-    for e, c in val.terms.items():
-        out[e] = c.coeffs[0]
-    return out
+def _parse_modulus(text, field: Fq, var, line, col) -> SPoly:
+    """A polynomial in ``var`` over ``field``, whose generator is an atom
+    too when it is not a prime field; '/' is rejected."""
+    atoms = {var: SPoly.gen(field)}
+    if field.m > 1:
+        atoms[field.gen_name] = SPoly.const(field, field.gen())
+    return _evaluate(tokenize(text, line, col), atoms,
+                     lambda n: SPoly.const(field, field.from_int(n)),
+                     _no_divide)
 
 
 # --- manifest ---
@@ -414,89 +397,72 @@ def _build(man: Manifest, locations):
     if man.q < 2:
         line, col = locations.get("q", (0, 0))
         raise SkewParseError("manifest needs q >= 2", line, col)
-    modulus = None
-    if man.modulus is not None:
-        text, line, col = man.modulus
-        p = _prime_of(man.q)
-        coeffs = parse_fppoly(text, p, "z", line, col)
-        modulus = coeffs
     try:
+        p, _ = _factor_prime_power(man.q)
+        modulus = None
+        if man.modulus is not None:
+            text, line, col = man.modulus
+            poly = _parse_modulus(text, Fq(p), "z", line, col)
+            modulus = [poly.coeff(e).coeffs[0]
+                       for e in range(poly.degree() + 1)]
         fq = Fq(man.q, modulus)
-    except Exception as err:
+    except FieldError as err:
         line, col = locations.get("modulus", locations.get("q", (0, 0)))
-        raise SkewParseError(str(err), line, col) from None
+        raise SkewParseError(err.args[0], line, col) from None
     pf = PerfField(fq)
     man.field = fq
     man.pf = pf
 
-    if man.base == "finite-field":
-        if man.theta_text is None:
-            line, col = locations.get("base", (0, 0))
-            raise SkewParseError(
-                "finite-field base needs an explicit theta", line, col)
+    finite = man.base == "finite-field"
+    if finite and man.theta_text is None:
+        line, col = locations.get("base", (0, 0))
+        raise SkewParseError(
+            "finite-field base needs an explicit theta", line, col)
+    theta = pf.theta()
+    if man.theta_text is not None:
         text, line, col = man.theta_text
         val = parse_skew_expr(text, pf, line=line, col=col,
-                              allow_theta=False)
+                              allow_theta=not finite)
         if not val.sigma_free() or val.deg_tau() > 0:
             raise SkewParseError("theta must be a scalar", line, col)
         theta = val.coeffs.get(0, pf.zero())
-        if not theta.is_constant():
+        if finite and not theta.is_constant():
             raise SkewParseError("theta must lie in F_q", line, col)
-    else:
-        theta = pf.theta()
-        if man.theta_text is not None:
-            text, line, col = man.theta_text
-            val = parse_skew_expr(text, pf, line=line, col=col)
-            if not val.sigma_free() or val.deg_tau() > 0:
-                raise SkewParseError("theta must be a scalar", line, col)
-            theta = val.coeffs.get(0, pf.zero())
+    row_theta = theta if finite else None
 
     if man.dim < 1:
         line, col = locations.get("dim", (0, 0))
         raise SkewParseError("manifest needs dim >= 1", line, col)
 
-    phi_entries = []
-    for text, line, col in man.phi_rows:
-        row = parse_skew_row(text, pf, theta=theta if
-                             man.base == "finite-field" else None,
-                             line=line, col=col)
-        if len(row) != man.dim:
-            raise SkewParseError(
-                "phi_t row has {} entries, need {}".format(len(row),
-                                                           man.dim),
-                line, col)
-        for e in row:
-            if not e.sigma_free():
-                raise SkewParseError("phi(t) must lie in R[tau]", line, col)
-        phi_entries.append(row)
+    def parse_rows(rows, width_message, what):
+        """Rows of dim R[tau] entries; ``width_message`` takes the count
+        found and dim."""
+        out = []
+        for text, line, col in rows:
+            row = parse_skew_row(text, pf, theta=row_theta, line=line,
+                                 col=col)
+            if len(row) != man.dim:
+                raise SkewParseError(
+                    width_message.format(len(row), man.dim), line, col)
+            if not all(e.sigma_free() for e in row):
+                raise SkewParseError(
+                    "{} must lie in R[tau]".format(what), line, col)
+            out.append(row)
+        return out
+
+    phi_entries = parse_rows(man.phi_rows,
+                             "phi_t row has {} entries, need {}", "phi(t)")
     if len(phi_entries) != man.dim:
         line = max((l for _, l, _ in man.phi_rows), default=0)
         raise SkewParseError(
             "phi_t has {} rows, need {}".format(len(phi_entries), man.dim),
             line, 1)
-
-    def parse_basis(rows, shape, what):
-        out = []
-        for text, line, col in rows:
-            entries = parse_skew_row(text, pf, theta=theta if
-                                     man.base == "finite-field" else None,
-                                     line=line, col=col)
-            if len(entries) != man.dim:
-                raise SkewParseError(
-                    "{} entry has {} components, need {}".format(
-                        what, len(entries), man.dim), line, col)
-            for e in entries:
-                if not e.sigma_free():
-                    raise SkewParseError(
-                        "{} must lie in R[tau]".format(what), line, col)
-            if shape == "row":
-                out.append(SkewMatrix(pf, [entries]))
-            else:
-                out.append(SkewMatrix(pf, [[e] for e in entries]))
-        return out
-
-    motive = parse_basis(man.motive_rows, "row", "motive basis")
-    comotive = parse_basis(man.comotive_cols, "col", "comotive basis")
+    motive = [SkewMatrix(pf, [row]) for row in parse_rows(
+        man.motive_rows, "motive basis entry has {} components, need {}",
+        "motive basis")]
+    comotive = [SkewMatrix(pf, [[e] for e in col]) for col in parse_rows(
+        man.comotive_cols, "comotive basis entry has {} components, need {}",
+        "comotive basis")]
     if not motive or not comotive:
         raise SkewParseError("manifest needs motive_basis and "
                              "comotive_basis sections", 1, 1)
@@ -513,23 +479,16 @@ def _build(man: Manifest, locations):
         rank_hint=man.rank)
 
 
-def _prime_of(q):
-    p = 2
-    while q % p:
-        p += 1
-    return p
-
-
 def manifest_ext_field(man: Manifest) -> Optional[ExtField]:
     """Build the L-series extension field k from the manifest, if any."""
     fq = man.field
     if man.ext_modulus_text is not None:
         text, line, col = man.ext_modulus_text
-        poly = _parse_ext_modulus(text, fq, line, col)
+        poly = _parse_modulus(text, fq, "w", line, col)
         try:
             return ExtField(fq, poly)
-        except Exception as err:
-            raise SkewParseError(str(err), line, col) from None
+        except FieldError as err:
+            raise SkewParseError(err.args[0], line, col) from None
     if man.ext_degree is not None:
         return ext_field_of_degree(fq, man.ext_degree)
     return None
@@ -541,25 +500,6 @@ def ext_field_of_degree(fq: Fq, degree) -> ExtField:
     if degree == 1:
         return ExtField(fq, SPoly(fq, {1: fq.one()}))
     return ExtField(fq, find_irreducible(fq, degree), _irreducible=True)
-
-
-def _parse_ext_modulus(text, fq, line, col):
-    one = fq.one()
-    atoms = {"w": SPoly(fq, {1: one})}
-    if fq.m > 1:
-        atoms[fq.gen_name] = SPoly.const(fq, fq.gen())
-
-    def divide(a, b, op):
-        raise SkewParseError("'/' is not legal in a modulus", op.line,
-                             op.col)
-
-    tokens = tokenize(text, line, col)
-    parser = _Parser(tokens, atoms, lambda n: SPoly.const(fq,
-                                                          fq.from_int(n)),
-                     divide)
-    val = parser.expr()
-    parser.expect_end()
-    return val
 
 
 def manifest_tau_matrix(man: Manifest, side: str, ext: ExtField):

@@ -25,7 +25,7 @@ term pairs.
 from __future__ import annotations
 
 from .errors import FieldError, PrecisionError
-from .fields import PerfElement, PerfField, needs_parens
+from .fields import PerfElement, PerfField, needs_parens, power
 
 NEG_INF = float("-inf")
 
@@ -190,14 +190,7 @@ class SkewLaurent:
             (e, c), = self.coeffs.items()
             if c.is_one():  # (tau^e)^n = tau^(e*n): no product to form
                 return SkewLaurent.tau(self.pf, e * n)
-        result = SkewLaurent.one(self.pf)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, SkewLaurent.one(self.pf))
 
     def truncate(self, floor):
         """Impose a precision floor (may only lose knowledge)."""

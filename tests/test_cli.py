@@ -136,8 +136,8 @@ class TestCommands:
                        " + O(sigma^4)\n")
 
     def test_invert_order_one_maurischat(self, capsys, tmp_path):
-        # order 1 first eliminates at a working precision too shallow for
-        # the second column, and must escalate instead of exiting 3
+        # order 1 inverts in one elimination pass, which agrees with
+        # order 2 (test_skewmat pins the matrices that must escalate)
         for q in ("2", "3", "5"):
             _, manifest_text, _ = run(capsys, "examples", "maurischat",
                                       "--q", q)
@@ -365,3 +365,25 @@ class TestArgumentText:
         code, out, err = run(capsys, "examples", "carlitz", "--q", q)
         assert (code, out) == (2, "")
         assert err == "error[parse] 0:0: example needs q >= 2\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("carlitz", "--q", "6"), "q = 6 is not a prime power"),
+        (("carlitz", "--q", "10"), "q = 10 is not a prime power"),
+        (("carlitz", "--q", "12"), "q = 12 is not a prime power"),
+        (("carlitz-tensor", "--d", "0"),
+         "carlitz-tensor example needs d >= 1, got 0"),
+        (("carlitz-tensor", "--d", "-2"),
+         "carlitz-tensor example needs d >= 1, got -2"),
+        (("drinfeld", "--r", "0"), "drinfeld example needs r >= 1, got 0"),
+    ])
+    def test_example_rejects_bad_arguments(self, capsys, argv, message):
+        code, out, err = run(capsys, "examples", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error[parse] 0:0: {}\n".format(message)
+
+    def test_field_error_in_manifest_has_one_prefix(self, capsys, tmp_path):
+        path = write(tmp_path, "q6.man",
+                     CARLITZ_Q2.replace("q: 2\n", "q: 6\nmodulus: z + 1\n"))
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (2, "")
+        assert err == "error[parse] 2:10: q = 6 is not a prime power\n"

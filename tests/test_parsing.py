@@ -4,8 +4,9 @@ import pytest
 
 from taures.errors import SkewParseError
 from taures.anderson import validate
-from taures.parsing import (manifest_ext_field, manifest_tau_matrix,
-                            parse_manifest, parse_skew_expr, parse_skew_row)
+from taures.parsing import (ext_field_of_degree, manifest_ext_field,
+                            manifest_tau_matrix, parse_manifest,
+                            parse_skew_expr, parse_skew_row)
 
 
 class TestSkewExpr:
@@ -217,11 +218,70 @@ tau_matrix_motive:
 row: t^2
 """
         man = parse_manifest(text)
-        from taures.parsing import ext_field_of_degree
         ext = ext_field_of_degree(man.field, 1)
         tm = manifest_tau_matrix(man, "motive", ext)
         assert tm.side == "motive"
         assert tm.entries[0][0].degree() == 2
+
+
+CARLITZ_BODY = ("dim: 1\nphi_t:\nrow: theta + tau\nmotive_basis:\n"
+                "row: 1\ncomotive_basis:\ncol: 1\n")
+
+
+def parse_error(text):
+    with pytest.raises(SkewParseError) as err:
+        parse_manifest(text)
+    return str(err.value)
+
+
+class TestDiagnostics:
+    """Each message is pinned with its line:col."""
+
+    def test_divide_in_modulus(self):
+        text = "q: 4\nmodulus: z^2 / z + 1\nbase: perf-rational\n" \
+            + CARLITZ_BODY
+        assert parse_error(text) == \
+            "error[parse] 2:14: '/' is not legal in a modulus"
+
+    def test_divide_in_ext_modulus(self):
+        man = parse_manifest("q: 2\nbase: perf-rational\n" + CARLITZ_BODY
+                             + "ext_modulus: w^2 / w + 1\n")
+        with pytest.raises(SkewParseError) as err:
+            manifest_ext_field(man)
+        assert str(err.value) == \
+            "error[parse] 10:18: '/' is not legal in a modulus"
+
+    def test_trailing_paren_after_modulus(self):
+        text = "q: 4\nmodulus: z^2 + z + 1)\nbase: perf-rational\n" \
+            + CARLITZ_BODY
+        assert parse_error(text) == \
+            "error[parse] 2:21: unexpected trailing ')'"
+
+    @pytest.mark.parametrize("base", ["perf-rational", "finite-field"])
+    def test_theta_tau_is_not_a_scalar(self, base):
+        text = "q: 3\nbase: {}\ntheta: tau\n".format(base) + CARLITZ_BODY
+        assert parse_error(text) == \
+            "error[parse] 3:8: theta must be a scalar"
+
+    def test_theta_names_itself_on_a_finite_base(self):
+        text = "q: 3\nbase: finite-field\ntheta: theta\n" + CARLITZ_BODY
+        assert parse_error(text) == \
+            "error[parse] 3:8: 'theta' is not legal here"
+
+    @pytest.mark.parametrize("row,message", [
+        ("t | t $", "12:12: unexpected character '$'"),
+        ("t^2 + tau", "12:12: unknown name 'tau'"),
+        ("t / t", "12:8: '/' needs constant operands here"),
+        ("t^2 | )", "12:12: expected a value, got ')'"),
+    ])
+    def test_bad_tau_matrix_row(self, row, message):
+        man = parse_manifest("q: 2\nbase: finite-field\ntheta: 0\n"
+                             + CARLITZ_BODY
+                             + "tau_matrix_motive:\nrow: {}\n".format(row))
+        ext = ext_field_of_degree(man.field, 1)
+        with pytest.raises(SkewParseError) as err:
+            manifest_tau_matrix(man, "motive", ext)
+        assert str(err.value) == "error[parse] " + message
 
 
 class TestRoundTrip:
@@ -229,9 +289,11 @@ class TestRoundTrip:
         from taures.cli import (render_manifest, example_carlitz,
                                 example_carlitz_tensor, example_drinfeld,
                                 example_maurischat)
-        mans = [example_carlitz(2), example_carlitz(4),
-                example_carlitz_tensor(2, 3), example_carlitz_tensor(3, 5),
-                example_maurischat(3), example_drinfeld(3, 3, seed=11)]
+        mans = []
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            mans += [example_carlitz(q), example_maurischat(q),
+                     example_drinfeld(q), example_drinfeld(q, 3, seed=11)]
+            mans += [example_carlitz_tensor(q, d) for d in (1, 3, 5)]
         for man in mans:
             text = render_manifest(man)
             parsed = parse_manifest(text)

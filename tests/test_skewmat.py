@@ -9,6 +9,7 @@ from taures import skewmat
 from taures.anderson import carlitz_tensor, drinfeld, maurischat
 from taures.errors import DimensionError, NotInvertibleError, PrecisionError
 from taures.fields import Fq, PerfField
+from taures.parsing import parse_skew_row
 from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul, sigma_order)
@@ -257,6 +258,33 @@ class TestInvert:
             x1 = invert_series_matrix(phi, 1)
             assert x1.max_floor() <= -1
             assert x1.agrees_with(invert_series_matrix(phi, 2))
+
+    @pytest.mark.parametrize("q,rows,works", [
+        (3, ["theta + tau^2 | tau^2", "1 | 1"], [1, 2, 5]),
+        (2, ["tau * theta^2 + tau^2 * theta^2 | tau + tau^2 | 1 + tau * theta",
+             "theta^2 | theta | 0",
+             "tau * (theta^2 + theta) | tau + tau^2 * theta^2 | 0"],
+         [1, 2, 3]),
+    ])
+    def test_escalation_succeeds(self, monkeypatch, q, rows, works):
+        # precision 1 needs both retries of the escalation: at q = 3 the
+        # pass at work 1 finds column 1 vanished (work doubles) and the
+        # one at work 2 ends at floor 2 (work grows by the deficit 3); at
+        # q = 2 the passes at work 1 and 2 each miss the floor by 1
+        pf = PerfField(Fq(q))
+        phi = SkewMatrix(pf, [parse_skew_row(r, pf) for r in rows])
+        seen = []
+        eliminate = skewmat._eliminate
+
+        def counted(phi, work):
+            seen.append(work)
+            return eliminate(phi, work)
+
+        monkeypatch.setattr(skewmat, "_eliminate", counted)
+        x = invert_series_matrix(phi, 1)
+        assert seen == works
+        assert x == invert_series_matrix_reference(
+            SkewMatrix(pf, phi.entries), 1)
 
     def test_rejects_non_square(self, pf3):
         mat = SkewMatrix.zeros(pf3, 2, 3)
