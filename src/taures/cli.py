@@ -339,36 +339,35 @@ COMMANDS = (
     ("examples", "write a built-in example manifest to stdout",
      _add_examples, cmd_examples),
 )
-COMMAND_NAMES = frozenset(row[0] for row in COMMANDS)
 
 
-def build_arg_parser(only=None):
-    """The argument parser; with `only`, just that command's subparser.
-
-    Each subparser is built the same either way, so a command's own
-    usage, help and errors read the same; only the top-level usage line
-    lists fewer commands."""
+def build_arg_parser():
+    """The full argument parser, one subparser per command."""
     ap = argparse.ArgumentParser(
         prog="taures",
         description="Exact residue-in-tau pairings for Anderson t-modules")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, func in COMMANDS:
-        if only is None or name == only:
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
 def _parse_args(argv):
-    """Parse on the invoked command's parser alone when that settles the
-    call; anything it leaves over, a missing or unknown command and
-    options before the command go to the full tree, so that every
-    top-level message lists all commands, exactly as before."""
-    if argv and argv[0] in COMMAND_NAMES:
-        args, extra = build_arg_parser(argv[0]).parse_known_args(argv)
-        if not extra:
-            return args
+    """Parse on the invoked command's own parser when that settles the
+    call: it is built like that command's subparser, so its usage, help
+    and errors read the same.  Anything it leaves over, a missing or
+    unknown command and options before the command go to the full tree,
+    so that every top-level message lists all commands."""
+    for name, _, add_arguments, func in COMMANDS:
+        if argv and argv[0] == name:
+            p = argparse.ArgumentParser(prog="taures " + name)
+            add_arguments(p)
+            p.set_defaults(func=func, command=name)
+            args, extra = p.parse_known_args(argv[1:])
+            if not extra:
+                return args
     return build_arg_parser().parse_args(argv)
 
 

@@ -31,34 +31,45 @@ from .errors import FieldError
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the bases 2..37, deterministic below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
+def _iroot(n, m):
+    """floor(n^(1/m)) by integer Newton steps from above."""
+    y = 1 << -(-n.bit_length() // m)
+    x = y + 1
+    while y < x:
+        x, y = y, ((m - 1) * y + n // y ** (m - 1)) // m
+    return x
+
+
 def _factor_prime_power(q):
-    """Return (p, m) with q = p^m, or raise."""
+    """Return (p, m) with q = p^m, or raise.  p is the exact m-th root of
+    q for the largest m that has one, so no search runs up to sqrt(q)."""
     if q < 2:
         raise FieldError("q must be a prime power >= 2, got {}".format(q))
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, m)
+        if p ** m == q:
+            if _is_prime(p):
+                return p, m
             break
-    m = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1 or not _is_prime(p):
-        raise FieldError("q = {} is not a prime power".format(q))
-    return p, m
+    raise FieldError("q = {} is not a prime power".format(q))
 
 
 def power(base, n, one):
@@ -561,12 +572,6 @@ class SPoly:
         g = a.monic()
         return g.shift(v) if v > 0 else g
 
-    def evaluate(self, x):
-        acc = self.ring.zero()
-        for e, c in self.terms.items():
-            acc = acc + c * (x ** e)
-        return acc
-
     def subst_power(self, k):
         """Substitute var -> var^k (k >= 1): exponent scaling."""
         return SPoly._trusted(self.ring,
@@ -629,23 +634,39 @@ def render_poly_in_var(terms, var, coeff_str, coeff_is_one):
 
 
 def irreducible_over(field, poly):
-    """Trial-factorization irreducibility over a finite coefficient field:
-    no monic divisor of degree 1..n//2."""
+    """Irreducibility over a finite coefficient field F_Q: no root, then
+    Rabin's test.  With h_k = x^(Q^k) mod f, a monic f of degree n is
+    irreducible iff gcd(h_(n/l) - x, f) = 1 for each prime l | n and
+    h_n = x.  Q-th powers fix F_Q, so h_(k+1) = sum_i h_k[i] x^(iQ) mod f
+    combines the n residues x^(iQ) mod f."""
     n = poly.degree()
     if n <= 0:
         return False
     size = field.q if isinstance(field, Fq) else field.size
     if size ** (n // 2) > 10 ** 5:
         raise FieldError("modulus too large for trial factorization")
-    ring = poly.ring
-    elems = list(field.elements())
-    for deg in range(1, n // 2 + 1):
-        for coeffs in itertools.product(elems, repeat=deg):
-            div = dict(enumerate(coeffs))
-            div[deg] = ring.one()
-            if not poly % SPoly(ring, div):
-                return False
-    return True
+    if n == 1:
+        return True
+    f, one, zero = poly.monic(), field.one(), field.zero()
+    coeffs = [f.coeff(i) for i in range(n)]
+    for a in field.elements():
+        acc = one
+        for c in reversed(coeffs):  # Horner
+            acc = acc * a + c
+        if not acc:
+            return False
+    residues = [SPoly(field, {i * size: one}) % f for i in range(n)]
+    x = h = SPoly.gen(field)
+    for k in range(1, n + 1):
+        terms = {}
+        for e, c in h.terms.items():
+            for i, r in residues[e].terms.items():
+                terms[i] = terms.get(i, zero) + c * r
+        h = SPoly(field, terms)
+        if k < n and n % k == 0 and _is_prime(n // k) \
+                and not coprime(h - x, f):
+            return False
+    return h == x
 
 
 def find_irreducible(field, degree):
@@ -682,7 +703,7 @@ class ExtField:
     def __init__(self, base: Fq, modulus: SPoly, gen_name="w",
                  _irreducible=False):
         # _irreducible: the caller has just proved the modulus irreducible
-        # (find_irreducible), so it is not trial-divided a second time
+        # (find_irreducible), so it is not tested a second time
         self.base = base
         self.gen_name = gen_name
         n = modulus.degree()
@@ -740,6 +761,11 @@ class ExtField:
         n = self.n
         if n == 1:
             return ExtElement(self, (a.coeffs[0] * b.coeffs[0],))
+        if a.in_base():
+            a, b = b, a
+        if b.in_base():  # an F_q scalar scales, with no reduction
+            c = b.coeffs[0]
+            return ExtElement(self, tuple(x * c for x in a.coeffs))
         zero = self.base.zero()
         prod = [zero] * (2 * n - 1)
         for i, ca in enumerate(a.coeffs):
@@ -800,16 +826,24 @@ class ExtElement:
             return self.inverse() ** (-n)
         return power(self, n, self.field.one())
 
+    def in_base(self):
+        """Whether self lies in F_q: no coefficient after the first."""
+        return not any(self.coeffs[1:])
+
     def inverse(self):
         if not self:
             raise FieldError("zero has no inverse")
+        if self.in_base():
+            return self.field.embed(self.coeffs[0].inverse())
         return self ** (self.field.size - 2)
 
     def frobenius(self):
-        """x -> x^q: the twist tau restricted to k."""
-        return self ** self.field.q
+        """x -> x^q: the twist tau restricted to k; it fixes F_q."""
+        return self if self.in_base() else self ** self.field.q
 
     def frobenius_inv(self):
+        if self.in_base():
+            return self
         return self ** (self.field.size // self.field.q)
 
     def is_one(self):

@@ -246,15 +246,6 @@ def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
             TauMatrix(side="comotive", entries=comotive))
 
 
-def _decompose(ext: ExtField, x: ExtElement, basis_inv=None):
-    """Coordinates of x in an F_q-basis of k (power basis when basis_inv
-    is None, else through the inverted change-of-basis matrix)."""
-    if basis_inv is None:
-        return list(x.coeffs)
-    zero = ext.base.zero()
-    return [_dot(list(zip(row, x.coeffs)), zero) for row in basis_inv]
-
-
 def _basis_inverse(ext: ExtField, basis):
     """Invert the n x n change-of-basis matrix over F_q."""
     n = ext.n
@@ -275,6 +266,14 @@ def _basis_inverse(ext: ExtField, basis):
     return [row[n:] for row in aug]
 
 
+def _powers(x: ExtElement, n):
+    """[1, x, .., x^(n-1)]."""
+    out = [x.field.one()]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
 def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
     """The F_q[t]-matrix of the semilinear tau on basis (e_i b_a).
 
@@ -282,30 +281,24 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
     tau(b_a e_i) = twist(b_a) * sum_l M[l][i] e_l, decomposed over F_q.
     The default basis is the power basis, whose coordinates are just the
     coefficient tuple.  F_q is Frobenius-fixed, so twist(sum_i c_i w^i) =
-    sum_i c_i twist(w)^i: one Frobenius power of w twists every basis
-    element.
+    sum_i c_i twist(w)^i: the twisted power basis is the powers of one
+    Frobenius power of w, and they twist every other basis too.
     """
     r = tau_matrix.rank
     n = ext.n
     fq = ext.base
+    zero = fq.zero()
+    w = ext.gen()
+    twisted = _powers(w.frobenius() if tau_matrix.side == "motive"
+                      else w.frobenius_inv(), n)
     basis_inv = None
-    if basis is None:
-        basis = [ext.element([fq.one() if i == a else fq.zero()
-                              for i in range(n)]) for a in range(n)]
-    else:
+    if basis is not None:
         if len(basis) != n:
             raise DimensionError("basis of k needs {} elements".format(n))
         basis_inv = _basis_inverse(ext, basis)
-    w = ext.gen()
-    tw_w = w.frobenius() if tau_matrix.side == "motive" \
-        else w.frobenius_inv()
-    powers = [ext.one()]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * tw_w)
-    zero = fq.zero()
-    twisted = [ext.element([_dot([(c, p.coeffs[j])
-                                  for c, p in zip(b.coeffs, powers)], zero)
-                            for j in range(n)]) for b in basis]
+        twisted = [ext.element([_dot([(c, p.coeffs[j]) for c, p in
+                                      zip(b.coeffs, twisted)], zero)
+                                for j in range(n)]) for b in basis]
     size = r * n
     # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
     terms = [[{} for _ in range(size)] for _ in range(size)]
@@ -313,7 +306,10 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
         for a in range(n):
             for l in range(r):
                 for te, c in tau_matrix.entries[l][i].terms.items():
-                    coords = _decompose(ext, twisted[a] * c, basis_inv)
+                    coords = (twisted[a] * c).coeffs
+                    if basis_inv is not None:
+                        coords = [_dot(list(zip(row, coords)), zero)
+                                  for row in basis_inv]
                     for ap, comp in enumerate(coords):
                         if comp:
                             terms[l * n + ap][i * n + a][te] = comp
@@ -361,12 +357,8 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
 
     zero = SPoly(ext, {})
     acc = twisted = tau_matrix.entries
-    # a twist fixes F_q, so a matrix over F_q[t] is its own twist
-    in_fq = all(not any(c.coeffs[1:]) for row in twisted for e in row
-                for c in e.terms.values())
     for _ in range(1, n):
-        if not in_fq:
-            twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
+        twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
         acc = [[_dot([(acc[i][l], twisted[l][j]) for l in range(r)], zero)
                 for j in range(r)] for i in range(r)]
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))
@@ -376,7 +368,7 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     for u_exp, c in enumerate(reversed(coeffs_lead_first)):
         terms = {}
         for te, ec in c.terms.items():
-            if any(ec.coeffs[1:]):
+            if not ec.in_base():
                 raise FieldError(
                     "power-oracle determinant has a coefficient outside "
                     "F_q: {}".format(ec))
@@ -397,19 +389,18 @@ def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
                 d * n, DESK_BOUND))
     fq = ext.base
     size = d * n
-    basis = [ext.element([fq.one() if i == a else fq.zero()
-                          for i in range(n)]) for a in range(n)]
+    twists = {}  # i -> [(w^a)^(q^i) for a < n], as (w^(q^i))^a
     cols = []
     for c in range(d):
         for a in range(n):
-            w_a = basis[a]
             col = [fq.zero()] * size
             for l in range(d):
                 entry = module.phi_t[l, c]
                 val = ext.zero()
                 for i, coeff in sorted(entry.coeffs.items()):
-                    term = ext.embed(coeff.as_fq()) * (w_a ** (ext.q ** i))
-                    val = val + term
+                    if i not in twists:
+                        twists[i] = _powers(ext.gen() ** (ext.q ** i), n)
+                    val = val + ext.embed(coeff.as_fq()) * twists[i][a]
                 for ap in range(n):
                     col[l * n + ap] = col[l * n + ap] + val.coeffs[ap]
             cols.append(col)

@@ -5,6 +5,7 @@ same cases; the operator-evaluation helper gives an implementation-free
 semantics for skew products (compose twisted multiplication maps).
 """
 
+import itertools
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -600,3 +601,20 @@ def fq_str_reference(a):
     rendering in the field generator, prime fields included."""
     return render_poly_in_var({i: c for i, c in enumerate(a.coeffs) if c},
                               a.field.gen_name, str, lambda c: c == 1)
+
+
+def irreducible_reference(field, poly):
+    """Test-only reference for ``fields.irreducible_over``: trial
+    factorization, no monic divisor of degree 1..n//2."""
+    n = poly.degree()
+    if n <= 0:
+        return False
+    ring = poly.ring
+    elems = list(field.elements())
+    for deg in range(1, n // 2 + 1):
+        for coeffs in itertools.product(elems, repeat=deg):
+            div = dict(enumerate(coeffs))
+            div[deg] = ring.one()
+            if not poly % SPoly(ring, div):
+                return False
+    return True

@@ -5,9 +5,11 @@ import contextlib
 import hashlib
 import io
 import sys
+import time
 
 import pytest
 
+from taures import cli
 from taures.cli import COMMANDS, build_arg_parser, main
 from taures.parsing import parse_manifest
 from taures.skewmat import invert_series_matrix
@@ -306,9 +308,24 @@ PARSER_EXITS = [
 ]
 
 
+# for each command: its help, its required arguments missing, an unknown
+# option after a complete call
+COMMAND_EXITS = [argv for name, *_ in COMMANDS for argv in (
+    [name, "-h"], [name],
+    [name, "carlitz" if name == "examples" else "m.man", "--bogus"])]
+
+
 class TestArgumentText:
     """`main` parses on the invoked command's parser alone; what it prints
     must stay what the full tree prints."""
+
+    @pytest.mark.parametrize("argv", COMMAND_EXITS,
+                             ids=[" ".join(a) for a in COMMAND_EXITS])
+    def test_each_command_matches_full_tree(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = outcome(lambda a: build_arg_parser().parse_args(a), argv)
+        assert isinstance(full[2], int), "the full tree must exit here"
+        assert outcome(cli._parse_args, argv) == full
 
     @pytest.mark.parametrize("argv", PARSER_EXITS,
                              ids=[" ".join(a) or "<none>"
@@ -349,8 +366,8 @@ class TestArgumentText:
                             counted_add)
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         assert main(["gram", path]) == 0
-        assert counts["parsers"] <= 2
-        assert counts["arguments"] <= 5
+        assert counts["parsers"] == 1
+        assert counts["arguments"] <= 4
         counts.update(parsers=0, arguments=0)
         build_arg_parser()
         assert counts == {"parsers": 8, "arguments": 36}
@@ -359,6 +376,15 @@ class TestArgumentText:
         monkeypatch.setattr(sys, "argv", ["taures", "examples", "carlitz"])
         assert main() == 0
         assert capsys.readouterr().out == CARLITZ_Q2
+
+    def test_example_with_large_prime_q_is_fast(self, capsys):
+        # finding p must not search up to sqrt(q)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "examples", "carlitz", "--q",
+                           str(2 ** 61 - 1))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert out.startswith("q: 2305843009213693951\nbase:")
 
     @pytest.mark.parametrize("q", ["-1", "0", "1"])
     def test_example_rejects_q_below_two(self, capsys, q):

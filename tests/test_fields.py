@@ -1,6 +1,7 @@
 """Coefficient-field kernel: F_q arithmetic, sparse polynomials, and the
 level-tagged perfection of F_q(theta)."""
 
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from taures.fields import (ExtField, Fq, PerfElement, PerfField, SPoly,
 from taures.parsing import ext_field_of_degree
 
 from conftest import (fq_str_reference, fq_tables_reference,
-                      gcd_reference, perf_canonical_reference,
+                      gcd_reference, irreducible_reference,
+                      perf_canonical_reference,
                       perf_op_reference, perf_str_reference,
                       q_power_iter_reference, rand_fq, rand_perf,
                       rand_perf_nonzero, spoly_mul_reference)
@@ -508,7 +510,7 @@ class TestExtField:
     def test_degree_search_checks_each_candidate_once(self, fq2, fq3,
                                                       monkeypatch):
         # find_irreducible proves its result irreducible, so the field it
-        # builds does not trial-divide the modulus again
+        # builds does not test the modulus again
         checked = []
         original = fields.irreducible_over
 
@@ -529,3 +531,93 @@ class TestExtField:
         ext = ExtField(fq3, find_irreducible(fq3, 3))
         for c in fq3.elements():
             assert ext.embed(c).frobenius() == ext.embed(c)
+
+
+def monic_polys(field, degree):
+    """Every monic polynomial of the degree, constant term varying
+    fastest: the order ``find_irreducible`` searches in."""
+    elems = list(field.elements())
+    for tail in itertools.product(elems, repeat=degree):
+        terms = dict(enumerate(reversed(tail)))
+        terms[degree] = field.one()
+        yield SPoly(field, terms)
+
+
+class TestIrreducible:
+    @pytest.mark.parametrize("q,top", [(2, 6), (3, 6), (4, 4), (5, 4),
+                                       (9, 3)])
+    def test_agrees_with_trial_division(self, q, top):
+        field = field_of(q)
+        for n in range(1, top + 1):
+            for poly in monic_polys(field, n):
+                assert irreducible_over(field, poly) == \
+                    irreducible_reference(field, poly), poly
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_search_returns_first_irreducible(self, q):
+        field = field_of(q)
+        n = 1
+        while q ** n <= 10 ** 4:
+            first = next(p for p in monic_polys(field, n)
+                         if irreducible_reference(field, p))
+            assert find_irreducible(field, n) == first
+            n += 1
+
+    def test_factor_prime_power_matches_trial_division(self):
+        for q in range(2, 3000):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            m = 0
+            while q % p ** (m + 1) == 0:
+                m += 1
+            if p ** m == q:
+                assert fields._factor_prime_power(q) == (p, m)
+            else:
+                with pytest.raises(FieldError, match="not a prime power"):
+                    fields._factor_prime_power(q)
+
+    def test_factor_prime_power_of_large_q(self):
+        assert fields._factor_prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+        assert fields._factor_prime_power(3 ** 40) == (3, 40)
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        for q in (2 ** 61 + 1, 6 ** 20, 3215031751):
+            with pytest.raises(FieldError, match="not a prime power"):
+                fields._factor_prime_power(q)
+
+
+def schoolbook(a, b):
+    """Test-only reference for ``ExtField._mul``: the product of the two
+    coefficient polynomials, reduced mod the extension modulus."""
+    ext = a.field
+    prod = SPoly(ext.base, dict(enumerate(a.coeffs))) * \
+        SPoly(ext.base, dict(enumerate(b.coeffs)))
+    rem = prod % ext.modulus
+    return ext.element([rem.coeff(i) for i in range(ext.n)])
+
+
+class TestExtFieldScalars:
+    """Elements of F_q inside k take O(1)/O(n) shortcuts; each must agree
+    with the generic route."""
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_inverse_and_frobenius_of_fq(self, q, n):
+        base = field_of(q)
+        ext = ExtField(base, find_irreducible(base, n))
+        for c in base.elements():
+            x = ext.embed(c)
+            assert x.frobenius() == x ** q
+            assert x.frobenius_inv() == x ** (ext.size // q)
+            if c:
+                assert x.inverse() == x ** (ext.size - 2)
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 3)])
+    def test_scalar_product_matches_schoolbook(self, q, n):
+        rng = random.Random(q * 10 + n)
+        base = field_of(q)
+        ext = ExtField(base, find_irreducible(base, n))
+        for _ in range(60):
+            a = ext.element([rand_fq(rng, base) for _ in range(n)])
+            c = ext.embed(rand_fq(rng, base))
+            assert a * c == schoolbook(a, c)
+            assert c * a == schoolbook(c, a)
+            b = ext.element([rand_fq(rng, base) for _ in range(n)])
+            assert a * b == schoolbook(a, b)

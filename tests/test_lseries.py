@@ -10,7 +10,8 @@ from taures.errors import DimensionError, FieldError
 from taures.fields import ExtField, Fq, PerfField, SPoly, find_irreducible
 from taures.lseries import (BivariatePoly, TauMatrix, brute_force_fitting,
                             charpoly, drinfeld_tau_matrices, fitting_ideal,
-                            fitting_ideal_power_oracle, poly_unit_equiv)
+                            fitting_ideal_power_oracle, poly_unit_equiv,
+                            restrict_tau)
 
 from conftest import (charpoly_reference, degree_T, power_oracle_reference,
                       rand_fq)
@@ -218,6 +219,31 @@ class TestTauMatrices:
         E = carlitz(pf3, pf3.theta())
         with pytest.raises(FieldError):
             drinfeld_tau_matrices(E, ext_of(pf3.fq, 1))
+
+
+class TestRestrictTau:
+    @pytest.mark.parametrize("q,modulus", [(2, None), (3, None),
+                                           (4, [1, 1, 1]), (5, None)])
+    def test_power_basis_matches_explicit_basis(self, q, modulus):
+        # the default basis skips the change of basis; handing the same
+        # power basis in explicitly goes through _basis_inverse
+        rng = random.Random(q)
+        fq = Fq(q, modulus)
+        pf = PerfField(fq)
+        units = [c for c in fq.elements() if c]
+        for n in range(1, 7):
+            ext = ext_of(fq, n)
+            E = drinfeld(pf, pf.from_fq(rng.choice(units)),
+                         [pf.from_fq(rng.choice(units)) for _ in range(2)])
+            for tau in drinfeld_tau_matrices(E, ext):
+                scaled = TauMatrix(side=tau.side, entries=[
+                    [e.scale(ext.element([rand_fq(rng, fq)
+                                          for _ in range(n)]))
+                     for e in row] for row in tau.entries])
+                for tm in (tau, scaled):
+                    basis = [ext.gen() ** a for a in range(n)]
+                    assert restrict_tau(tm, ext) == \
+                        restrict_tau(tm, ext, basis=basis)
 
 
 class TestFittingIdeal:
