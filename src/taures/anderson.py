@@ -18,6 +18,7 @@ from typing import Optional
 
 from .errors import ConvergenceError, DimensionError, FieldError
 from .fields import Fq, PerfElement, PerfField, SPoly
+from .linalg import nilpotency_index
 from .skew import SkewLaurent
 from .skewmat import SkewMatrix, invert_series_matrix, mat_mul, sigma_order
 
@@ -110,7 +111,6 @@ class AndersonModule:
     phi_t: SkewMatrix
     motive_basis: list
     comotive_basis: list
-    rank_hint: Optional[int] = None
     name: str = ""
 
     @property
@@ -169,35 +169,13 @@ def validate(module: AndersonModule) -> ValidationReport:
         n0 = [[module.phi_t[i, j].coeff(0) -
                (module.theta if i == j else pf.zero())
                for j in range(d)] for i in range(d)]
-        power = n0
-        for _ in range(d - 1):
-            power = _const_mat_mul(pf, power, n0)
-        nilpotent = all(not power[i][j] for i in range(d) for j in range(d))
+        nilpotent = nilpotency_index(n0, pf.zero(), d) is not None
     checks.append(("Lie(t) - theta is nilpotent", nilpotent))
     if not nilpotent and failure is None:
         failure = "constant term of phi(t) minus theta*I is not nilpotent"
 
     return ValidationReport(ok=failure is None, failure=failure,
                             checks=checks)
-
-
-def _const_mat_mul(pf, a, b):
-    """a * b for square matrices over R^perf; only products of two nonzero
-    entries are formed, each summed into its row's dict."""
-    n = len(a)
-    zero = pf.zero()
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for a_row in a:
-        acc = {}
-        for k, x in enumerate(a_row):
-            if x:
-                for j, y in b_rows[k]:
-                    p = x * y
-                    s = acc.get(j)
-                    acc[j] = s + p if s is not None else p
-        out.append([acc.get(j, zero) for j in range(n)])
-    return out
 
 
 def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:
@@ -257,13 +235,9 @@ def find_k1(module: AndersonModule, cap=64):
     inv = invert_series_matrix(module.phi_t, 3)
     if inv.max_deg_tau() <= 0:
         c0 = [[e.coeff(0) for e in row] for row in inv.entries]
-        limit = min(cap, module.dim)
-        power = c0
-        for k in range(1, limit + 1):
-            if not any(c for row in power for c in row):
-                return k
-            if k < limit:
-                power = _const_mat_mul(module.pf, power, c0)
+        k1 = nilpotency_index(c0, module.pf.zero(), min(cap, module.dim))
+        if k1 is not None:
+            return k1
     else:
         acc = inv
         for k in range(1, cap + 1):
@@ -309,7 +283,7 @@ def drinfeld(pf: PerfField, theta: PerfElement, g, field: Fq = None,
                                  SkewLaurent.one(pf)]]) for j in range(r)]
     return AndersonModule(field=fq, pf=pf, theta=theta, dim=1, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
-                          rank_hint=r, name=name)
+                          name=name)
 
 
 def carlitz(pf: PerfField, theta: PerfElement, field: Fq = None):
@@ -339,7 +313,7 @@ def carlitz_tensor(pf: PerfField, theta: PerfElement, d,
                                 for i in range(d)])]
     return AndersonModule(field=fq, pf=pf, theta=theta, dim=d, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
-                          rank_hint=1, name="carlitz-tensor-{}".format(d))
+                          name="carlitz-tensor-{}".format(d))
 
 
 def maurischat(pf: PerfField, theta: PerfElement,
@@ -370,4 +344,4 @@ def maurischat(pf: PerfField, theta: PerfElement,
     ]
     return AndersonModule(field=fq, pf=pf, theta=theta, dim=2, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
-                          rank_hint=3, name="maurischat")
+                          name="maurischat")

@@ -638,15 +638,15 @@ def irreducible_over(field, poly):
     Rabin's test.  With h_k = x^(Q^k) mod f, a monic f of degree n is
     irreducible iff gcd(h_(n/l) - x, f) = 1 for each prime l | n and
     h_n = x.  Q-th powers fix F_Q, so h_(k+1) = sum_i h_k[i] x^(iQ) mod f
-    combines the n residues x^(iQ) mod f."""
+    combines the n residues x^(iQ) mod f.  The root test and those
+    residues cost about Q*n^3 field operations, which is capped."""
     n = poly.degree()
-    if n <= 0:
-        return False
+    if n <= 1:
+        return n == 1
     size = field.q if isinstance(field, Fq) else field.size
-    if size ** (n // 2) > 10 ** 5:
-        raise FieldError("modulus too large for trial factorization")
-    if n == 1:
-        return True
+    if size * n ** 3 > 3 * 10 ** 6:
+        raise FieldError("modulus of degree {} over F_{} is too large for "
+                         "Rabin's test (Q*n^3 > 3*10^6)".format(n, size))
     f, one, zero = poly.monic(), field.one(), field.zero()
     coeffs = [f.coeff(i) for i in range(n)]
     for a in field.elements():

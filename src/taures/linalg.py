@@ -1,0 +1,135 @@
+"""Matrices over commutative rings, stored as lists of rows: the one
+product, nilpotency test, characteristic polynomial, determinant and
+inverse of taures.  The rings are R^perf and R^perf[t] (the pairing),
+F_q, F_q[t] and k[t] (the L-series).  Every routine skips zero entries,
+since the matrices met here are sparse.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from operator import add
+
+from .errors import DimensionError, FieldError
+from .fields import SPoly
+
+
+def dot(pairs, zero):
+    """sum of a * b over the (a, b) in the list pairs; ``zero`` when it is
+    empty.  SPoly products are summed into one term dict."""
+    if not pairs:
+        return zero
+    if isinstance(zero, SPoly):
+        return SPoly.sum_of_products(zero.ring,
+                                     [(a, 1, b, 1) for a, b in pairs])
+    return reduce(add, (a * b for a, b in pairs))
+
+
+def mat_mul(a, b, zero):
+    """a * b; only products of two nonzero entries are formed."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for a_row in a:
+        pairs = [[] for _ in b[0]]
+        for k, x in enumerate(a_row):
+            if x:
+                for j, y in b_rows[k]:
+                    pairs[j].append((x, y))
+        out.append([dot(p, zero) for p in pairs])
+    return out
+
+
+def nilpotency_index(a, zero, limit):
+    """The least k <= limit with a^k = 0, or None if a^limit != 0; the
+    powers are formed only up to the first zero one."""
+    power = a
+    for k in range(1, limit + 1):
+        if not any(c for row in power for c in row):
+            return k
+        if k < limit:
+            power = mat_mul(power, a, zero)
+    return None
+
+
+def charpoly(rows, one):
+    """Berkowitz characteristic polynomial det(lambda*I - A), division
+    free over any commutative ring whose unit is ``one``; returns
+    coefficients leading-first.
+
+    Step i works with the leading i x i block, the same for all its
+    matrix-vector products, so the nonzero entries of each block column
+    are collected once, and a product pairs them with the nonzero vector
+    entries only."""
+    n = len(rows)
+    if n == 0:
+        raise DimensionError("empty matrix")
+    zero = one - one
+    poly = [one, -rows[0][0]]
+    # cols[c]: the nonzero (row, entry) of column c of the leading block
+    cols = []
+    for i in range(1, n):
+        for c in range(i - 1):
+            if rows[i - 1][c]:
+                cols[c].append((i - 1, rows[i - 1][c]))
+        cols.append([(r, rows[r][i - 1]) for r in range(i)
+                     if rows[r][i - 1]])
+        a = rows[i][i]
+        row = [(c, e) for c, e in enumerate(rows[i][:i]) if e]
+        # s_j = row * (leading block)^j * col for j = 0 .. i - 1
+        vec = [rows[r][i] for r in range(i)]
+        svals = [dot([(e, vec[c]) for c, e in row if vec[c]], zero)]
+        for _ in range(i - 1):
+            pairs = [[] for _ in range(i)]
+            for c, v in enumerate(vec):
+                if v:
+                    for r, e in cols[c]:
+                        pairs[r].append((e, v))
+            vec = [dot(p, zero) for p in pairs]
+            svals.append(dot([(e, vec[c]) for c, e in row if vec[c]], zero))
+        conv = [one, -a] + [-s for s in svals]
+        new = []
+        for x in range(i + 2):
+            # new[x] = sum of conv[z] * poly[x - z] over the indices in range
+            zs = range(max(0, x - i), min(x, i + 1) + 1)
+            new.append(dot([(conv[z], poly[x - z]) for z in zs
+                            if conv[z] and poly[x - z]], zero))
+        poly = new
+    return poly
+
+
+def det(a):
+    """Cofactor expansion along the first row, skipping zero entries.
+    The pairing's Grams are small and sparse, and on them it is far
+    faster than ``charpoly`` (README, "Linear algebra")."""
+    n = len(a)
+    if n == 0:
+        raise DimensionError("empty matrix")
+    if n == 1:
+        return a[0][0]
+    acc = a[0][0] - a[0][0]
+    for j, x in enumerate(a[0]):
+        if x:
+            term = x * det([row[:j] + row[j + 1:] for row in a[1:]])
+            acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def inverse(a, one):
+    """a^-1 over a field, by Gauss-Jordan elimination; FieldError if a
+    is singular."""
+    n = len(a)
+    zero = one - one
+    aug = [row[:] + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise FieldError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

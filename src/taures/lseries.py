@@ -17,13 +17,12 @@ must reproduce up to a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule
 from .fields import (ExtElement, ExtField, Fq, FqElement, SPoly,
                      needs_parens)
+from .linalg import charpoly, dot, inverse, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
 
@@ -113,63 +112,6 @@ class BivariatePoly:
         return "BivariatePoly({})".format(self)
 
 
-def charpoly(rows, one):
-    """Berkowitz characteristic polynomial det(lambda*I - A), division
-    free over any commutative ring whose unit is ``one``; returns
-    coefficients leading-first.
-
-    Step i works with the leading i x i block, the same for all its
-    matrix-vector products, so the nonzero entries of each block column
-    are collected once, and a product pairs them with the nonzero vector
-    entries only."""
-    n = len(rows)
-    if n == 0:
-        raise DimensionError("empty matrix")
-    zero = one - one
-    poly = [one, -rows[0][0]]
-    # cols[c]: the nonzero (row, entry) of column c of the leading block
-    cols = []
-    for i in range(1, n):
-        for c in range(i - 1):
-            if rows[i - 1][c]:
-                cols[c].append((i - 1, rows[i - 1][c]))
-        cols.append([(r, rows[r][i - 1]) for r in range(i)
-                     if rows[r][i - 1]])
-        a = rows[i][i]
-        row = [(c, e) for c, e in enumerate(rows[i][:i]) if e]
-        # s_j = row * (leading block)^j * col for j = 0 .. i - 1
-        vec = [rows[r][i] for r in range(i)]
-        svals = [_dot([(e, vec[c]) for c, e in row if vec[c]], zero)]
-        for _ in range(i - 1):
-            pairs = [[] for _ in range(i)]
-            for c, v in enumerate(vec):
-                if v:
-                    for r, e in cols[c]:
-                        pairs[r].append((e, v))
-            vec = [_dot(p, zero) for p in pairs]
-            svals.append(_dot([(e, vec[c]) for c, e in row if vec[c]], zero))
-        conv = [one, -a] + [-s for s in svals]
-        new = []
-        for x in range(i + 2):
-            # new[x] = sum of conv[z] * poly[x - z] over the indices in range
-            zs = range(max(0, x - i), min(x, i + 1) + 1)
-            new.append(_dot([(conv[z], poly[x - z]) for z in zs
-                             if conv[z] and poly[x - z]], zero))
-        poly = new
-    return poly
-
-
-def _dot(pairs, zero):
-    """sum of a * b over the (a, b) in the list pairs; ``zero`` when it is
-    empty.  SPoly products are summed into one term dict."""
-    if not pairs:
-        return zero
-    if isinstance(zero, SPoly):
-        return SPoly.sum_of_products(zero.ring,
-                                     [(a, 1, b, 1) for a, b in pairs])
-    return reduce(add, (a * b for a, b in pairs))
-
-
 def _extract_drinfeld_g(module: AndersonModule):
     """Left coefficients (g_1..g_r) of a 1x1 phi(t), as F_q constants."""
     if module.dim != 1:
@@ -199,71 +141,30 @@ def _require_finite(module: AndersonModule):
 
 
 def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
-    """The companion-shape matrices of tau on the standard bases
-    (1, tau, .., tau^(r-1)) of a Drinfeld module, over k[t].
+    """The companion-shape matrix of tau on the standard bases
+    (1, tau, .., tau^(r-1)) of a Drinfeld module, over k[t], from
+    tau * tau^(r-1) = g_r^-1 ((t - theta) - g_1 tau - ..).
 
-    Motive: tau * tau^(r-1) = g_r^-1 ((t - theta) - g_1 tau - ..).
-    Comotive: the same rewriting with each left coefficient g_i resolved
-    through the scalar action, contributing q^(-i) root twists.
+    One matrix serves both sides.  On the comotive, resolving each left
+    coefficient g_i through the scalar action twists it by q^(-i); but a
+    finite base keeps every g_i in F_q, which Frobenius fixes, so the
+    twists are the identity.  The side markers still tell
+    ``restrict_tau`` and the power oracle which way scalars twist.
     """
     _require_finite(module)
-    g = _extract_drinfeld_g(module)
+    g = [ext.embed(c.as_fq()) for c in _extract_drinfeld_g(module)]
     r = len(g)
-    theta = module.theta.as_fq()
-    gk = [ext.embed(c.as_fq()) for c in g]
-    th_k = ext.embed(theta)
-
-    def unit_col(i):
-        col = [SPoly(ext, {}) for _ in range(r)]
-        col[i] = SPoly.const(ext, ext.one())
-        return col
-
-    t_minus_theta = SPoly(ext, {1: ext.one(), 0: -th_k})
-
-    motive_cols = [unit_col(i + 1) for i in range(r - 1)]
-    g_r_inv = gk[-1].inverse()
-    last = [t_minus_theta.scale(g_r_inv)]
-    for s in range(1, r):
-        last.append(SPoly.const(ext, -(g_r_inv * gk[s - 1])))
-    motive_cols.append(last)
-    motive = [[motive_cols[j][i] for j in range(r)] for i in range(r)]
-
-    comotive_cols = [unit_col(j + 1) for j in range(r - 1)]
-    g_r_root = gk[-1]
-    for _ in range(r):
-        g_r_root = g_r_root.frobenius_inv()
-    lead_inv = g_r_root.inverse()
-    last = [t_minus_theta.scale(lead_inv)]
-    for s in range(1, r):
-        gs = gk[s - 1]
-        for _ in range(s):
-            gs = gs.frobenius_inv()
-        last.append(SPoly.const(ext, -(lead_inv * gs)))
-    comotive_cols.append(last)
-    comotive = [[comotive_cols[j][i] for j in range(r)] for i in range(r)]
-
-    return (TauMatrix(side="motive", entries=motive),
-            TauMatrix(side="comotive", entries=comotive))
-
-
-def _basis_inverse(ext: ExtField, basis):
-    """Invert the n x n change-of-basis matrix over F_q."""
-    n = ext.n
-    a = [[basis[j].coeffs[i] for j in range(n)] for i in range(n)]
-    aug = [row[:] + [ext.base.one() if i == j else ext.base.zero()
-                     for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise FieldError("basis of k over F_q is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    g_r_inv = g[-1].inverse()
+    t_minus_theta = SPoly(ext, {1: ext.one(),
+                                0: -ext.embed(module.theta.as_fq())})
+    last = [t_minus_theta.scale(g_r_inv)] + [
+        SPoly.const(ext, -(g_r_inv * gs)) for gs in g[:-1]]
+    zero, one = SPoly(ext, {}), SPoly.const(ext, ext.one())
+    # column j < r - 1 is the unit vector e_(j+1), the last one is tau^r
+    entries = [[last[i] if j == r - 1 else one if i == j + 1 else zero
+                for j in range(r)] for i in range(r)]
+    return (TauMatrix(side="motive", entries=entries),
+            TauMatrix(side="comotive", entries=entries))
 
 
 def _powers(x: ExtElement, n):
@@ -295,10 +196,10 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
     if basis is not None:
         if len(basis) != n:
             raise DimensionError("basis of k needs {} elements".format(n))
-        basis_inv = _basis_inverse(ext, basis)
-        twisted = [ext.element([_dot([(c, p.coeffs[j]) for c, p in
-                                      zip(b.coeffs, twisted)], zero)
-                                for j in range(n)]) for b in basis]
+        rows = [b.coeffs for b in basis]
+        basis_inv = inverse([list(col) for col in zip(*rows)], fq.one())
+        twisted = [ext.element(row) for row in
+                   mat_mul(rows, [p.coeffs for p in twisted], zero)]
     size = r * n
     # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
     terms = [[{} for _ in range(size)] for _ in range(size)]
@@ -308,7 +209,7 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
                 for te, c in tau_matrix.entries[l][i].terms.items():
                     coords = (twisted[a] * c).coeffs
                     if basis_inv is not None:
-                        coords = [_dot(list(zip(row, coords)), zero)
+                        coords = [dot(list(zip(row, coords)), zero)
                                   for row in basis_inv]
                     for ap, comp in enumerate(coords):
                         if comp:
@@ -323,8 +224,7 @@ def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
     if side not in ("motive", "comotive"):
         raise FieldError("side must be motive or comotive")
     if tau_matrix is None:
-        mot, com = drinfeld_tau_matrices(module, ext)
-        tau_matrix = mot if side == "motive" else com
+        tau_matrix = drinfeld_tau_matrices(module, ext)[side != "motive"]
     elif tau_matrix.side != side:
         raise FieldError("tau_matrix side marker is {}".format(
             tau_matrix.side))
@@ -341,8 +241,7 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     """Independent route: det over k[t] of (T^d - tau^d), where d = [k:F_q]
     makes tau^d k[t]-linear; the result must have F_q coefficients."""
     if tau_matrix is None:
-        mot, com = drinfeld_tau_matrices(module, ext)
-        tau_matrix = mot if side == "motive" else com
+        tau_matrix = drinfeld_tau_matrices(module, ext)[side != "motive"]
     r = tau_matrix.rank
     n = ext.n
     # matrix of tau^n: M * M^(tw) * .. * M^(tw^(n-1)), tw = coefficient
@@ -359,8 +258,7 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     acc = twisted = tau_matrix.entries
     for _ in range(1, n):
         twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
-        acc = [[_dot([(acc[i][l], twisted[l][j]) for l in range(r)], zero)
-                for j in range(r)] for i in range(r)]
+        acc = mat_mul(acc, twisted, zero)
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))
     # polynomial in U = T^n with k[t] coefficients; must descend to F_q
     fq = ext.base

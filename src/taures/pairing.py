@@ -20,6 +20,7 @@ from .errors import DimensionError, FieldError, PrecisionError
 from .anderson import (AndersonModule, Differential, find_k1,
                        termination_bound, twist, validate)
 from .fields import SPoly
+from .linalg import det
 from .skew import SkewLaurent
 from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
 
@@ -218,8 +219,7 @@ class PerfectnessResult:
 def check_perfectness(g: GramMatrix) -> PerfectnessResult:
     """The pairing restricted to the declared spans is perfect iff the
     Gram determinant is a unit of R^perf[t], i.e. a nonzero t-constant."""
-    mat = g.poly_matrix()
-    d = det_poly_matrix(mat)
+    d = det(g.poly_matrix())
     ok = bool(d) and d.degree() <= 0
     return PerfectnessResult(status="perfect" if ok else "not-certified",
                              det=d)
@@ -231,68 +231,23 @@ def certificate_line(g: GramMatrix, cert: PerfectnessResult) -> str:
         g.k_cutoff, g.b_level, cert.det, "yes" if cert else "no")
 
 
-def det_poly_matrix(mat):
-    """Cofactor-expansion determinant over the commutative ring R^perf[t];
-    ranks here are desk-scale."""
-    n = len(mat)
-    if n == 0:
-        raise DimensionError("empty matrix")
-    pf = mat[0][0].ring
-    if n == 1:
-        return mat[0][0]
-    acc = SPoly(pf, {})
-    for j in range(n):
-        entry = mat[0][j]
-        if not entry:
-            continue
-        minor = [[mat[i][jj] for jj in range(n) if jj != j]
-                 for i in range(1, n)]
-        term = entry * det_poly_matrix(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def adjugate_poly_matrix(mat):
-    n = len(mat)
-    pf = mat[0][0].ring
-    if n == 1:
-        return [[SPoly.const(pf, pf.one())]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = det_poly_matrix(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
-
-
 def pairing_inverse(g: GramMatrix, eta):
     """Solve G b = eta for the comotive coordinates b over R^perf[t].
 
-    Requires the Gram certificate; the determinant is then a unit constant
-    and the adjugate gives the exact inverse."""
+    Requires the Gram certificate; the determinant is then a unit
+    constant, and Cramer's rule gives b_i = det(G_i) / det(G), where G_i
+    is G with column i replaced by eta."""
     cert = check_perfectness(g)
     if not cert:
         raise FieldError("gram matrix is not certified perfect")
     r = g.rank
     if len(eta) != r:
         raise DimensionError("eta must have length {}".format(r))
+    eta = [e.poly if isinstance(e, Differential) else e for e in eta]
+    inv_det = cert.det.ring.one() / cert.det.coeff(0)
     mat = g.poly_matrix()
-    adj = adjugate_poly_matrix(mat)
-    det_c = cert.det.coeff(0)
-    pf = cert.det.ring
-    inv_det = pf.one() / det_c
-    out = []
-    for i in range(r):
-        acc = SPoly(pf, {})
-        for j in range(r):
-            eta_j = eta[j].poly if isinstance(eta[j], Differential) else eta[j]
-            acc = acc + adj[i][j] * eta_j
-        out.append(acc.scale(inv_det))
-    return out
+    return [det([row[:i] + [e] + row[i + 1:] for row, e in zip(mat, eta)])
+            .scale(inv_det) for i in range(r)]
 
 
 def measure_b(g: GramMatrix) -> int:

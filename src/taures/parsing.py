@@ -475,8 +475,7 @@ def _build(man: Manifest, locations):
     man.module = AndersonModule(
         field=fq, pf=pf, theta=theta, dim=man.dim,
         phi_t=SkewMatrix(pf, phi_entries),
-        motive_basis=motive, comotive_basis=comotive,
-        rank_hint=man.rank)
+        motive_basis=motive, comotive_basis=comotive)
 
 
 def manifest_ext_field(man: Manifest) -> Optional[ExtField]:

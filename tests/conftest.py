@@ -618,3 +618,29 @@ def irreducible_reference(field, poly):
             if not poly % SPoly(ring, div):
                 return False
     return True
+
+
+def det_reference(rows, zero):
+    """Test-only reference for ``linalg.det``: the Leibniz sum over every
+    permutation, zero entries included."""
+    n = len(rows)
+    acc = zero
+    for perm in itertools.permutations(range(n)):
+        term = reduce(mul, (rows[i][perm[i]] for i in range(n)))
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def nilpotency_index_reference(a, limit):
+    """Test-only reference for ``linalg.nilpotency_index``: the powers
+    a^1 .. a^limit as dense products, zeros included."""
+    n = len(a)
+    power = a
+    for k in range(1, limit + 1):
+        if all(not c for row in power for c in row):
+            return k
+        power = [[reduce(add, (power[i][l] * a[l][j] for l in range(n)))
+                  for j in range(n)] for i in range(n)]
+    return None

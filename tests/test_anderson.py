@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from taures import anderson, skewmat
+from taures import anderson, linalg, skewmat
 from taures.errors import ConvergenceError, FieldError
 from taures.fields import Fq, PerfField, SPoly
 from taures.parsing import parse_manifest
@@ -211,11 +211,11 @@ class TestFindK1:
         assert validate(E).ok
         products = []
 
-        def counted(*args, _mul=anderson._const_mat_mul):
+        def counted(*args, _mul=linalg.mat_mul):
             products.append(1)
             return _mul(*args)
 
-        monkeypatch.setattr(anderson, "_const_mat_mul", counted)
+        monkeypatch.setattr(linalg, "mat_mul", counted)
         with pytest.raises(ConvergenceError, match="within cap 64$"):
             find_k1(E)
         assert len(products) == E.dim - 1
@@ -255,7 +255,7 @@ class TestConstMatMul:
                 dense = [[sum((a[i][k] * b[k][j] for k in range(n)),
                               pf.zero()) for j in range(n)]
                          for i in range(n)]
-                assert anderson._const_mat_mul(pf, a, b) == dense
+                assert linalg.mat_mul(a, b, pf.zero()) == dense
 
 
 class TestPositiveDegreeInverse:

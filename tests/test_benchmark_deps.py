@@ -47,6 +47,23 @@ def test_tracer_installs_and_uninstalls_clean():
     assert snap["lseries.charpoly.calls"] == 1
 
 
+def test_tracer_sees_charpoly_inside_fitting_ideal():
+    # the tracer replaces lseries.charpoly by name, so fitting_ideal must
+    # call it through that name for the per-layer table to count it
+    pf = fields.PerfField(fields.Fq(3))
+    fq = pf.fq
+    ext = fields.ExtField(fq, fields.SPoly(fq, {1: fq.one()}))
+    module = carlitz(pf, pf.from_int(1))
+    t = tracer.Tracer().install()
+    try:
+        lseries.fitting_ideal(module, ext, "motive")
+    finally:
+        t.uninstall()
+    snap = t.snapshot()
+    assert snap["lseries.fitting_ideal.calls"] == 1
+    assert snap["lseries.charpoly.calls"] == 1
+
+
 def test_drinfeld_gram_oracle_accepts_cli_output(capsys, tmp_path):
     code, text = run(capsys, "examples", "drinfeld", "--q", "3", "--r", "3",
                      "--seed", "7")

@@ -3,6 +3,7 @@ level-tagged perfection of F_q(theta)."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -74,10 +75,32 @@ class TestFq:
             accepted += 1
         assert accepted == gauss
 
-    def test_trial_factorization_cap(self):
-        # 2^17 candidate divisors of degree 17 exceed the 10^5 cap
-        with pytest.raises(FieldError, match="too large for trial"):
-            Fq(2 ** 34, [1, 1] + [0] * 32 + [1])
+    def test_rabin_cost_cap(self):
+        # Rabin's test costs about Q*n^3 field operations, capped at
+        # 3*10^6: 2*114^3 is under it and 2*115^3 over it, and so is
+        # 111119*3^3, a prime Q the old cap Q^(n//2) <= 10^5 refused too
+        f2 = Fq(2)
+        assert irreducible_over(f2, SPoly(f2, {114: f2.one(),
+                                               0: f2.one()})) is False
+        with pytest.raises(FieldError, match="modulus of degree 115 over "
+                           "F_2 is too large for Rabin's test"):
+            irreducible_over(f2, SPoly(f2, {115: f2.one(), 0: f2.one()}))
+        big = Fq(111119)
+        with pytest.raises(FieldError, match="degree 3 over F_111119 is too "
+                           "large"):
+            irreducible_over(big, SPoly(big, {3: big.one(), 0: big.one()}))
+
+    def test_degree_34_over_f2_builds_fast(self):
+        # the trial-division cap refused both, though Rabin's test takes
+        # milliseconds on them
+        start = time.perf_counter()
+        modulus = find_irreducible(Fq(2), 34)
+        field = Fq(2 ** 34, [int(str(modulus.coeff(i)))
+                             for i in range(35)])
+        assert field.m == 34 and time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        assert str(ext_field_of_degree(Fq(2), 34).modulus) == str(modulus)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_non_monic(self):
         with pytest.raises(FieldError):

@@ -385,20 +385,27 @@ class TestPerfectnessAndInverse:
         assert b == [SPoly.const(pf3, pf3.one())]
 
     def test_pairing_inverse_round_trip(self, pf3):
+        # Cramer's rule on dense and sparse Grams: Maurischat, Drinfeld
+        # r = 3, 4 (zero above the anti-diagonal) and carlitz-tensor d = 3
         rng = random.Random(56)
-        E = maurischat(pf3, pf3.theta())
-        G = gram(E)
-        mat = G.poly_matrix()
-        for _ in range(5):
-            b = [SPoly(pf3, {e: pf3.from_fq(rand_fq(rng, pf3.fq))
-                             for e in range(2)}) for _ in range(3)]
-            eta = []
-            for i in range(3):
-                acc = SPoly(pf3, {})
-                for j in range(3):
-                    acc = acc + mat[i][j] * b[j]
-                eta.append(acc)
-            assert pairing_inverse(G, eta) == b
+        th, one = pf3.theta(), pf3.one()
+        modules = [maurischat(pf3, th), carlitz_tensor(pf3, th, 3)]
+        modules += [drinfeld(pf3, th, [th + one] * (r - 1) + [th])
+                    for r in (3, 4)]
+        for E in modules:
+            G = gram(E)
+            mat = G.poly_matrix()
+            r = G.rank
+            for _ in range(5):
+                b = [SPoly(pf3, {e: pf3.from_fq(rand_fq(rng, pf3.fq))
+                                 for e in range(2)}) for _ in range(r)]
+                eta = []
+                for i in range(r):
+                    acc = SPoly(pf3, {})
+                    for j in range(r):
+                        acc = acc + mat[i][j] * b[j]
+                    eta.append(acc)
+                assert pairing_inverse(G, eta) == b, E.name
 
     def test_not_certified_rejected(self, pf3):
         from taures.pairing import GramMatrix
