@@ -577,9 +577,6 @@ class SPoly:
         return SPoly._trusted(self.ring,
                               {e * k: c for e, c in self.terms.items()})
 
-    def exponents_divisible_by(self, k):
-        return all(e % k == 0 for e in self.terms)
-
     def subst_root(self, k):
         """Substitute var^k -> var; exponents must be divisible by k."""
         return SPoly._trusted(self.ring,
@@ -892,6 +889,26 @@ class PerfField:
         return "PerfField(q={})".format(self.q)
 
 
+def _strip_levels(q, num, den, level):
+    """(num, den, level) at the least level their value allows, in one
+    substitution: q^s divides every exponent just when s <= v_q(g), g
+    the gcd of all exponents of num and den, so s = min(level, v_q(g))
+    levels strip (g = 0, a constant, strips them all)."""
+    if not level:
+        return num, den, level
+    g = gcd_int(*num.terms, *den.terms)
+    s = level
+    if g:
+        s = 0
+        while s < level and g % q == 0:
+            g //= q
+            s += 1
+    if s:
+        k = q ** s
+        num, den = num.subst_root(k), den.subst_root(k)
+    return num, den, level - s
+
+
 class PerfElement:
     """num/den evaluated at theta^(1/q^level), in minimal canonical form.
 
@@ -935,15 +952,7 @@ class PerfElement:
                 inv = lead.inverse()
                 num = num.scale(inv)
                 den = den.scale(inv)
-        q = pf.q
-        while level > 0 and num.exponents_divisible_by(q) \
-                and den.exponents_divisible_by(q):
-            num = num.subst_root(q)
-            den = den.subst_root(q)
-            level -= 1
-        self.num = num
-        self.den = den
-        self.level = level
+        self.num, self.den, self.level = _strip_levels(pf.q, num, den, level)
 
     # --- predicates ---
 
@@ -973,15 +982,10 @@ class PerfElement:
     @classmethod
     def _reduced(cls, pf, num, den, level):
         """Construct from an already-reduced monic-den fraction: only the
-        level minimization scan runs (no gcd)."""
+        level strip runs (no polynomial gcd)."""
         if not num:
             return cls(pf, num, pf._one_poly(), 0, _canonical=True)
-        q = pf.q
-        while level > 0 and num.exponents_divisible_by(q) \
-                and den.exponents_divisible_by(q):
-            num = num.subst_root(q)
-            den = den.subst_root(q)
-            level -= 1
+        num, den, level = _strip_levels(pf.q, num, den, level)
         return cls(pf, num, den, level, _canonical=True)
 
     def _common_level(self, other):

@@ -90,10 +90,6 @@ class SkewLaurent:
         """Max stored exponent; -inf for (known-)zero."""
         return max(self.coeffs) if self.coeffs else NEG_INF
 
-    def order(self):
-        """Min stored exponent; +inf for zero (no stored terms)."""
-        return min(self.coeffs) if self.coeffs else float("inf")
-
     def coeff(self, i) -> PerfElement:
         if self.floor is not None and i < self.floor:
             raise PrecisionError(

@@ -319,6 +319,30 @@ class TestPerfElement:
         assert b == th.q_root()
         assert b.level == 1
 
+    def test_level_strip_undoes_a_lift(self, pf2, pf3, pf4):
+        """An element with its exponents scaled by q^s and its level raised
+        by s, built through ``__init__`` and through ``_reduced``, is the
+        original: equal, with the same hash, level and text.  s runs past
+        the original level, and constants strip every level."""
+        rng = random.Random(31)
+        for pf in (pf2, pf3, pf4):
+            samples = [pf.one(), pf.from_int(pf.fq.p - 1), pf.theta(),
+                       pf.theta() ** pf.q]
+            samples += [rand_perf_nonzero(rng, pf, max_deg=3, max_level=2,
+                                          allow_fraction=True)
+                        for _ in range(60)]
+            for a in samples:
+                for s in range(4):
+                    k = pf.q ** s
+                    num, den = a.num.subst_power(k), a.den.subst_power(k)
+                    for b in (PerfElement(pf, num, den, a.level + s),
+                              PerfElement._reduced(pf, num, den,
+                                                   a.level + s)):
+                        assert b == a
+                        assert hash(b) == hash(a)
+                        assert b.level == a.level
+                        assert str(b) == str(a)
+
     def test_level_zero_subfield_closure(self, pf3):
         rng = random.Random(10)
         for _ in range(100):
