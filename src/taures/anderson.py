@@ -218,6 +218,10 @@ def phi_inverse_power(module: AndersonModule, k, precision) -> SkewMatrix:
     return acc.truncate(-precision)
 
 
+# the sigma-precision find_k1 inverts phi(t) at
+_K1_PRECISION = 3
+
+
 def find_k1(module: AndersonModule, cap=64):
     """Least k1 <= cap with sigma_order(phi(t)^-k1) >= 1.
 
@@ -232,7 +236,7 @@ def find_k1(module: AndersonModule, cap=64):
     exists.  For D > 0 each power is rebuilt by ``phi_inverse_power`` at
     precision 1, from an inversion deep enough for it.
     """
-    inv = invert_series_matrix(module.phi_t, 3)
+    inv = invert_series_matrix(module.phi_t, _K1_PRECISION)
     if inv.max_deg_tau() <= 0:
         c0 = [[e.coeff(0) for e in row] for row in inv.entries]
         k1 = nilpotency_index(c0, module.pf.zero(), min(cap, module.dim))

@@ -347,20 +347,21 @@ class SPoly:
 
     @classmethod
     def sum_of_products(cls, ring, pairs):
-        """sum of a(x^ka) * b(x^kb) over the (a, ka, b, kb) in pairs, in
-        one term dict: no product or partial sum is built, and a key whose
-        sum cancels is dropped at once (coefficient rings are fields, so
-        no other coefficient vanishes).  A one-term b re-keys a, scaled
-        unless its coefficient is 1, into distinct keys inserted in bulk
-        (the first such copy becomes the dict); only the keys the dict
-        already holds are summed one by one."""
+        """sum of a(x^ka) * b(x^kb) * x^s over the (a, ka, b, kb, s) in
+        pairs, in one term dict: no product, shifted copy or partial sum
+        is built, and a key whose sum cancels is dropped at once
+        (coefficient rings are fields, so no other coefficient vanishes).
+        A one-term b re-keys a, scaled unless its coefficient is 1, into
+        distinct keys inserted in bulk (the first such copy becomes the
+        dict); only the keys the dict already holds are summed one by
+        one."""
         terms = {}
         get = terms.get
-        for a, ka, b, kb in pairs:
+        for a, ka, b, kb, s in pairs:
             b_terms = b.terms.items()
             if len(b_terms) == 1:
                 (e2, c2), = b_terms
-                e2 *= kb
+                e2 = e2 * kb + s
                 if c2.is_one():
                     part = {e1 * ka + e2: c1 for e1, c1 in a.terms.items()}
                 else:
@@ -371,27 +372,27 @@ class SPoly:
                     get = terms.get
                     continue
                 for e in terms.keys() & part.keys():
-                    s = terms.pop(e) + part[e]
-                    if s:
-                        part[e] = s
+                    total = terms.pop(e) + part[e]
+                    if total:
+                        part[e] = total
                     else:
                         del part[e]
                 terms.update(part)
                 continue
-            if kb != 1:
-                b_terms = [(e2 * kb, c2) for e2, c2 in b_terms]
+            if kb != 1 or s:
+                b_terms = [(e2 * kb + s, c2) for e2, c2 in b_terms]
             for e1, c1 in a.terms.items():
                 e1 *= ka
                 for e2, c2 in b_terms:
                     e = e1 + e2
                     c = c1 * c2
-                    s = get(e)
-                    if s is None:
+                    total = get(e)
+                    if total is None:
                         terms[e] = c
                     else:
-                        s = s + c
-                        if s:
-                            terms[e] = s
+                        total = total + c
+                        if total:
+                            terms[e] = total
                         else:
                             del terms[e]
         return cls._trusted(ring, terms)
@@ -442,7 +443,7 @@ class SPoly:
     def __mul__(self, other):
         a, b = (self, other) if len(self.terms) >= len(other.terms) \
             else (other, self)  # a one-term side goes second, as b
-        return SPoly.sum_of_products(self.ring, [(a, 1, b, 1)])
+        return SPoly.sum_of_products(self.ring, [(a, 1, b, 1, 0)])
 
     def __pow__(self, n):
         if n < 0:
@@ -1030,10 +1031,14 @@ class PerfElement:
     def twisted_sum(cls, pf, triples):
         """sum of a^(q^j) * b over the (a, j, b) in triples (not empty).
 
-        Products of unit-denominator factors are summed in one numerator
-        dict at their common level L and reduced once: a^(q^j) is a.num at
-        level a.level - j, so its exponents scale by q^(L - a.level + j),
-        and those of b.num by q^(L - b.level).  Other products are added
+        Products whose two denominators are monomials x^k (a unit is
+        k = 0) are summed in one numerator dict at their common level L
+        and reduced once.  a^(q^j) is a at level a.level - j, so the
+        exponents of a scale by sa = q^(L - a.level + j) and those of b
+        by sb = q^(L - b.level); product t has denominator x^d_t with
+        d_t = ka*sa + kb*sb.  Over x^D, D the largest d_t, its numerator
+        is shifted by D - d_t, and the monomial branch of ``__init__``
+        reduces the sum.  Products with a two-term denominator are added
         by ``+``."""
         if len(triples) == 1 and triples[0][2].is_one():
             a, j, _ = triples[0]
@@ -1043,18 +1048,31 @@ class PerfElement:
         rest = []
         level = 0
         for a, j, b in triples:
-            if a.den.is_one() and b.den.is_one():
+            if len(a.den.terms) == 1 and len(b.den.terms) == 1:
                 fused.append((a, j, b))
                 level = max(level, a.level - j, b.level)
             else:
                 rest.append(a.q_power_iter(j) * b)
         total = None
         if fused:
-            num = SPoly.sum_of_products(
-                pf.fq, [(a.num, q ** (level - a.level + j),
-                         b.num, q ** (level - b.level))
-                        for a, j, b in fused])
-            total = cls._reduced(pf, num, pf._one_poly(), level)
+            pairs = []
+            top = 0
+            for a, j, b in fused:
+                sa = q ** (level - a.level + j)
+                sb = q ** (level - b.level)
+                (ka,), (kb,) = a.den.terms, b.den.terms
+                d = ka * sa + kb * sb
+                if d > top:
+                    top = d
+                pairs.append((a.num, sa, b.num, sb, d))
+            if top:
+                pairs = [(an, sa, bn, sb, top - d)
+                         for an, sa, bn, sb, d in pairs]
+                total = cls(pf, SPoly.sum_of_products(pf.fq, pairs),
+                            SPoly._trusted(pf.fq, {top: pf.fq.one()}), level)
+            else:
+                total = cls._reduced(pf, SPoly.sum_of_products(pf.fq, pairs),
+                                     pf._one_poly(), level)
         for c in rest:
             total = c if total is None else total + c
         return total

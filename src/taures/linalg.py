@@ -21,7 +21,7 @@ def dot(pairs, zero):
         return zero
     if isinstance(zero, SPoly):
         return SPoly.sum_of_products(zero.ring,
-                                     [(a, 1, b, 1) for a, b in pairs])
+                                     [(a, 1, b, 1, 0) for a, b in pairs])
     return reduce(add, (a * b for a, b in pairs))
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldError, PrecisionError
-from .anderson import (AndersonModule, Differential, find_k1,
-                       termination_bound, twist, validate)
+from .anderson import (_K1_PRECISION, AndersonModule, Differential,
+                       find_k1, termination_bound, twist, validate)
 from .fields import SPoly
 from .linalg import det
 from .skew import SkewLaurent
@@ -32,7 +32,16 @@ class PairingContext:
     """Shared data for pairing sums over one module: the convergence
     constant k1, the cut-off for the declared bases, and the cap on the
     sigma-precision of phi(t)^-1, which phi(t) itself keeps inverted to
-    the deepest precision asked of it."""
+    the deepest precision asked of it.
+
+    k1 and the cut-off are certified on first read, so that a pairing
+    whose inverse is deeper than find_k1's asks for it first, and
+    find_k1 and termination_bound read truncations of it (see
+    ``_pair_matrix``).  A context over a phi(t) larger than 1x1 whose
+    bases need no deeper inverse certifies them at construction: such a
+    phi(t)^-1 may have positive tau-degree, and its pairing is then
+    refused on the one inversion it asks for.
+    """
 
     def __init__(self, module: AndersonModule, k_cap=64,
                  precision_cap=PRECISION_CAP):
@@ -40,9 +49,24 @@ class PairingContext:
         if not report.ok:
             raise FieldError("module does not validate: " + report.failure)
         self.module = module
-        self.k1 = find_k1(module, cap=k_cap)
-        self.k_cutoff = termination_bound(module, self.k1)
+        self._k_cap = k_cap
         self.precision_cap = precision_cap
+        self._k1 = self._k_cutoff = None
+        if module.dim > 1 and \
+                2 + sum(module.max_basis_deg()) <= _K1_PRECISION:
+            self._k_cutoff = termination_bound(module, self.k1)
+
+    @property
+    def k1(self):
+        if self._k1 is None:
+            self._k1 = find_k1(self.module, cap=self._k_cap)
+        return self._k1
+
+    @property
+    def k_cutoff(self):
+        if self._k_cutoff is None:
+            self._k_cutoff = termination_bound(self.module, self.k1)
+        return self._k_cutoff
 
     def inverse_at(self, precision):
         if precision > self.precision_cap:
@@ -72,14 +96,13 @@ def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
     _check_morphism(m, 1, d, "motive element")
     _check_morphism(n, d, 1, "comotive element")
 
-    k_cut = max(ctx.k_cutoff,
-                ctx.k1 * (2 + m.deg_or_zero() + n.deg_or_zero())) \
-        + extra_terms
-    return _pair_matrix(ctx, [m], [n], k_cut)[0][0]
+    _, rows = _pair_matrix(ctx, [m], [n], extra_terms)
+    return rows[0][0]
 
 
-def _pair_matrix(ctx, ms, ns, k_cut):
-    """Pair every motive row of ms against every comotive column of ns.
+def _pair_matrix(ctx, ms, ns, extra_terms):
+    """Pair every motive row of ms against every comotive column of ns;
+    returns the cut-off K and the rows of pairings.
 
     With dm, dn the largest tau-degrees over ms and ns, phi(t)^-1 at
     sigma-precision P = 2 + dm + dn (floor -P) certifies every
@@ -89,16 +112,29 @@ def _pair_matrix(ctx, ms, ns, k_cut):
     since floor_acc + D <= -dn and -P + deg(acc) <= -1 - dn.  The final
     product with n then has floor <= -dn + dn = 0, so coeff_0 is exact.
     For D > 0 no such P exists, and PrecisionError names D.
+
+    The cut-off K = max(k_cutoff, k1 * P) + extra_terms reads k1.  When
+    P is above the precision find_k1 inverts at and within the cap, the
+    inverse at P is asked for first, so find_k1 and termination_bound
+    read truncations of it and one elimination serves all three.
+    Otherwise k1 comes first, so its errors still precede the cap's.
     """
     dm = max(m.deg_or_zero() for m in ms)
     dn = max(n.deg_or_zero() for n in ns)
-    inv = ctx.inverse_at(2 + dm + dn)
+    precision = 2 + dm + dn
+    deepest_first = _K1_PRECISION < precision <= ctx.precision_cap
+    if deepest_first:
+        inv = ctx.inverse_at(precision)
+    k_cut = max(ctx.k_cutoff, ctx.k1 * precision) + extra_terms
+    if not deepest_first:
+        inv = ctx.inverse_at(precision)
     deg = inv.max_deg_tau()
     if deg > 0:
         raise PrecisionError(
             "phi(t)^-1 has tau-degree {} > 0; the pairing's truncation is "
             "certified only for tau-degree <= 0".format(deg))
-    return [_pair_row(ctx.module.pf, m, ns, k_cut, inv, -dn) for m in ms]
+    return k_cut, [_pair_row(ctx.module.pf, m, ns, k_cut, inv, -dn)
+                   for m in ms]
 
 
 def _pair_row(pf, m, ns, k_cut, inv, window):
@@ -166,9 +202,8 @@ def gram(module_or_ctx, extra_terms=0) -> GramMatrix:
         _check_morphism(b, 1, d, "motive basis element")
     for b in module.comotive_basis:
         _check_morphism(b, d, 1, "comotive basis element")
-    k_cut = ctx.k_cutoff + extra_terms
-    entries = _pair_matrix(ctx, module.motive_basis, module.comotive_basis,
-                           k_cut)
+    k_cut, entries = _pair_matrix(ctx, module.motive_basis,
+                                  module.comotive_basis, extra_terms)
     b_level = max((e.max_level() for row in entries for e in row), default=0)
     return GramMatrix(entries=entries, k_cutoff=k_cut, b_level=b_level)
 

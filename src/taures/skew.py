@@ -17,9 +17,9 @@ term pairs that land at or above it, and a caller that keeps a narrower
 window passes that window as a higher floor, so no discarded term is
 ever computed.
 
-A product, or a sum of products (a ``mat_mul`` entry), is one
-``sum_of_products``, which sums each kept coefficient once over all its
-term pairs.
+A product, or a sum of products (a ``mat_mul`` entry or an elimination
+row update), is one ``sum_of_products``, which sums each kept coefficient
+once over all its term pairs.
 """
 
 from __future__ import annotations
@@ -250,14 +250,14 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
 
         sum_i a_i^(q^(i-k)) * b_(k-i) = [k = 0],
 
-    which solves for b_(k-d) with one division by a_d^(q^(d-k)) per
-    sigma-order; the b_(k-i) with i < d are already known.  Only the a_i
-    with i > d - precision reach the window, and their twists advance by
-    one Frobenius per step.  The cost is O(precision * terms(f))
-    coefficient operations.  The result carries floor -d - precision + 1
-    and satisfies f*g == 1 == g*f above the floors the product rule
-    reports; an exact monomial has an exact inverse, returned with no
-    floor.
+    so b_-d = 1/lead with lead = a_d^(q^d), and for k < 0 b_(k-d) is the
+    sum over i < d of (-a_i)^(q^(i-k)) * b_(k-i) times (1/lead)^(q^-k):
+    one ``PerfElement.twisted_sum`` over the b_(k-i) already known and one
+    product per sigma-order, with no per-term product or difference and
+    no division.  Only the a_i with i > d - precision reach the window.
+    The result carries floor -d - precision + 1 and satisfies
+    f*g == 1 == g*f above the floors the product rule reports; an exact
+    monomial has an exact inverse, returned with no floor.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -269,25 +269,20 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
-    lead = f.coeffs[d].q_power_iter(d)
+    inv = pf.one() / f.coeffs[d].q_power_iter(d)
+    b = {-d: inv}
     if f.floor is None and len(f.coeffs) == 1:
         # an exact monomial tau^d * a has the exact inverse
         # tau^-d * a^-(q^d): the recurrence leaves every lower b zero
-        return SkewLaurent(pf, {-d: pf.one() / lead})
-    # twisted[i] = a_i^(q^(i-k)) for the current k, starting at k = 0
-    twisted = {i: a.q_power_iter(i) for i, a in f.coeffs.items()
-               if d - precision < i < d}
-    b = {-d: pf.one() / lead}
+        return SkewLaurent(pf, b)
+    lower = {i: -a for i, a in f.coeffs.items() if d - precision < i < d}
     for k in range(-1, -precision, -1):
-        lead = lead.q_pow()
-        twisted = {i: a.q_pow() for i, a in twisted.items()}
-        s = pf.zero()
-        for i, a in twisted.items():
-            c = b.get(k - i)
-            if c is not None:
-                s = s - a * c
-        if s:
-            b[k - d] = s / lead
+        triples = [(a, i - k, b[k - i]) for i, a in lower.items()
+                   if k - i in b]
+        if triples:
+            s = PerfElement.twisted_sum(pf, triples)
+            if s:
+                b[k - d] = s * inv.q_power_iter(-k)
     return SkewLaurent(pf, b, -d - precision + 1)
 
 

@@ -9,11 +9,19 @@ is inverted only as deep as the target precision needs, counted from the
 pivot's degree, the degrees of the row it scales and the degrees of the
 column it clears, so one elimination pass reaches the target.
 
-A matrix keeps the deepest inverse certified for it: every request at or
-below that sigma-precision is a truncation of it, and only a deeper
-request eliminates again.  So find_k1, termination_bound and the pairing
-of one module share one elimination whenever the first of them asks for
-the deepest inverse.
+The elimination is sparse and fused.  Only the columns right of the
+pivot are scaled and cleared: the pivot column, and every column left of
+it, is never read again, so those entries keep stale values and nothing
+(the lift included) reads them.  A row update e - f*p leaves e when p is
+an exact zero, gives -f*p when e is one, and is otherwise one
+``skew.sum_of_products`` over (e, 1) and (-f, p), so each coefficient is
+one fused sum.  Floors and coefficients are those of the dense update.
+
+A matrix keeps the deepest inverse certified for it: every request at
+or below that sigma-precision is a truncation of it, and only a deeper
+request eliminates again.  The pairing asks for its own, deeper inverse
+before find_k1 and termination_bound ask at 3 and 2, so one elimination
+serves all three.
 
 """
 
@@ -194,9 +202,10 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     to a fresh inversion.  Otherwise ``work``, the floor -work that
     elimination aims each row at, starts at ``precision``.  Each pivot of
     degree d is inverted to work + 1 - d + lift sigma-orders (at least 1),
-    lift being the highest tau-degree (at least 0) of the other entries of
-    its row plus that of the other entries of its column, which leaves the
-    scaled row known to sigma^work and every row it clears as well.  If
+    lift being the highest tau-degree (at least 0) of the live entries of
+    its row (those right of the pivot, and its row of the inverse) plus
+    that of the other entries of its column, which leaves the scaled row
+    known to sigma^work and every row it clears as well.  If
     the inverse still misses the target, ``work`` grows by the missing
     depth; if a pivot is known too shallowly to invert, it doubles.  After
     ``MAX_ESCALATIONS`` retries the last error is raised.
@@ -233,6 +242,7 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
 def _eliminate(phi: SkewMatrix, work):
     n = phi.rows
     pf = phi.pf
+    one = SkewLaurent.one(pf)
     a = [row[:] for row in phi.entries]
     x = [row[:] for row in SkewMatrix.identity(pf, n).entries]
     for col in range(n):
@@ -255,14 +265,17 @@ def _eliminate(phi: SkewMatrix, work):
             x[pivot], x[col] = x[col], x[pivot]
         pivot_entry = a[col][col]
         deg = int(pivot_entry.deg_tau())
+        # only the columns right of the pivot are live; those left of it
+        # hold stale factors, which must not enter the lift
+        right = a[col][col + 1:]
         # inv has floor -deg - p_eff + 1, and scaling the pivot row by it
         # raises that floor by the degree of each entry: depth enough for
         # the highest one leaves the row known to sigma^work.  Clearing
         # row r then subtracts a[r][col] * (pivot row), which raises the
         # floor again by deg a[r][col]: the highest of those joins the lift
-        others = a[col][:col] + a[col][col + 1:] + x[col]
         factors = [a[r][col] for r in range(n) if r != col]
-        lift = int(max(max(e.deg_tau() for e in others), 0)) \
+        lift = int(max(max((e.deg_tau() for e in right + x[col]),
+                           default=0), 0)) \
             + int(max(max((e.deg_tau() for e in factors), default=0), 0))
         p_eff = max(1, work + 1 - deg + lift)
         if pivot_entry.floor is not None:
@@ -270,14 +283,33 @@ def _eliminate(phi: SkewMatrix, work):
             # is known; floors on the output keep the accounting honest
             p_eff = min(p_eff, deg - pivot_entry.floor + 1)
         inv = invert_scalar(pivot_entry, p_eff)
-        a[col] = [inv * e for e in a[col]]
-        x[col] = [inv * e for e in x[col]]
+        a[col][col + 1:] = right = [e if _is_zero(e) else inv * e
+                                    for e in right]
+        x[col] = [e if _is_zero(e) else inv * e for e in x[col]]
         for r in range(n):
             if r == col:
                 continue
             factor = a[r][col]
-            if not factor and factor.is_exact():
+            if _is_zero(factor):
                 continue
-            a[r] = [e - factor * p for e, p in zip(a[r], a[col])]
-            x[r] = [e - factor * p for e, p in zip(x[r], x[col])]
+            neg = -factor
+            a[r][col + 1:] = [_cleared(pf, one, e, neg, p)
+                              for e, p in zip(a[r][col + 1:], right)]
+            x[r] = [_cleared(pf, one, e, neg, p)
+                    for e, p in zip(x[r], x[col])]
     return SkewMatrix(pf, x)
+
+
+def _is_zero(e):
+    """e is an exact zero: no term and no floor."""
+    return not e.coeffs and e.floor is None
+
+
+def _cleared(pf, one, e, neg, p):
+    """e + neg * p, one fused sum; an exact zero p leaves e, and an exact
+    zero e gives neg * p alone."""
+    if _is_zero(p):
+        return e
+    if _is_zero(e):
+        return sum_of_products(pf, [(neg, p)])
+    return sum_of_products(pf, [(e, one), (neg, p)])

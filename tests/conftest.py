@@ -17,7 +17,7 @@ from taures.errors import FieldError, NotInvertibleError, PrecisionError
 from taures.fields import (Fq, FqElement, PerfElement, PerfField, SPoly,
                            needs_parens, render_poly_in_var)
 from taures.lseries import BivariatePoly
-from taures.skew import NEG_INF, SkewLaurent, invert_scalar
+from taures.skew import NEG_INF, SkewLaurent
 from taures.skewmat import MAX_ESCALATIONS, SkewMatrix, mat_mul, sigma_order
 
 
@@ -138,7 +138,8 @@ def invert_scalar_geometric(f, precision):
     ord_sigma(h) >= 1, then expand (1+h)^-1 as a geometric series.  Each
     term is kept at full depth and only the sum is cut to the output
     floor, so the cost grows exponentially in precision for multi-term
-    leading coefficients; it shares no step with the recurrence.
+    leading coefficients; it shares no step with the recurrence.  An
+    exact monomial has the exact inverse, with no floor.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -167,7 +168,9 @@ def invert_scalar_geometric(f, precision):
         if not acc:
             break
         series = series + acc
-    series = series.truncate(-(precision - 1))
+    if h or f.floor is not None:
+        # for an exact monomial h = 0, and the series is exactly 1
+        series = series.truncate(-(precision - 1))
     # f^-1 = u^-1 * series * sigma^d
     out = SkewLaurent.scalar(pf, u_inv) * series
     return out * SkewLaurent(pf, {-d: pf.one()})
@@ -283,11 +286,12 @@ def rand_kernel_skew(rng, pf):
 
 
 def invert_series_matrix_reference(phi, precision):
-    """Test-only reference for ``invert_series_matrix``: elimination with
-    every pivot inverted to ``work`` sigma-orders counted from its own
-    leading term, whatever its degree, and the whole elimination rerun
-    at ``work + deficit`` when the result misses the target floor (a
-    PrecisionError doubles ``work``).  The same escalation budget applies.
+    """Test-only reference for ``invert_series_matrix``: passes of
+    ``eliminate_reference`` with every pivot inverted to ``work``
+    sigma-orders counted from its own leading term, whatever its degree,
+    and the whole elimination rerun at ``work + deficit`` when the result
+    misses the target floor (a PrecisionError doubles ``work``).  The
+    same escalation budget applies.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -295,7 +299,7 @@ def invert_series_matrix_reference(phi, precision):
     last_err = None
     for _ in range(MAX_ESCALATIONS + 1):
         try:
-            x = _eliminate_relative(phi, work)
+            x = eliminate_reference(phi, work)
         except PrecisionError as err:
             last_err = err
             work *= 2
@@ -309,7 +313,15 @@ def invert_series_matrix_reference(phi, precision):
     raise last_err
 
 
-def _eliminate_relative(phi, work):
+def eliminate_reference(phi, work, sized=False):
+    """Test-only reference for one elimination pass: dense elimination
+    that updates every column of every row, each row operation a skew
+    product and a difference, each pivot inverted by the geometric series
+    (``invert_scalar_geometric``).  A pivot is inverted to ``work``
+    sigma-orders, or with ``sized`` to the depth ``skewmat._eliminate``
+    gives it: work + 1 - deg + lift, lift the highest tau-degree (at
+    least 0) of every other entry of the pivot row, cleared ones included
+    (they store no term), plus that of the rest of its column."""
     n = phi.rows
     pf = phi.pf
     a = [row[:] for row in phi.entries]
@@ -332,11 +344,17 @@ def _eliminate_relative(phi, work):
             a[pivot], a[col] = a[col], a[pivot]
             x[pivot], x[col] = x[col], x[pivot]
         pivot_entry = a[col][col]
+        deg = int(pivot_entry.deg_tau())
         p_eff = work
+        if sized:
+            row = a[col][:col] + a[col][col + 1:] + x[col]
+            column = [a[r][col] for r in range(n) if r != col]
+            lift = sum(int(max(max((e.deg_tau() for e in es), default=0), 0))
+                       for es in (row, column))
+            p_eff = max(1, work + 1 - deg + lift)
         if pivot_entry.floor is not None:
-            p_eff = min(work, int(pivot_entry.deg_tau())
-                        - pivot_entry.floor + 1)
-        inv = invert_scalar(pivot_entry, p_eff)
+            p_eff = min(p_eff, deg - pivot_entry.floor + 1)
+        inv = invert_scalar_geometric(pivot_entry, p_eff)
         a[col] = [inv * e for e in a[col]]
         x[col] = [inv * e for e in x[col]]
         for r in range(n):

@@ -210,18 +210,18 @@ class TestSPoly:
             for a, b in pairs:
                 fold = fold + a * b
             assert SPoly.sum_of_products(
-                fq3, [(a, 1, b, 1) for a, b in pairs]) == fold
+                fq3, [(a, 1, b, 1, 0) for a, b in pairs]) == fold
         t = SPoly.gen(fq3)
         one = SPoly.const(fq3, fq3.one())
-        total = SPoly.sum_of_products(fq3, [(t, 1, t + one, 1),
-                                            (-t, 1, t, 1)])
+        total = SPoly.sum_of_products(fq3, [(t, 1, t + one, 1, 0),
+                                            (-t, 1, t, 1, 0)])
         assert total.terms == {1: fq3.one()}
         assert not SPoly.sum_of_products(fq3, [])
 
     def test_sum_of_products_scaled(self, fq2, fq3):
-        # a(x^ka) * b(x^kb) summed: one-term and general b, unit and
-        # non-unit coefficients, keys that collide across pairs and sums
-        # that cancel
+        # a(x^ka) * b(x^kb) * x^s summed: one-term and general b, unit and
+        # non-unit coefficients, zero and positive shifts, keys that
+        # collide across pairs and sums that cancel
         rng = random.Random(9)
         for fq in (fq2, fq3):
             nonzero = [c for c in fq.elements() if c]
@@ -236,13 +236,15 @@ class TestSPoly:
                     a = poly(rng.randint(0, 10))
                     b = poly(rng.choice([0, 1, 1, 1, 2, 3]))
                     pairs.append((a, rng.choice([1, 1, fq.q]),
-                                  b, rng.choice([1, 1, fq.q])))
+                                  b, rng.choice([1, 1, fq.q]),
+                                  rng.choice([0, 0, 1, 5])))
                 if rng.randrange(3) == 0:
-                    a, ka, b, kb = pairs[0]
-                    pairs.append((-a, ka, b, kb))
+                    a, ka, b, kb, s = pairs[0]
+                    pairs.append((-a, ka, b, kb, s))
                 fold = SPoly(fq, {})
-                for a, ka, b, kb in pairs:
-                    fold = fold + a.subst_power(ka) * b.subst_power(kb)
+                for a, ka, b, kb, s in pairs:
+                    fold = fold + (a.subst_power(ka)
+                                   * b.subst_power(kb)).shift(s)
                 total = SPoly.sum_of_products(fq, pairs)
                 assert total == fold
                 assert all(total.terms.values())

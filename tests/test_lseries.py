@@ -145,7 +145,7 @@ class TestCharpolyOracle:
             cp = charpoly(rows, one)
             assert cp == charpoly_reference(rows, one)
             trace = SPoly.sum_of_products(
-                fq3, [(a, 1, b, 1) for a, b in zip(u, v)])
+                fq3, [(a, 1, b, 1, 0) for a, b in zip(u, v)])
             assert cp[1] == -trace
             assert all(not c for c in cp[2:])
 

@@ -486,8 +486,11 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     Denominators there are units or theta-powers, which need no gcd;
     pivots sized from the target reach it in one pass, and find_k1's
     inverse at precision 3 serves the precision-2 requests after it.
-    Three passes, one per inversion, made 3957 constructions; before
-    that, 2967 gcds, 6 passes and 5743 constructions."""
+    Products over theta-power denominators summed in one numerator, a
+    fused scalar recurrence and row updates that touch only the columns
+    right of the pivot took the constructions from 1437 to 794; three
+    passes, one per inversion, made 3957; before that, 2967 gcds, 6
+    passes and 5743 constructions."""
     counts = {"gcd": 0, "eliminate": 0, "init": 0}
 
     def counted(owner, name, key):
@@ -506,7 +509,28 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     gram(tensor)
     assert counts["gcd"] == 0
     assert counts["eliminate"] <= 1
-    assert counts["init"] <= 1437
+    assert counts["init"] <= 794
+
+
+@pytest.mark.parametrize("module", ["maurischat", "drinfeld-4"])
+def test_gram_eliminates_once(pf3, module, monkeypatch):
+    """The pairing asks for the deepest inverse (2 + dm + dn = 4 for
+    Maurischat, 2r = 8 for rank 4) before find_k1 and termination_bound,
+    which read truncations of it: one elimination pass, where asking at
+    3 first made two."""
+    th = pf3.theta()
+    E = maurischat(pf3, th) if module == "maurischat" else \
+        drinfeld(pf3, th, [th + pf3.one()] * 3 + [th])
+    passes = [0]
+    eliminate = skewmat._eliminate
+
+    def counted(phi, work):
+        passes[0] += 1
+        return eliminate(phi, work)
+
+    monkeypatch.setattr(skewmat, "_eliminate", counted)
+    gram(E)
+    assert passes[0] == 1
 
 
 @pytest.fixture
@@ -523,23 +547,24 @@ def inversions(monkeypatch):
 
 
 def test_gram_inverts_phi_three_times(pf3, inversions):
-    # find_k1 at 3, termination_bound at 2, the pairing at 2 + dm + dn = 2r
+    # deepest first: the pairing at 2 + dm + dn = 2r, then find_k1 at 3
+    # and termination_bound at 2, both truncations of it
     th = pf3.theta()
     for r in (2, 3, 4):
         inversions.clear()
         gram(drinfeld(pf3, th, [th + pf3.one()] * (r - 1) + [th]))
-        assert [p for _, p in inversions] == [3, 2, 2 * r], r
+        assert [p for _, p in inversions] == [2 * r, 3, 2], r
 
 
 def test_pair_inverts_phi_three_times(pf2, inversions):
-    # the context inverts on first use, at the 2 + 2k the pair needs, and
-    # not first at its bases' 2 + dm + dn = 2
+    # the context certifies k1 on first use, after the pair's request at
+    # 2 + 2k, so find_k1 and termination_bound read truncations of it
     for k in (1, 2, 3):
         inversions.clear()
         ctx = PairingContext(carlitz(pf2, pf2.theta()))
         tk = SkewLaurent.tau(pf2, k)
         residue_pair(ctx, row(pf2, [tk]), col(pf2, [tk]))
-        assert [p for _, p in inversions] == [3, 2, 2 + 2 * k], k
+        assert [p for _, p in inversions] == [2 + 2 * k, 3, 2], k
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

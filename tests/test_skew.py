@@ -167,6 +167,65 @@ class TestSumOfProducts:
                     pf, [(a, j, b), (-a, j, b)])
 
 
+    def test_twisted_sum_fuses_monomial_denominators(self, pf2, pf3,
+                                                      monkeypatch):
+        # one call mixing unit, monomial and two-term denominators: only
+        # the two-term products are folded by +, every other product is
+        # summed over the largest monomial denominator and reduced once
+        for pf in (pf2, pf3):
+            fq = pf.fq
+            one = fq.one()
+            th = pf.theta()
+
+            def frac(num, den, root=0):
+                x = PerfElement(pf, SPoly(fq, num), SPoly(fq, den), 0)
+                return x.q_power_iter(-root)
+
+            mono = [frac({1: one, 4: one}, {2: one}),
+                    frac({0: one, 3: one}, {1: one}, 1),
+                    frac({2: one}, {5: one}, 2)]
+            unit = th * th + th
+            two = [frac({0: one}, {0: one, 1: one}),
+                   frac({2: one}, {0: one, 3: one}, 1)]
+            triples = [(mono[0], 1, mono[1]), (two[0], 0, unit),
+                       (mono[2], -2, unit), (unit, 1, mono[0]),
+                       (mono[1], 0, two[1]), (mono[2], 3, mono[2])]
+            fold = pf.zero()
+            for a, j, b in triples:
+                fold = fold + a.q_power_iter(j) * b
+            sums = [0]
+            original = PerfElement._sum
+
+            def counted(self, other, op):
+                sums[0] += 1
+                return original(self, other, op)
+
+            monkeypatch.setattr(PerfElement, "_sum", counted)
+            total = PerfElement.twisted_sum(pf, triples)
+            monkeypatch.undo()
+            assert total == fold
+            assert sums[0] == 2
+
+    def test_twisted_sum_monomial_cancellation(self, pf2, pf3, pf4):
+        # products over monomial denominators that cancel, at one level or
+        # at two, give the canonical zero: no numerator, denominator 1,
+        # level 0
+        for pf in (pf2, pf3, pf4):
+            fq = pf.fq
+            one = fq.one()
+            a = PerfElement(pf, SPoly(fq, {0: one, 2: one}),
+                            SPoly(fq, {3: one}), 0).q_root()
+            b = PerfElement(pf, SPoly(fq, {1: one}), SPoly(fq, {2: one}), 0)
+            for triples in ([(a, 1, b), (-a, 1, b)],
+                            [(a, 2, b), (a.q_pow(), 1, -b)],
+                            [(b, -1, a), (a, 0, b.q_root()),
+                             (-b, -1, a), (-a, 0, b.q_root())]):
+                total = PerfElement.twisted_sum(pf, triples)
+                assert not total
+                assert total.den.is_one() and total.level == 0
+                assert total == pf.zero()
+
+
 class TestPow:
     def test_matches_repeated_products(self, pf2, pf3):
         # unit monomials take the shortcut (tau^e)^n = tau^(e n); other
@@ -402,6 +461,32 @@ class TestInvertScalarOracle:
                                        - rng.randrange(2))
                     assert invert_scalar(f, precision) == \
                         invert_scalar_geometric(f, precision)
+
+
+@pytest.mark.parametrize("precision", range(1, 5))
+def test_invert_scalar_kernel_coefficients(pf2, pf3, pf4, precision):
+    """The recurrence against the geometric series when the lower
+    coefficients have unit, monomial and two-term denominators at levels
+    0..3, below a theta-power lead, exact and truncated.  Two-term
+    denominators twisted to level 3 make the reference's cost grow fast
+    (q = 3 at precision 4: over a second for one operand), so q = 3, 4
+    stop at precision 3."""
+    rng = random.Random(400 + precision)
+    for pf in (pf2, pf3, pf4):
+        if precision > 3 and pf.q > 2:
+            continue
+        for _ in range(8):
+            d = rng.randint(-2, 2)
+            lead = pf.from_fq(rand_fq(rng, pf.fq) or pf.fq.one()) * \
+                pf.theta() ** rng.randrange(3)
+            terms = [(lead, d)] + [
+                (rand_kernel_coeff(rng, pf), e)
+                for e in rng.sample(range(d - 3, d), rng.randint(1, 3))]
+            f = from_right_coeffs(pf, terms)
+            if rng.randrange(3) == 0:
+                f = f.truncate(d - precision + 1 - rng.randrange(2))
+            assert invert_scalar(f, precision) == \
+                invert_scalar_geometric(f, precision)
 
 
 def test_invert_scalar_properties(pf2, pf3):

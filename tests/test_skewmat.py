@@ -14,9 +14,10 @@ from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul, sigma_order)
 
-from conftest import (from_right_coeffs, invert_series_matrix_reference,
-                      mat_mul_reference, rand_kernel_skew, rand_perf,
-                      rand_perf_nonzero, rand_skew)
+from conftest import (eliminate_reference, from_right_coeffs,
+                      invert_series_matrix_reference, mat_mul_reference,
+                      rand_kernel_skew, rand_perf, rand_perf_nonzero,
+                      rand_skew, rand_skew_monomial_lead)
 
 
 def carlitz_tensor_matrix(pf, d):
@@ -335,6 +336,56 @@ class TestInvertReference:
                 for precision in range(1, 4):
                     assert invert_series_matrix(phi, precision) == \
                         invert_series_matrix_reference(phi, precision)
+
+    def test_sparse_elimination_matches_dense(self):
+        # seeded matrices of dim 1..4 at q = 2, 3, 4: a third or more of
+        # the entries exact zeros, a quarter of the rest truncated, and in
+        # each row one entry of tau-degree 3..4 with a theta-power lead in
+        # a random column, over entries of degree <= 1; so every pivot has
+        # a monomial lead, many columns pivot on a row swap, and a cleared
+        # entry left of a pivot can have a higher degree than the live
+        # rest of its row.  Each pass, floors included, is the dense one,
+        # and so is each inverse
+        rng = random.Random(74)
+        fields = [PerfField(Fq(2)), PerfField(Fq(3)),
+                  PerfField(Fq(4, [1, 1, 1]))]
+
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (NotInvertibleError, PrecisionError) as err:
+                return type(err), str(err)
+
+        swaps = 0
+        for trial in range(60):
+            pf = fields[trial % 3]
+            n = 1 + trial % 4
+            perm = rng.sample(range(n), n)
+            swaps += perm[0] != 0
+            off = [(i, j) for i in range(n) for j in range(n)
+                   if j != perm[i]]
+            zeros = set(rng.sample(off, -(-n * n // 3) if n > 1 else 0))
+            entries = [[SkewLaurent.zero(pf)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    if (i, j) in zeros:
+                        continue
+                    lo, hi = (3, 4) if j == perm[i] else (-2, 1)
+                    e = rand_skew_monomial_lead(rng, pf, lo=lo, hi=hi,
+                                                max_deg=0)
+                    if rng.random() < 0.25:
+                        e = e.truncate(int(e.deg_tau()) - rng.randint(2, 6))
+                    entries[i][j] = e
+            phi = SkewMatrix(pf, entries)
+            for precision in range(1, 6):
+                assert outcome(_eliminate, phi, precision) == \
+                    outcome(eliminate_reference, phi, precision, sized=True), \
+                    (trial, precision)
+                assert outcome(invert_series_matrix,
+                               SkewMatrix(pf, entries), precision) == \
+                    outcome(invert_series_matrix_reference, phi, precision), \
+                    (trial, precision)
+        assert swaps >= 20
 
     def test_one_elimination_pass_per_call(self, monkeypatch):
         passes = []
