@@ -4,6 +4,10 @@ byte-stable text output.
 Commands: validate, invert, pair, gram, perfectness, lseries, examples.
 Exit codes: 0 success, 2 parse error, 3 validation failure, 4
 convergence-cap exceeded, 5 precision not reached or not certified.
+
+gram, perfectness and pair fail in one order: a sigma-precision above
+--precision-cap exits 5, then a phi(t)^-1 of positive tau-degree exits 5
+and names the degree, and only then can a k1 above --k-cap exit 4.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ cut at the certified bound K = k1*(2 + deg m + deg n): past it every
 summand's tau-degree is negative, so coeff_0 vanishes.  Every coefficient
 is extracted from a floor-verified product.  The sigma-precision of
 phi(t)^-1 is derived from the tau-degrees of the arguments, and phi(t)^-1
-is inverted once at it; the pairing never retries.
+is inverted once, at it or at find_k1's precision if that is deeper;
+the pairing never retries.
 """
 
 from __future__ import annotations
@@ -29,18 +30,14 @@ PRECISION_CAP = 64
 
 
 class PairingContext:
-    """Shared data for pairing sums over one module: the convergence
-    constant k1, the cut-off for the declared bases, and the cap on the
-    sigma-precision of phi(t)^-1, which phi(t) itself keeps inverted to
-    the deepest precision asked of it.
+    """Shared data for pairing sums over one module: the cap on the
+    sigma-precision of phi(t)^-1, the convergence constant k1 and the
+    cut-off for the declared bases.
 
-    k1 and the cut-off are certified on first read, so that a pairing
-    whose inverse is deeper than find_k1's asks for it first, and
-    find_k1 and termination_bound read truncations of it (see
-    ``_pair_matrix``).  A context over a phi(t) larger than 1x1 whose
-    bases need no deeper inverse certifies them at construction: such a
-    phi(t)^-1 may have positive tau-degree, and its pairing is then
-    refused on the one inversion it asks for.
+    k1 and the cut-off are certified on first read.  ``inverse_at``
+    inverts phi(t) at least as deep as find_k1 does, and phi(t) keeps the
+    deepest inverse asked of it, so find_k1 and termination_bound read
+    truncations of the pairing's inverse (see ``_pair_matrix``).
     """
 
     def __init__(self, module: AndersonModule, k_cap=64,
@@ -52,9 +49,6 @@ class PairingContext:
         self._k_cap = k_cap
         self.precision_cap = precision_cap
         self._k1 = self._k_cutoff = None
-        if module.dim > 1 and \
-                2 + sum(module.max_basis_deg()) <= _K1_PRECISION:
-            self._k_cutoff = termination_bound(module, self.k1)
 
     @property
     def k1(self):
@@ -73,7 +67,14 @@ class PairingContext:
             raise PrecisionError(
                 "needed sigma-precision {} exceeds cap {}".format(
                     precision, self.precision_cap))
-        return invert_series_matrix(self.module.phi_t, precision)
+        return invert_series_matrix(
+            self.module.phi_t,
+            max(precision, _K1_PRECISION)).truncate(-precision)
+
+
+def _context(module_or_ctx) -> PairingContext:
+    return module_or_ctx if isinstance(module_or_ctx, PairingContext) \
+        else PairingContext(module_or_ctx)
 
 
 def _check_morphism(mat: SkewMatrix, rows, cols, what):
@@ -89,8 +90,7 @@ def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
                  extra_terms=0) -> Differential:
     """Pair a motive element (1 x d row) with a comotive element (d x 1
     column), both over R[tau]."""
-    ctx = module_or_ctx if isinstance(module_or_ctx, PairingContext) \
-        else PairingContext(module_or_ctx)
+    ctx = _context(module_or_ctx)
     module = ctx.module
     d = module.dim
     _check_morphism(m, 1, d, "motive element")
@@ -111,28 +111,25 @@ def _pair_matrix(ctx, ms, ns, extra_terms):
     window -dn.  Each later step keeps its floor at or below the window,
     since floor_acc + D <= -dn and -P + deg(acc) <= -1 - dn.  The final
     product with n then has floor <= -dn + dn = 0, so coeff_0 is exact.
-    For D > 0 no such P exists, and PrecisionError names D.
 
-    The cut-off K = max(k_cutoff, k1 * P) + extra_terms reads k1.  When
-    P is above the precision find_k1 inverts at and within the cap, the
-    inverse at P is asked for first, so find_k1 and termination_bound
-    read truncations of it and one elimination serves all three.
-    Otherwise k1 comes first, so its errors still precede the cap's.
+    One order serves every command: the cap is checked against P, phi(t)
+    is inverted once, D > 0 is refused with a PrecisionError naming D,
+    and only then are k1 and the cut-off K = max(k_cutoff, k1 * P) +
+    extra_terms read.  find_k1 and termination_bound still ask for their
+    own inverses, at 3 and 2, which are truncations of this one; reading
+    k1 and K straight off it would drop two requests, but
+    ``perfbench/tests`` pins three requests per Drinfeld gram.
     """
     dm = max(m.deg_or_zero() for m in ms)
     dn = max(n.deg_or_zero() for n in ns)
     precision = 2 + dm + dn
-    deepest_first = _K1_PRECISION < precision <= ctx.precision_cap
-    if deepest_first:
-        inv = ctx.inverse_at(precision)
-    k_cut = max(ctx.k_cutoff, ctx.k1 * precision) + extra_terms
-    if not deepest_first:
-        inv = ctx.inverse_at(precision)
+    inv = ctx.inverse_at(precision)
     deg = inv.max_deg_tau()
     if deg > 0:
         raise PrecisionError(
             "phi(t)^-1 has tau-degree {} > 0; the pairing's truncation is "
             "certified only for tau-degree <= 0".format(deg))
+    k_cut = max(ctx.k_cutoff, ctx.k1 * precision) + extra_terms
     return k_cut, [_pair_row(ctx.module.pf, m, ns, k_cut, inv, -dn)
                    for m in ms]
 
@@ -194,16 +191,9 @@ class GramMatrix:
 
 def gram(module_or_ctx, extra_terms=0) -> GramMatrix:
     """The r x r matrix of pairings of declared motive x comotive bases."""
-    ctx = module_or_ctx if isinstance(module_or_ctx, PairingContext) \
-        else PairingContext(module_or_ctx)
-    module = ctx.module
-    d = module.dim
-    for b in module.motive_basis:
-        _check_morphism(b, 1, d, "motive basis element")
-    for b in module.comotive_basis:
-        _check_morphism(b, d, 1, "comotive basis element")
-    k_cut, entries = _pair_matrix(ctx, module.motive_basis,
-                                  module.comotive_basis, extra_terms)
+    ctx = _context(module_or_ctx)
+    k_cut, entries = _pair_matrix(ctx, ctx.module.motive_basis,
+                                  ctx.module.comotive_basis, extra_terms)
     b_level = max((e.max_level() for row in entries for e in row), default=0)
     return GramMatrix(entries=entries, k_cutoff=k_cut, b_level=b_level)
 
@@ -231,8 +221,7 @@ def expand_sesquilinear(g: GramMatrix, a, b) -> Differential:
 def check_tau_commutation(module_or_ctx, m: SkewMatrix,
                           n: SkewMatrix) -> bool:
     """Verify pair(tau o m, n) == twist(pair(m, n o tau)) exactly."""
-    ctx = module_or_ctx if isinstance(module_or_ctx, PairingContext) \
-        else PairingContext(module_or_ctx)
+    ctx = _context(module_or_ctx)
     pf = ctx.module.pf
     tau = SkewLaurent.tau(pf)
     m_tau = m.map(lambda e: tau * e)

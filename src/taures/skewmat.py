@@ -19,10 +19,7 @@ one fused sum.  Floors and coefficients are those of the dense update.
 
 A matrix keeps the deepest inverse certified for it: every request at
 or below that sigma-precision is a truncation of it, and only a deeper
-request eliminates again.  The pairing asks for its own, deeper inverse
-before find_k1 and termination_bound ask at 3 and 2, so one elimination
-serves all three.
-
+request eliminates again.
 """
 
 from __future__ import annotations

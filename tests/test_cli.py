@@ -260,6 +260,30 @@ class TestExitCodes:
         assert "error[precision]" in err
         assert "phi(t)^-1 has tau-degree 1 > 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("gram",), ("perfectness",),
+        ("pair", "--m", "1 | 0", "--n", "1 | 0")])
+    def test_positive_degree_refused_before_k1(self, capsys, tmp_path,
+                                               argv):
+        # the refusal of D > 0 precedes the k1 search and its cap
+        path = write(tmp_path, "pos.man", positive_degree_manifest(3))
+        code, out, err = run(capsys, argv[0], path, *argv[1:],
+                             "--k-cap", "1")
+        assert (code, out) == (5, "")
+        assert "phi(t)^-1 has tau-degree 1 > 0" in err
+
+    def test_precision_cap_before_k1(self, capsys, tmp_path):
+        # carlitz-tensor d = 5 has k1 = 5 > --k-cap 3, but its pairing
+        # precision 2 exceeds --precision-cap 1 first
+        _, manifest_text, _ = run(capsys, "examples", "carlitz-tensor",
+                                  "--q", "2", "--d", "5")
+        path = write(tmp_path, "ct5.man", manifest_text)
+        code, out, err = run(capsys, "gram", path, "--k-cap", "3",
+                             "--precision-cap", "1")
+        assert (code, out) == (5, "")
+        assert err == "error[precision]: needed sigma-precision 2 " \
+            "exceeds cap 1\n"
+
     def test_singular_phi_not_invertible(self, capsys, tmp_path):
         # tau * [[1, tau], [1, tau]] over a finite base with theta = 0: its
         # constant term is nilpotent, so it validates, and its exact

@@ -415,6 +415,22 @@ class TestPerfectnessAndInverse:
             pairing_inverse(G, [zero])
 
 
+@pytest.mark.parametrize("bad", ["sigma", "two-columns"])
+def test_invalid_declared_basis_is_refused(pf2, bad):
+    # validate checks the declared bases' shapes and R[tau] membership
+    # when the context is built, before any pairing
+    E = carlitz(pf2, pf2.theta())
+    one = SkewLaurent.one(pf2)
+    if bad == "sigma":
+        E.motive_basis = [row(pf2, [SkewLaurent.sigma(pf2)])]
+    else:
+        E.motive_basis = [row(pf2, [one, one])]
+    m, n = row(pf2, [one]), col(pf2, [one])
+    for call in (gram, lambda E: residue_pair(E, m, n)):
+        with pytest.raises(FieldError, match="module does not validate"):
+            call(E)
+
+
 def test_gram_render(pf2):
     E = carlitz(pf2, pf2.theta())
     g = gram(E)
@@ -484,8 +500,9 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     """Deterministic counts for one carlitz-tensor d = 8, q = 3 `gram`:
     polynomial gcds, elimination passes and PerfElement constructions.
     Denominators there are units or theta-powers, which need no gcd;
-    pivots sized from the target reach it in one pass, and find_k1's
-    inverse at precision 3 serves the precision-2 requests after it.
+    pivots sized from the target reach it in one pass, and the
+    pairing's inverse at precision 3 serves find_k1 and
+    termination_bound after it.
     Products over theta-power denominators summed in one numerator, a
     fused scalar recurrence and row updates that touch only the columns
     right of the pivot took the constructions from 1437 to 794; three
@@ -512,15 +529,32 @@ def test_gram_kernel_counts(pf3, monkeypatch):
     assert counts["init"] <= 794
 
 
-@pytest.mark.parametrize("module", ["maurischat", "drinfeld-4"])
-def test_gram_eliminates_once(pf3, module, monkeypatch):
-    """The pairing asks for the deepest inverse (2 + dm + dn = 4 for
-    Maurischat, 2r = 8 for rank 4) before find_k1 and termination_bound,
-    which read truncations of it: one elimination pass, where asking at
-    3 first made two."""
+def _tensor_pair(pf, d, k):
+    """The carlitz-tensor pair of tau^k in the first coordinate against
+    tau^k in the last."""
+    zero, tk = SkewLaurent.zero(pf), SkewLaurent.tau(pf, k)
+    return (carlitz_tensor(pf, pf.theta(), d),
+            row(pf, [tk] + [zero] * (d - 1)),
+            col(pf, [zero] * (d - 1) + [tk]))
+
+
+@pytest.mark.parametrize("case", ["maurischat", "drinfeld-4",
+                                  "tensor-3-pair", "tensor-8"])
+def test_gram_eliminates_once(pf3, case, monkeypatch):
+    """The pairing inverts phi(t) first, at max(2 + dm + dn, 3): 4 for
+    Maurischat, 2r = 8 for rank 4, 6 for a carlitz-tensor pair of tau^2,
+    3 for a carlitz-tensor gram.  find_k1 and termination_bound then read
+    truncations of it: one elimination pass, where asking at 3 first
+    made two."""
     th = pf3.theta()
-    E = maurischat(pf3, th) if module == "maurischat" else \
-        drinfeld(pf3, th, [th + pf3.one()] * 3 + [th])
+    if case == "maurischat":
+        args = (maurischat(pf3, th),)
+    elif case == "drinfeld-4":
+        args = (drinfeld(pf3, th, [th + pf3.one()] * 3 + [th]),)
+    elif case == "tensor-3-pair":
+        args = _tensor_pair(pf3, 3, 2)
+    else:
+        args = (carlitz_tensor(pf3, th, 8),)
     passes = [0]
     eliminate = skewmat._eliminate
 
@@ -529,7 +563,7 @@ def test_gram_eliminates_once(pf3, module, monkeypatch):
         return eliminate(phi, work)
 
     monkeypatch.setattr(skewmat, "_eliminate", counted)
-    gram(E)
+    (residue_pair if len(args) == 3 else gram)(*args)
     assert passes[0] == 1
 
 
@@ -565,12 +599,16 @@ def test_pair_inverts_phi_three_times(pf2, inversions):
         tk = SkewLaurent.tau(pf2, k)
         residue_pair(ctx, row(pf2, [tk]), col(pf2, [tk]))
         assert [p for _, p in inversions] == [2 + 2 * k, 3, 2], k
+        inversions.clear()
+        residue_pair(*_tensor_pair(pf2, 3, k))
+        assert [p for _, p in inversions] == [2 + 2 * k, 3, 2], k
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_positive_degree_inverse_is_refused_once(q, inversions):
     # phi(t)^-1 of tau-degree 1 has no pairing precision that certifies
-    # coeff_0; the pairing inverts once and names the degree
+    # coeff_0; the pairing inverts once, at find_k1's precision 3 above
+    # its own 2, and names the degree before k1 is read
     E = parse_manifest(positive_degree_manifest(q)).module
     pf = E.pf
     m = row(pf, [SkewLaurent.one(pf), SkewLaurent.zero(pf)])
@@ -580,4 +618,4 @@ def test_positive_degree_inverse_is_refused_once(q, inversions):
         inversions.clear()
         with pytest.raises(PrecisionError, match="tau-degree 1 > 0"):
             call(ctx)
-        assert inversions == [("taures.pairing", 2)]
+        assert inversions == [("taures.pairing", 3)]
