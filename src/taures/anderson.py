@@ -53,15 +53,6 @@ class Differential:
     def __hash__(self):
         return hash(self.poly)
 
-    def __add__(self, other):
-        return Differential(self.poly + other.poly)
-
-    def __sub__(self, other):
-        return Differential(self.poly - other.poly)
-
-    def __neg__(self):
-        return Differential(-self.poly)
-
     def __bool__(self):
         return bool(self.poly)
 

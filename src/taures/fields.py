@@ -491,26 +491,6 @@ class SPoly:
                 else:
                     rem[e] = c
             return SPoly(self.ring, quo), SPoly(self.ring, rem)
-        gap = 0
-        for e in oterms:
-            gap = gcd_int(gap, e)
-        if gap > 1:
-            # divisor is g(x^gap): Frobenius-substituted divisors split the
-            # division into small independent residue-class divisions
-            classes = {}
-            for e, c in self.terms.items():
-                classes.setdefault(e % gap, {})[e // gap] = c
-            osub = SPoly(self.ring,
-                         {e // gap: c for e, c in oterms.items()})
-            quo = {}
-            rem = {}
-            for v, cls in classes.items():
-                q_v, r_v = SPoly(self.ring, cls).divmod(osub)
-                for e, c in q_v.terms.items():
-                    quo[e * gap + v] = c
-                for e, c in r_v.terms.items():
-                    rem[e * gap + v] = c
-            return SPoly(self.ring, quo), SPoly(self.ring, rem)
         # sparse long division; a heap tracks the live leading exponent so
         # huge Frobenius-scaled exponents never force dense scans
         rem = dict(self.terms)

@@ -56,14 +56,6 @@ class BivariatePoly:
             coeffs = [c.scale(inv) for c in coeffs]
         self.coeffs = coeffs
 
-    def coeff(self, te):
-        if 0 <= te < len(self.coeffs):
-            return self.coeffs[te]
-        return SPoly(self.fq, {})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, BivariatePoly)
                 and self.coeffs == other.coeffs)

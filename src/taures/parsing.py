@@ -428,7 +428,7 @@ def _build(man: Manifest, locations):
         theta = val.coeffs.get(0, pf.zero())
         if finite and not theta.is_constant():
             raise SkewParseError("theta must lie in F_q", line, col)
-    row_theta = theta if finite else None
+    row_env = _skew_env(pf, theta if finite else None)
 
     if man.dim < 1:
         line, col = locations.get("dim", (0, 0))
@@ -439,8 +439,7 @@ def _build(man: Manifest, locations):
         found and dim."""
         out = []
         for text, line, col in rows:
-            row = parse_skew_row(text, pf, theta=row_theta, line=line,
-                                 col=col)
+            row = _evaluate_row(text, line, col, *row_env)
             if len(row) != man.dim:
                 raise SkewParseError(
                     width_message.format(len(row), man.dim), line, col)

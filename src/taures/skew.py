@@ -194,18 +194,8 @@ class SkewLaurent:
             floor = self.floor
         return SkewLaurent(self.pf, self.coeffs, floor)
 
-    def twist(self, j=1):
-        """Coefficientwise q^j-power (t-side Frobenius on coefficients)."""
-        return SkewLaurent(self.pf,
-                           {e: c.q_power_iter(j)
-                            for e, c in self.coeffs.items()}, self.floor)
-
     def sigma_free(self):
         return all(e >= 0 for e in self.coeffs)
-
-    def max_level(self):
-        return max((c.perfection_level() for c in self.coeffs.values()),
-                   default=0)
 
     def __str__(self):
         return render_skew(self)

@@ -13,9 +13,9 @@ The elimination is sparse and fused.  Only the columns right of the
 pivot are scaled and cleared: the pivot column, and every column left of
 it, is never read again, so those entries keep stale values and nothing
 (the lift included) reads them.  A row update e - f*p leaves e when p is
-an exact zero, gives -f*p when e is one, and is otherwise one
-``skew.sum_of_products`` over (e, 1) and (-f, p), so each coefficient is
-one fused sum.  Floors and coefficients are those of the dense update.
+an exact zero and is otherwise one ``skew.sum_of_products`` over (e, 1)
+and (-f, p), so each coefficient is one fused sum.  Floors and
+coefficients are those of the dense update.
 
 A matrix keeps the deepest inverse certified for it: every request at
 or below that sigma-precision is a truncation of it, and only a deeper
@@ -83,18 +83,9 @@ class SkewMatrix:
                           [[a + b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.entries, other.entries)])
 
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return SkewMatrix(self.pf,
-                          [[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("matrix shapes differ")
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
 
     def agrees_with(self, other) -> bool:
         self._check_same_shape(other)
@@ -128,10 +119,6 @@ class SkewMatrix:
     def deg_or_zero(self) -> int:
         """max_deg_tau as an int, raised to 0 (0 for the zero matrix)."""
         return int(max(self.max_deg_tau(), 0))
-
-    def max_level(self):
-        return max((e.max_level() for row in self.entries for e in row),
-                   default=0)
 
     def render(self):
         return "\n".join(" | ".join(str(e) for e in row)
@@ -202,10 +189,10 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     lift being the highest tau-degree (at least 0) of the live entries of
     its row (those right of the pivot, and its row of the inverse) plus
     that of the other entries of its column, which leaves the scaled row
-    known to sigma^work and every row it clears as well.  If
-    the inverse still misses the target, ``work`` grows by the missing
-    depth; if a pivot is known too shallowly to invert, it doubles.  After
-    ``MAX_ESCALATIONS`` retries the last error is raised.
+    known to sigma^work and every row it clears as well.  If the inverse
+    still misses the target, ``work`` grows by the missing depth, which is
+    all of ``work`` when a column has no pivot above the working floor.
+    After ``MAX_ESCALATIONS`` retries the last error is raised.
     """
     if phi.rows != phi.cols:
         raise DimensionError("only square matrices can be inverted")
@@ -215,24 +202,22 @@ def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     if cached is not None and cached.max_floor() <= -precision:
         return cached.truncate(-precision)
     work = precision
-    last_err = None
     for _ in range(MAX_ESCALATIONS + 1):
         try:
             x = _eliminate(phi, work)
         except PrecisionError as err:
-            last_err = err
-            work *= 2
-            continue
-        deficit = x.max_floor() + precision
-        if deficit <= 0:
-            phi._inverse = x.truncate(-precision)
-            return phi._inverse
+            last_err, deficit = err, work
+        else:
+            deficit = x.max_floor() + precision
+            if deficit <= 0:
+                phi._inverse = x.truncate(-precision)
+                return phi._inverse
+            last_err = PrecisionError(
+                "inverse floor {} did not reach -{}".format(
+                    x.max_floor(), precision))
         # escalate by exactly the missing depth; coefficient degrees grow
         # fast with sigma-precision, so overshooting is the real hazard
         work += int(deficit)
-        last_err = PrecisionError(
-            "inverse floor {} did not reach -{}".format(
-                x.max_floor(), precision))
     raise last_err
 
 
@@ -303,10 +288,7 @@ def _is_zero(e):
 
 
 def _cleared(pf, one, e, neg, p):
-    """e + neg * p, one fused sum; an exact zero p leaves e, and an exact
-    zero e gives neg * p alone."""
+    """e + neg * p, one fused sum; an exact zero p leaves e."""
     if _is_zero(p):
         return e
-    if _is_zero(e):
-        return sum_of_products(pf, [(neg, p)])
     return sum_of_products(pf, [(e, one), (neg, p)])

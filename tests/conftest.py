@@ -368,6 +368,27 @@ def eliminate_reference(phi, work, sized=False):
     return SkewMatrix(pf, x)
 
 
+def divmod_reference(a, b):
+    """Test-only reference for ``SPoly.divmod``: schoolbook long division
+    that visits every degree from deg a down to deg b, with no monomial
+    shortcut and no heap."""
+    db = b.degree()
+    lead_inv = b.terms[db].inverse()
+    rem = dict(a.terms)
+    quo = {}
+    for d in range(a.degree(), db - 1, -1):
+        c = rem.pop(d, None)
+        if not c:
+            continue
+        c = c * lead_inv
+        quo[d - db] = c
+        for e, bc in b.terms.items():
+            if e != db:
+                k = e + d - db
+                rem[k] = rem[k] - c * bc if k in rem else -(c * bc)
+    return SPoly(a.ring, quo), SPoly(a.ring, rem)
+
+
 def gcd_reference(a, b):
     """Test-only reference for ``SPoly.gcd``: plain Euclid, then monic,
     with no monomial or valuation shortcut."""

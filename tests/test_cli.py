@@ -170,6 +170,28 @@ class TestCommands:
         assert out == ("motive: T^2 + t^2\ncomotive: T^2 + t^2\n"
                        "E(k) fitting: t^2 + 1\nconsistent: yes\n")
 
+    @pytest.mark.parametrize("declared,degree", [
+        ("", 1),
+        ("ext_degree: 3\n", 3),
+        ("ext_modulus: w^3 + w + 1\n", 3),
+    ])
+    def test_lseries_reads_k_from_the_manifest(self, capsys, tmp_path,
+                                               declared, degree):
+        """Without --ext-degree, k comes from the manifest (F_q when it
+        declares none); --ext-degree overrides a declaration."""
+        man = ("q: 2\nbase: finite-field\ntheta: 1\ndim: 1\nphi_t:\n"
+               "row: theta + tau + tau^2\nmotive_basis:\nrow: 1\nrow: tau\n"
+               "comotive_basis:\ncol: 1\ncol: tau\n")
+        bare = write(tmp_path, "bare.man", man)
+        path = write(tmp_path, "k.man", man + declared)
+        expected = {n: run(capsys, "lseries", bare, "--ext-degree", str(n))
+                    for n in (degree, 2)}
+        assert run(capsys, "lseries", path) == expected[degree]
+        assert run(capsys, "lseries", path, "--ext-degree", "2") == \
+            expected[2]
+        assert expected[degree][1].endswith("consistent: yes\n")
+        assert expected[degree] != expected[2]
+
     def test_gram_maurischat_golden(self, capsys, tmp_path):
         code, manifest_text, _ = run(capsys, "examples", "maurischat",
                                      "--q", "3")

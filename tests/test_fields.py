@@ -13,9 +13,9 @@ from taures.fields import (ExtField, Fq, PerfElement, PerfField, SPoly,
                            coprime, find_irreducible, irreducible_over)
 from taures.parsing import ext_field_of_degree
 
-from conftest import (fq_str_reference, fq_tables_reference,
-                      gcd_reference, irreducible_reference,
-                      perf_canonical_reference,
+from conftest import (divmod_reference, fq_str_reference,
+                      fq_tables_reference, gcd_reference,
+                      irreducible_reference, perf_canonical_reference,
                       perf_op_reference, perf_str_reference,
                       q_power_iter_reference, rand_fq, rand_perf,
                       rand_perf_nonzero, spoly_mul_reference)
@@ -172,6 +172,37 @@ class TestSPoly:
             q, r = a.divmod(b)
             assert q * b + r == a
             assert r.degree() < b.degree()
+
+    def test_divmod_matches_reference(self, fq2, fq3, fq4):
+        """Divisors g(x^k) and dividends x^(iQ) are the shapes the
+        irreducibility tests divide; random sparse pairs are the rest."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        fq9 = Fq(9, [1, 0, 1])
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                          fq=st.sampled_from((fq2, fq3, fq4, fq9)))
+        def check(seed, fq):
+            rng = random.Random(seed)
+            k = rng.randint(1, 4)
+            b = SPoly(fq, {k * e: rand_fq(rng, fq) for e in
+                           rng.sample(range(5), rng.randint(1, 4))})
+            if not b:
+                b = SPoly(fq, {k: fq.one()})
+            if rng.random() < 0.5:
+                a = SPoly(fq, {rng.randint(1, 6) * fq.q: fq.one()})
+            else:
+                a = SPoly(fq, {e: rand_fq(rng, fq) for e in
+                               rng.sample(range(40), rng.randint(0, 6))})
+            q, r = a.divmod(b)
+            q_ref, r_ref = divmod_reference(a, b)
+            assert (q.terms, r.terms) == (q_ref.terms, r_ref.terms)
+            assert q * b + r == a
+            assert r.degree() < b.degree()
+
+        check()
 
     def test_gcd_properties(self, fq2):
         rng = random.Random(6)

@@ -4,9 +4,12 @@ import pytest
 
 from taures.errors import SkewParseError
 from taures.anderson import validate
+from taures.cli import render_manifest
+from taures.fields import SPoly
 from taures.parsing import (ext_field_of_degree, manifest_ext_field,
                             manifest_tau_matrix, parse_manifest,
-                            parse_skew_expr, parse_skew_row)
+                            parse_skew_expr, parse_skew_row,
+                            parse_tpoly_row)
 
 
 class TestSkewExpr:
@@ -224,6 +227,23 @@ row: t^2
         assert tm.entries[0][0].degree() == 2
 
 
+class TestTPolyRow:
+    def test_atoms_literals_and_division(self, fq4):
+        ext = ext_field_of_degree(fq4, 2)
+        one, w, z = ext.one(), ext.gen(), ext.embed(fq4.gen())
+        row = parse_tpoly_row("w*t^2 + z | 3 | z / (z + 1) | 0 / w | w^2",
+                              ext)
+        assert row == [SPoly(ext, {2: w, 0: z}), SPoly.const(ext, one),
+                       SPoly.const(ext, z / (z + one)), SPoly(ext, {}),
+                       SPoly.const(ext, w * w)]
+
+    def test_division_by_zero_is_located(self, fq4):
+        ext = ext_field_of_degree(fq4, 2)
+        with pytest.raises(SkewParseError) as err:
+            parse_tpoly_row("t | w / (z + z)", ext, line=4, col=6)
+        assert str(err.value) == "error[parse] 4:12: division by zero"
+
+
 CARLITZ_BODY = ("dim: 1\nphi_t:\nrow: theta + tau\nmotive_basis:\n"
                 "row: 1\ncomotive_basis:\ncol: 1\n")
 
@@ -299,3 +319,39 @@ class TestRoundTrip:
             parsed = parse_manifest(text)
             assert render_manifest(parsed) == text
             assert validate(parsed.module).ok
+
+    def test_ext_and_tau_matrix_blocks_round_trip(self):
+        canonical = """\
+q: 2
+base: finite-field
+theta: 1
+dim: 2
+phi_t:
+row: theta | 1
+row: tau | theta
+motive_basis:
+row: 1 | 0
+comotive_basis:
+col: 0 | 1
+ext_degree: 2
+ext_modulus: w^2 + w + 1
+tau_matrix_motive:
+row: t + w | 1
+row: 0 | t^2
+tau_matrix_comotive:
+row: t | w^2
+row: 1 | 0
+"""
+        loose = canonical.replace("ext_modulus: w^2 + w + 1",
+                                  "ext_modulus:   w^2 +  w + 1") \
+            .replace("row: t + w | 1", "  row:  t +  w |  1  # first row")
+        first = parse_manifest(loose)
+        assert render_manifest(first) == canonical
+        again = parse_manifest(render_manifest(first))
+        assert render_manifest(again) == canonical
+        assert again.ext_degree == 2
+        ext = manifest_ext_field(first)
+        assert str(manifest_ext_field(again).modulus) == str(ext.modulus)
+        for side in ("motive", "comotive"):
+            assert manifest_tau_matrix(again, side, ext).entries == \
+                manifest_tau_matrix(first, side, ext).entries
