@@ -24,8 +24,8 @@ from .skewmat import SkewMatrix, invert_series_matrix, mat_mul, sigma_order
 
 
 def twist(poly: SPoly, j=1) -> SPoly:
-    """Raise every coefficient of an R[t] value to the q^j power; t is
-    fixed."""
+    """Raise every coefficient of an R[t] (or k[t]) value to the q^j
+    power; t is fixed."""
     return poly.map_coeffs(lambda c: c.q_power_iter(j))
 
 
@@ -223,16 +223,21 @@ def find_k1(module: AndersonModule, cap=64):
     only coefficient-0 terms meet at exponent 0, untwisted, so
     coeff_0(phi^-k) = C0^k for C0 = coeff_0(phi(t)^-1), an ordinary
     matrix power over the field R^perf.  k1 is then the nilpotency index
-    of C0, which is at most dim: if C0^min(cap, dim) != 0, no k1 <= cap
-    exists.  For D > 0 each power is rebuilt by ``phi_inverse_power`` at
+    of C0, which is at most dim: if C0^dim != 0, no k1 exists at all.
+    For D > 0 each power is rebuilt by ``phi_inverse_power`` at
     precision 1, from an inversion deep enough for it.
     """
     inv = invert_series_matrix(module.phi_t, _K1_PRECISION)
     if inv.max_deg_tau() <= 0:
         c0 = [[e.coeff(0) for e in row] for row in inv.entries]
-        k1 = nilpotency_index(c0, module.pf.zero(), min(cap, module.dim))
+        dim = module.dim
+        k1 = nilpotency_index(c0, module.pf.zero(), min(cap, dim))
         if k1 is not None:
             return k1
+        if cap >= dim:
+            raise ConvergenceError(
+                "C0 = coeff_0(phi(t)^-1) is not nilpotent: C0^{} != 0 at "
+                "dim {}, so no k1 exists".format(dim, dim))
     else:
         acc = inv
         for k in range(1, cap + 1):

@@ -72,6 +72,38 @@ def _factor_prime_power(q):
     raise FieldError("q = {} is not a prime power".format(q))
 
 
+def _reduction_rows(tail, zero):
+    """x^k mod f for k = n .. 2n-2 as coefficient lists, f monic of degree
+    n with x^n = tail (coefficients of 1 .. x^(n-1)) mod f.  Over the
+    integers the rows are exact lifts, to be reduced mod p by the caller."""
+    rows, cur = [], list(tail)
+    for _ in range(len(tail) - 1):
+        rows.append(cur)
+        lead = cur[-1]
+        cur = [zero] + cur[:-1]
+        if lead:
+            cur = [a + lead * t for a, t in zip(cur, tail)]
+    return rows
+
+
+def _mul_mod(a, b, rows, zero):
+    """a * b mod f on coefficient sequences of length n, ``rows`` from
+    ``_reduction_rows`` of f: the schoolbook product, then each power
+    x^k with k >= n replaced by its row."""
+    n = len(a)
+    prod = [zero] * (2 * n - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    prod[i + j] = prod[i + j] + ca * cb
+    res = prod[:n]
+    for c, row in zip(prod[n:], rows):
+        if c:
+            res = [r + c * t for r, t in zip(res, row)]
+    return res
+
+
 def power(base, n, one):
     """base^n for n >= 0 by square-and-multiply, starting from ``one``."""
     result = one
@@ -135,8 +167,6 @@ class FqElement:
         return f._mul(self, other)
 
     def __truediv__(self, other):
-        if not other:
-            raise FieldError("division by zero in F_q")
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -193,16 +223,8 @@ class Fq:
         self.modulus = tuple(modulus)
         if m > 1:
             self._check_irreducible()
-        # reduction table: z^k for k in [m, 2m-2] as coefficient tuples
-        self._red = []
-        tail = [(-c) % p for c in modulus[:-1]]  # z^m
-        cur = tail[:]
-        for _ in range(m, 2 * m - 1):
-            self._red.append(tuple(cur))
-            overflow = cur[-1]
-            cur = [0] + cur[:-1]
-            if overflow:
-                cur = [(a + overflow * t) % p for a, t in zip(cur, tail)]
+        self._red = [[c % p for c in row] for row in
+                     _reduction_rows([-c for c in modulus[:-1]], 0)]
         self._tables = False
         if q <= 512:
             self._build_tables()
@@ -286,22 +308,11 @@ class Fq:
             yield FqElement(self, tuple(coeffs))
 
     def _mul(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return FqElement(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        prod[i + j] = (prod[i + j] + ca * cb) % p
-        res = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
-            if c:
-                red = self._red[k - m]
-                res = [(r + c * t) % p for r, t in zip(res, red)]
-        return FqElement(self, tuple(res))
+        p = self.p
+        if self.m == 1:  # a prime field above the table bound
+            return FqElement(self, (a.coeffs[0] * b.coeffs[0] % p,))
+        return FqElement(self, [c % p for c in
+                                _mul_mod(a.coeffs, b.coeffs, self._red, 0)])
 
     def __repr__(self):
         return "Fq({})".format(self.q)
@@ -481,16 +492,6 @@ class SPoly:
         oterms = other.terms
         dd = max(oterms)
         lead_inv = oterms[dd].inverse()
-        if len(oterms) == 1:
-            # monomial divisor: pure exponent split
-            quo = {}
-            rem = {}
-            for e, c in self.terms.items():
-                if e >= dd:
-                    quo[e - dd] = c * lead_inv
-                else:
-                    rem[e] = c
-            return SPoly(self.ring, quo), SPoly(self.ring, rem)
         # sparse long division; a heap tracks the live leading exponent so
         # huge Frobenius-scaled exponents never force dense scans
         rem = dict(self.terms)
@@ -696,15 +697,8 @@ class ExtField:
         self.n = n
         self.q = base.q
         self.size = base.q ** n
-        tail = [-(modulus.coeff(i)) for i in range(n)]
-        self._red = []
-        cur = tail[:]
-        for _ in range(n, 2 * n - 1):
-            self._red.append(tuple(cur))
-            lead = cur[-1]
-            cur = [base.zero()] + cur[:-1]
-            if lead:
-                cur = [a + lead * t for a, t in zip(cur, tail)]
+        self._red = _reduction_rows([-modulus.coeff(i) for i in range(n)],
+                                    base.zero())
 
     def zero(self):
         return ExtElement(self, (self.base.zero(),) * self.n)
@@ -736,28 +730,13 @@ class ExtField:
             yield ExtElement(self, coeffs[::-1])
 
     def _mul(self, a, b):
-        n = self.n
-        if n == 1:
-            return ExtElement(self, (a.coeffs[0] * b.coeffs[0],))
         if a.in_base():
             a, b = b, a
         if b.in_base():  # an F_q scalar scales, with no reduction
             c = b.coeffs[0]
             return ExtElement(self, tuple(x * c for x in a.coeffs))
-        zero = self.base.zero()
-        prod = [zero] * (2 * n - 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        prod[i + j] = prod[i + j] + ca * cb
-        res = prod[:n]
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c:
-                red = self._red[k - n]
-                res = [r + c * t for r, t in zip(res, red)]
-        return ExtElement(self, tuple(res))
+        return ExtElement(self, _mul_mod(a.coeffs, b.coeffs, self._red,
+                                         self.base.zero()))
 
     def __repr__(self):
         return "ExtField(q={}, n={})".format(self.q, self.n)
@@ -795,8 +774,6 @@ class ExtElement:
         return self.field._mul(self, other)
 
     def __truediv__(self, other):
-        if not other:
-            raise FieldError("division by zero in extension field")
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -815,14 +792,11 @@ class ExtElement:
             return self.field.embed(self.coeffs[0].inverse())
         return self ** (self.field.size - 2)
 
-    def frobenius(self):
-        """x -> x^q: the twist tau restricted to k; it fixes F_q."""
-        return self if self.in_base() else self ** self.field.q
-
-    def frobenius_inv(self):
-        if self.in_base():
-            return self
-        return self ** (self.field.size // self.field.q)
+    def q_power_iter(self, j):
+        """x^(q^j) for any integer j: the twist tau^j restricted to k.  It
+        fixes F_q and has order n on k, so j counts mod n."""
+        f = self.field
+        return self if self.in_base() else self ** (f.q ** (j % f.n))
 
     def is_one(self):
         return self.coeffs[0].is_one() and not any(self.coeffs[1:])
@@ -1069,43 +1043,34 @@ class PerfElement:
         return PerfElement(self.pf, n1 * n2, d1 * d2, e)
 
     def __truediv__(self, other):
-        if not other:
-            raise FieldError("division by zero")
-        fast = coprime(other.den, self.den) and \
-            (not self.num or coprime(other.num, self.num))
-        (n1, d1), (n2, d2), e = self._common_level(other)
-        if fast:
-            num = n1 * d2
-            den = d1 * n2
-            lead = den.leading()
-            if not lead.is_one():
-                inv = lead.inverse()
-                num = num.scale(inv)
-                den = den.scale(inv)
-            return PerfElement._reduced(self.pf, num, den, e)
-        return PerfElement(self.pf, n1 * d2, d1 * n2, e)
+        return self * other.inverse()
 
     def __pow__(self, n):
         if n < 0:
-            return (self.pf.one() / self) ** (-n)
+            return self.inverse() ** (-n)
         return power(self, n, self.pf.one())
+
+    def inverse(self):
+        """den/num with den made monic: gcd 1 and the exponents, hence the
+        level, are those of self, so the result is canonical as it is."""
+        if not self.num:
+            raise FieldError("zero has no inverse")
+        num, den = self.den, self.num
+        lead = den.leading()
+        if not lead.is_one():
+            inv = lead.inverse()
+            num, den = num.scale(inv), den.scale(inv)
+        return PerfElement(self.pf, num, den, self.level, _canonical=True)
 
     # --- Frobenius tower ---
 
     def q_pow(self):
-        """a -> a^q.  Level decrements; at level 0 exponents scale by q."""
-        if self.level > 0:
-            return PerfElement(self.pf, self.num, self.den, self.level - 1,
-                               _canonical=True)
-        q = self.pf.q
-        return PerfElement(self.pf, self.num.subst_power(q),
-                           self.den.subst_power(q), 0, _canonical=True)
+        """a -> a^q."""
+        return self.q_power_iter(1)
 
     def q_root(self):
-        """a -> a^(1/q).  Level increments then re-minimizes; the fraction
-        itself is untouched, so no reduction is needed."""
-        return PerfElement._reduced(self.pf, self.num, self.den,
-                                    self.level + 1)
+        """a -> a^(1/q)."""
+        return self.q_power_iter(-1)
 
     def q_power_iter(self, j):
         """a^(q^j) for any integer j (negative = roots), in one step: the

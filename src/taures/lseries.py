@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldError
-from .anderson import AndersonModule
+from .anderson import AndersonModule, twist
 from .fields import (ExtElement, ExtField, Fq, FqElement, SPoly,
                      needs_parens)
 from .linalg import charpoly, dot, inverse, mat_mul
@@ -182,8 +182,8 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
     fq = ext.base
     zero = fq.zero()
     w = ext.gen()
-    twisted = _powers(w.frobenius() if tau_matrix.side == "motive"
-                      else w.frobenius_inv(), n)
+    twisted = _powers(w.q_power_iter(1 if tau_matrix.side == "motive"
+                                     else -1), n)
     basis_inv = None
     if basis is not None:
         if len(basis) != n:
@@ -239,17 +239,11 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     # matrix of tau^n: M * M^(tw) * .. * M^(tw^(n-1)), tw = coefficient
     # Frobenius (inverse Frobenius on the comotive side); M^(tw^s) is one
     # more twist of M^(tw^(s-1))
-    if tau_matrix.side == "motive":
-        def tw(c):
-            return c.frobenius()
-    else:
-        def tw(c):
-            return c.frobenius_inv()
-
+    j = 1 if tau_matrix.side == "motive" else -1
     zero = SPoly(ext, {})
     acc = twisted = tau_matrix.entries
     for _ in range(1, n):
-        twisted = [[e.map_coeffs(tw) for e in row] for row in twisted]
+        twisted = [[twist(e, j) for e in row] for row in twisted]
         acc = mat_mul(acc, twisted, zero)
     coeffs_lead_first = charpoly(acc, SPoly.const(ext, ext.one()))
     # polynomial in U = T^n with k[t] coefficients; must descend to F_q
@@ -289,7 +283,7 @@ def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
                 val = ext.zero()
                 for i, coeff in sorted(entry.coeffs.items()):
                     if i not in twists:
-                        twists[i] = _powers(ext.gen() ** (ext.q ** i), n)
+                        twists[i] = _powers(ext.gen().q_power_iter(i), n)
                     val = val + ext.embed(coeff.as_fq()) * twists[i][a]
                 for ap in range(n):
                     col[l * n + ap] = col[l * n + ap] + val.coeffs[ap]

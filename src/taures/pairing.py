@@ -268,7 +268,7 @@ def pairing_inverse(g: GramMatrix, eta):
     if len(eta) != r:
         raise DimensionError("eta must have length {}".format(r))
     eta = [e.poly if isinstance(e, Differential) else e for e in eta]
-    inv_det = cert.det.ring.one() / cert.det.coeff(0)
+    inv_det = cert.det.coeff(0).inverse()
     mat = g.poly_matrix()
     return [det([row[:i] + [e] + row[i + 1:] for row, e in zip(mat, eta)])
             .scale(inv_det) for i in range(r)]
@@ -308,7 +308,7 @@ def drinfeld_closed_form(pf, r, g, i, j) -> Differential:
         if n % 2 == 0:
             term = -term  # (-1)^(n+1)
         acc = acc + term
-    acc = acc * (pf.one() / g_r).q_power_iter(-j)
+    acc = acc * g_r.inverse().q_power_iter(-j)
     return Differential(SPoly.const(pf, acc))
 
 

@@ -259,7 +259,7 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
-    inv = pf.one() / f.coeffs[d].q_power_iter(d)
+    inv = f.coeffs[d].q_power_iter(d).inverse()
     b = {-d: inv}
     if f.floor is None and len(f.coeffs) == 1:
         # an exact monomial tau^d * a has the exact inverse

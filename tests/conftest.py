@@ -418,11 +418,29 @@ def perf_canonical_reference(pf, num, den, level):
     return num.terms, den.terms, level
 
 
+def mulmod_reference(a, b, modulus, p):
+    """Test-only reference for ``Fq._mul``: the integer schoolbook product
+    of two coefficient tuples, long division by the monic ``modulus``
+    (constant term first), and each remainder coefficient taken mod p."""
+    m = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(len(prod) - 1, m - 1, -1):
+        c = prod[d]
+        for i, f in enumerate(modulus):
+            prod[d - m + i] -= c * f
+    return tuple(c % p for c in prod[:m])
+
+
 def q_power_iter_reference(x, j):
     """Test-only reference for ``PerfElement.q_power_iter``: |j| single
-    Frobenius steps, q_pow for j > 0 and q_root for j < 0."""
+    steps, each a q-th power by products for j > 0, and for j < 0 the
+    same fraction one level up, canonicalized by the full constructor."""
     for _ in range(abs(j)):
-        x = x.q_pow() if j > 0 else x.q_root()
+        x = x ** x.pf.q if j > 0 else \
+            PerfElement(x.pf, x.num, x.den, x.level + 1)
     return x
 
 
@@ -483,6 +501,14 @@ def positive_degree_manifest(q):
             "row: theta + tau | tau^3\nrow: 0 | theta + tau\n"
             "motive_basis:\nrow: 1 | 0\nrow: 0 | 1\n"
             "comotive_basis:\ncol: 1 | 0\ncol: 0 | 1\n").format(q)
+
+
+# phi(t) = diag(theta, theta + tau) validates, but
+# C0 = coeff_0(phi(t)^-1) = diag(1/theta, 0) is not nilpotent
+NON_NILPOTENT_C0_MANIFEST = (
+    "q: 2\nbase: perf-rational\ndim: 2\nphi_t:\n"
+    "row: theta | 0\nrow: 0 | theta + tau\n"
+    "motive_basis:\nrow: 1 | 0\ncomotive_basis:\ncol: 1 | 0\n")
 
 
 def charpoly_reference(rows, one):
@@ -606,23 +632,24 @@ def power_oracle_reference(tau_matrix, ext):
     """Test-only reference for ``lseries.fitting_ideal_power_oracle``
     given its tau matrix: the factor for step s twists every coefficient
     of the original matrix s times over, and the descent to F_q keeps
-    each coefficient's constant term without checking the rest."""
+    each coefficient's constant term without checking the rest.  Each
+    twist is a plain power, x^q on the motive and x^(q^(n-1)) on the
+    comotive, so the reference shares no code with ``q_power_iter``."""
     r = tau_matrix.rank
     n = ext.n
-    sign = 1 if tau_matrix.side == "motive" else -1
+    step = ext.q if tau_matrix.side == "motive" else ext.size // ext.q
 
     def twist_poly(p, steps):
         def tw(c):
-            out = c
-            for _ in range(abs(steps)):
-                out = out.frobenius() if steps > 0 else out.frobenius_inv()
-            return out
+            for _ in range(steps):
+                c = c ** step
+            return c
         return p.map_coeffs(tw)
 
     zero = SPoly(ext, {})
     acc = tau_matrix.entries
     for s in range(1, n):
-        twisted = [[twist_poly(tau_matrix.entries[i][j], sign * s)
+        twisted = [[twist_poly(tau_matrix.entries[i][j], s)
                     for j in range(r)] for i in range(r)]
         acc = [[reduce(add, [acc[i][l] * twisted[l][j] for l in range(r)],
                        zero) for j in range(r)] for i in range(r)]

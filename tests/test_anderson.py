@@ -2,6 +2,7 @@
 negative powers, and the convergence constant."""
 
 import random
+import re
 
 import pytest
 
@@ -17,8 +18,8 @@ from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul, \
     sigma_order
 
-from conftest import find_k1_reference, positive_degree_manifest, \
-    rand_fq, rand_perf, rand_perf_nonzero
+from conftest import NON_NILPOTENT_C0_MANIFEST, find_k1_reference, \
+    positive_degree_manifest, rand_fq, rand_perf, rand_perf_nonzero
 
 
 class TestValidate:
@@ -200,14 +201,9 @@ class TestFindK1:
             assert find_k1(E, cap=5) == find_k1(E, cap=64) == 5
 
     def test_non_nilpotent_c0_fails_at_once(self, monkeypatch):
-        # phi(t) = diag(theta, theta + tau) validates, but
         # C0 = diag(1/theta, 0) is not nilpotent: C0^dim != 0 settles the
         # error after dim - 1 products, without running the cap out
-        E = parse_manifest(
-            "q: 2\nbase: perf-rational\ndim: 2\nphi_t:\n"
-            "row: theta | 0\nrow: 0 | theta + tau\n"
-            "motive_basis:\nrow: 1 | 0\ncomotive_basis:\ncol: 1 | 0\n"
-        ).module
+        E = parse_manifest(NON_NILPOTENT_C0_MANIFEST).module
         assert validate(E).ok
         products = []
 
@@ -216,7 +212,9 @@ class TestFindK1:
             return _mul(*args)
 
         monkeypatch.setattr(linalg, "mat_mul", counted)
-        with pytest.raises(ConvergenceError, match="within cap 64$"):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "C0 = coeff_0(phi(t)^-1) is not nilpotent: C0^2 != 0 at "
+                "dim 2, so no k1 exists")):
             find_k1(E)
         assert len(products) == E.dim - 1
 

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 
 from taures import carlitz, cli, fields, lseries, pairing
@@ -104,3 +105,17 @@ def test_seed_zero_outputs_match_golden_digests(tmp_path):
                 mismatches.append((workload, case.name, code))
     assert checked == sum(len(g) for g in golden.values())
     assert mismatches == []
+
+
+def test_src_never_calls_the_frobenius_aliases():
+    """`PerfElement.q_pow` and `q_root` call `q_power_iter`, and the tracer
+    wraps all three under `fields.frobenius`: a call to an alias from the
+    library would count twice there."""
+    src = os.path.join(ROOT, "src", "taures")
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                calls += [(name, no) for no, line in enumerate(fh, 1)
+                          if re.search(r"\.q_(pow|root)\(", line)]
+    assert calls == []

@@ -14,7 +14,7 @@ from taures.cli import COMMANDS, build_arg_parser, main
 from taures.parsing import parse_manifest
 from taures.skewmat import invert_series_matrix
 
-from conftest import positive_degree_manifest
+from conftest import NON_NILPOTENT_C0_MANIFEST, positive_degree_manifest
 
 CARLITZ_Q2 = """\
 q: 2
@@ -263,6 +263,14 @@ class TestExitCodes:
                 "within cap {}\n".format(cap)
         else:
             assert "K = 10, b = 0, det = 1, perfect = yes" in out
+
+    def test_non_nilpotent_c0_names_c0(self, capsys, tmp_path):
+        # C0^dim != 0 proves that no k1 exists, whatever the cap
+        path = write(tmp_path, "c0.man", NON_NILPOTENT_C0_MANIFEST)
+        code, out, err = run(capsys, "gram", path)
+        assert (code, out) == (4, "")
+        assert err == "error[convergence]: C0 = coeff_0(phi(t)^-1) is not " \
+            "nilpotent: C0^2 != 0 at dim 2, so no k1 exists\n"
 
     def test_precision_cap(self, capsys, tmp_path):
         code, manifest_text, _ = run(capsys, "examples", "maurischat",

@@ -15,7 +15,8 @@ from taures.parsing import ext_field_of_degree
 
 from conftest import (divmod_reference, fq_str_reference,
                       fq_tables_reference, gcd_reference,
-                      irreducible_reference, perf_canonical_reference,
+                      irreducible_reference, mulmod_reference,
+                      perf_canonical_reference,
                       perf_op_reference, perf_str_reference,
                       q_power_iter_reference, rand_fq, rand_perf,
                       rand_perf_nonzero, spoly_mul_reference)
@@ -175,7 +176,8 @@ class TestSPoly:
 
     def test_divmod_matches_reference(self, fq2, fq3, fq4):
         """Divisors g(x^k) and dividends x^(iQ) are the shapes the
-        irreducibility tests divide; random sparse pairs are the rest."""
+        irreducibility tests divide, monomial divisors c*x^k the last
+        Euclid step of a gcd; random sparse pairs are the rest."""
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         fq9 = Fq(9, [1, 0, 1])
@@ -191,6 +193,9 @@ class TestSPoly:
                            rng.sample(range(5), rng.randint(1, 4))})
             if not b:
                 b = SPoly(fq, {k: fq.one()})
+            if rng.random() < 0.3:
+                c = rand_fq(rng, fq) or fq.one()
+                b = SPoly(fq, {rng.randint(0, 6): c})
             if rng.random() < 0.5:
                 a = SPoly(fq, {rng.randint(1, 6) * fq.q: fq.one()})
             else:
@@ -473,6 +478,10 @@ def check_kernel_against_reference(rng, pf):
         x = PerfElement(pf, num, den, level)
         assert (x.num.terms, x.den.terms, x.level) == \
             perf_canonical_reference(pf, num, den, level)
+        if x:  # the swapped fraction needs no gcd, only a monic den
+            y = x.inverse()
+            assert (y.num.terms, y.den.terms, y.level) == \
+                perf_canonical_reference(pf, x.den, x.num, x.level)
         elems.append(x)
     unit = dict(pf._one_poly().terms)
     before = snapshot(*elems)
@@ -571,8 +580,8 @@ class TestExtField:
         ext = ExtField(fq2, find_irreducible(fq2, 2))
         w = ext.gen()
         assert w * w == w + ext.one()
-        assert w.frobenius() == w * w
-        assert w.frobenius_inv().frobenius() == w
+        assert w.q_power_iter(1) == w * w
+        assert w.q_power_iter(-1).q_power_iter(1) == w
         assert len(list(ext.elements())) == 4
 
     def test_inverse(self, fq3):
@@ -610,7 +619,8 @@ class TestExtField:
     def test_frobenius_fixes_base(self, fq3):
         ext = ExtField(fq3, find_irreducible(fq3, 3))
         for c in fq3.elements():
-            assert ext.embed(c).frobenius() == ext.embed(c)
+            for j in (-1, 1, 2):
+                assert ext.embed(c).q_power_iter(j) == ext.embed(c)
 
 
 def monic_polys(field, degree):
@@ -684,8 +694,8 @@ class TestExtFieldScalars:
         ext = ExtField(base, find_irreducible(base, n))
         for c in base.elements():
             x = ext.embed(c)
-            assert x.frobenius() == x ** q
-            assert x.frobenius_inv() == x ** (ext.size // q)
+            assert x.q_power_iter(1) == x ** q
+            assert x.q_power_iter(-1) == x ** (ext.size // q)
             if c:
                 assert x.inverse() == x ** (ext.size - 2)
 
@@ -701,3 +711,98 @@ class TestExtFieldScalars:
             assert c * a == schoolbook(c, a)
             b = ext.element([rand_fq(rng, base) for _ in range(n)])
             assert a * b == schoolbook(a, b)
+
+
+def derandomized(**strategies):
+    """A derandomized hypothesis search over the given strategies
+    (skipped without hypothesis)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    return lambda fn: hypothesis.settings(
+        max_examples=100, deadline=None, database=None,
+        derandomize=True)(hypothesis.given(**strategies)(fn))
+
+
+class TestOneArithmetic:
+    """The multiply modulo a polynomial that F_q and k share, and the
+    ``inverse()`` and ``q_power_iter`` every field element type has."""
+
+    @pytest.mark.parametrize("q", [4, 9, 25, 729, 1024])
+    def test_fq_mul_matches_reference(self, q):
+        st = pytest.importorskip("hypothesis.strategies")
+        fq = field_of(q)
+        assert fq._tables == (q <= 512)
+
+        @derandomized(seed=st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            a, b = rand_fq(rng, fq), rand_fq(rng, fq)
+            expected = mulmod_reference(a.coeffs, b.coeffs, fq.modulus, fq.p)
+            assert fq._mul(a, b).coeffs == (a * b).coeffs == expected
+
+        check()
+
+    @pytest.mark.parametrize("q,n", [(2, 13), (3, 7), (4, 6), (5, 5)])
+    def test_ext_mul_matches_spoly_product(self, q, n):
+        st = pytest.importorskip("hypothesis.strategies")
+        base = field_of(q)
+        ext = ExtField(base, find_irreducible(base, n))
+
+        @derandomized(seed=st.integers(0, 2 ** 32 - 1))
+        def check(seed):
+            rng = random.Random(seed)
+            a, b = (ext.element([rand_fq(rng, base) for _ in range(n)])
+                    for _ in range(2))
+            assert ext._mul(a, b) == schoolbook(a, b)
+
+        check()
+
+    def test_inverse_protocol(self, fq4, pf3):
+        st = pytest.importorskip("hypothesis.strategies")
+        fq1024 = field_of(1024)
+        ext = ExtField(fq4, find_irreducible(fq4, 3))
+        shapes = ("constant", "monomial", "general")
+
+        def draw(rng, kind):
+            if kind == "ext":
+                return ext.element([rand_fq(rng, fq4) for _ in range(3)])
+            if kind == "perf":
+                fq = pf3.fq
+                return PerfElement(
+                    pf3, rand_kernel_poly(rng, fq, rng.choice(shapes)),
+                    rand_kernel_poly(rng, fq, rng.choice(shapes)),
+                    rng.randint(0, 2))
+            return rand_fq(rng, {"fq4": fq4, "fq1024": fq1024}[kind])
+
+        @derandomized(seed=st.integers(0, 2 ** 32 - 1),
+                      kind=st.sampled_from(("fq4", "fq1024", "ext", "perf")))
+        def check(seed, kind):
+            rng = random.Random(seed)
+            x, y = draw(rng, kind), draw(rng, kind)
+            if not y:
+                return
+            assert x / y == x * y.inverse()
+            assert y ** -3 == y.inverse() ** 3
+            assert y.inverse().inverse() == y
+            assert (y * y.inverse()).is_one()
+
+        check()
+        for field in (fq4, fq1024, ext, pf3):
+            with pytest.raises(FieldError):
+                field.zero().inverse()
+            with pytest.raises(FieldError):
+                field.one() / field.zero()
+            with pytest.raises(FieldError):
+                field.zero() ** -1
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_ext_q_power_iter_is_repeated_q_power(self, q, n):
+        base = field_of(q)
+        ext = ExtField(base, find_irreducible(base, n))
+        for x in ext.elements():
+            for j in range(-n, 2 * n + 1):
+                y = x.q_power_iter(j)
+                # j-fold q-th powers of x give y; of y they give x back
+                z = x if j >= 0 else y
+                for _ in range(abs(j)):
+                    z = z ** q
+                assert z == (y if j >= 0 else x), (x, j)

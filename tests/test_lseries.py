@@ -29,10 +29,8 @@ def gauge_scaled(rng, tau, ext):
     D^-1 P D, with the same characteristic polynomial."""
     units = [x for x in ext.elements() if x]
     d = [rng.choice(units) for _ in range(tau.rank)]
-    if tau.side == "motive":
-        tw = [x.frobenius() for x in d]
-    else:
-        tw = [x.frobenius_inv() for x in d]
+    e = ext.q if tau.side == "motive" else ext.size // ext.q
+    tw = [x ** e for x in d]
     return TauMatrix(side=tau.side, entries=[
         [e.scale(d[i].inverse() * tw[j]) for j, e in enumerate(row)]
         for i, row in enumerate(tau.entries)])
