@@ -8,7 +8,7 @@ from .errors import (ConvergenceError, DimensionError, FieldError,
                      TauresError)
 from .fields import ExtField, Fq, FqElement, PerfElement, PerfField, SPoly
 from .skew import SkewLaurent, invert_scalar
-from .skewmat import SkewMatrix, invert_series_matrix, mat_mul, sigma_order
+from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
 from .anderson import (AndersonModule, Differential, carlitz,
                        carlitz_tensor, drinfeld, find_k1, maurischat,
                        phi_inverse_power, phi_of_poly, termination_bound,

@@ -2,7 +2,7 @@
 negative powers of t, and the convergence constant k1 that turns the
 pairing's infinite sum into a finite one.
 
-A module is the data (field, theta, d, phi_t, declared motive/comotive
+A module is the data (pf, theta, d, phi_t, declared motive/comotive
 bases).  Bases are declared, not computed: the Gram-unit certificate in
 the pairing module retroactively certifies them.
 
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import ConvergenceError, DimensionError, FieldError
-from .fields import Fq, PerfElement, PerfField, SPoly
+from .fields import PerfElement, PerfField, SPoly
 from .linalg import nilpotency_index
 from .skew import SkewLaurent
-from .skewmat import SkewMatrix, invert_series_matrix, mat_mul, sigma_order
+from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
 
 
 def twist(poly: SPoly, j=1) -> SPoly:
@@ -76,9 +76,12 @@ class Differential:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     failure: Optional[str] = None
     checks: list = dc_field(default_factory=list)
+
+    @property
+    def ok(self):
+        return self.failure is None
 
     def __str__(self):
         lines = ["{}: {}".format("pass" if ok else "FAIL", name)
@@ -95,7 +98,6 @@ class AndersonModule:
     rows, comotive_basis entries d x 1 columns, both over R[tau].
     """
 
-    field: Fq
     pf: PerfField
     theta: PerfElement
     dim: int
@@ -165,8 +167,7 @@ def validate(module: AndersonModule) -> ValidationReport:
     if not nilpotent and failure is None:
         failure = "constant term of phi(t) minus theta*I is not nilpotent"
 
-    return ValidationReport(ok=failure is None, failure=failure,
-                            checks=checks)
+    return ValidationReport(failure=failure, checks=checks)
 
 
 def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:
@@ -214,10 +215,10 @@ _K1_PRECISION = 3
 
 
 def find_k1(module: AndersonModule, cap=64):
-    """Least k1 <= cap with sigma_order(phi(t)^-k1) >= 1.
+    """Least k1 <= cap with every entry of phi(t)^-k1 of tau-degree < 0.
 
-    Submultiplicativity of the norm then gives
-    sigma_order(phi(t)^(-k1*j)) >= j, the pairing's termination bound.
+    Submultiplicativity of the norm then gives phi(t)^(-k1*j) tau-degree
+    at most -j, the pairing's termination bound.
     When phi(t)^-1 has no positive tau-degree (D <= 0), neither has any
     power of it, so the test is whether coeff_0 of every entry vanishes;
     only coefficient-0 terms meet at exponent 0, untwisted, so
@@ -241,7 +242,7 @@ def find_k1(module: AndersonModule, cap=64):
     else:
         acc = inv
         for k in range(1, cap + 1):
-            if sigma_order(acc) >= 1:
+            if acc.max_deg_tau() < 0:
                 return k
             acc = phi_inverse_power(module, k + 1, 1)
     raise ConvergenceError(
@@ -257,16 +258,14 @@ def termination_bound(module: AndersonModule, k1) -> int:
     """
     dm, dn = module.max_basis_deg()
     base = 2 + dm + dn
-    s1 = sigma_order(invert_series_matrix(module.phi_t, 2))
-    slack = 0
-    if s1 < 0:
-        slack = (k1 - 1) * int(-s1)
+    d = invert_series_matrix(module.phi_t, 2).max_deg_tau()
+    slack = (k1 - 1) * d if d > 0 else 0
     return k1 * (base + slack)
 
 
 # --- built-in example constructors ---
 
-def drinfeld(pf: PerfField, theta: PerfElement, g, field: Fq = None,
+def drinfeld(pf: PerfField, theta: PerfElement, g,
              name="drinfeld") -> AndersonModule:
     """Drinfeld module of rank r: phi(t) = theta + g_1 tau + .. + g_r tau^r,
     with standard bases (1, tau, .., tau^(r-1)) on both sides."""
@@ -274,31 +273,28 @@ def drinfeld(pf: PerfField, theta: PerfElement, g, field: Fq = None,
     r = len(g)
     if r < 1 or not g[-1]:
         raise FieldError("drinfeld module needs g_r != 0")
-    fq = field if field is not None else pf.fq
     terms = [(theta, 0)] + [(gi, i + 1) for i, gi in enumerate(g)]
     phi = SkewMatrix(pf, [[SkewLaurent.from_left_coeffs(pf, terms)]])
     motive = [SkewMatrix(pf, [[SkewLaurent.tau(pf, i) if i else
                                SkewLaurent.one(pf)]]) for i in range(r)]
     comotive = [SkewMatrix(pf, [[SkewLaurent.tau(pf, j) if j else
                                  SkewLaurent.one(pf)]]) for j in range(r)]
-    return AndersonModule(field=fq, pf=pf, theta=theta, dim=1, phi_t=phi,
+    return AndersonModule(pf=pf, theta=theta, dim=1, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
                           name=name)
 
 
-def carlitz(pf: PerfField, theta: PerfElement, field: Fq = None):
+def carlitz(pf: PerfField, theta: PerfElement):
     """The Carlitz module: phi(t) = theta + tau."""
-    return drinfeld(pf, theta, [pf.one()], field=field, name="carlitz")
+    return drinfeld(pf, theta, [pf.one()], name="carlitz")
 
 
-def carlitz_tensor(pf: PerfField, theta: PerfElement, d,
-                   field: Fq = None) -> AndersonModule:
+def carlitz_tensor(pf: PerfField, theta: PerfElement, d) -> AndersonModule:
     """d-th tensor power of the Carlitz module in canonical coordinates:
     theta on the diagonal, 1 on the superdiagonal, tau in the corner;
     motive basis projection-to-first, comotive basis inclusion-at-last."""
     if d < 1:
         raise DimensionError("tensor power must be >= 1")
-    fq = field if field is not None else pf.fq
     zero = SkewLaurent.zero(pf)
     one = SkewLaurent.one(pf)
     ent = [[zero for _ in range(d)] for _ in range(d)]
@@ -311,17 +307,15 @@ def carlitz_tensor(pf: PerfField, theta: PerfElement, d,
     motive = [SkewMatrix(pf, [[one if j == 0 else zero for j in range(d)]])]
     comotive = [SkewMatrix(pf, [[one] if i == d - 1 else [zero]
                                 for i in range(d)])]
-    return AndersonModule(field=fq, pf=pf, theta=theta, dim=d, phi_t=phi,
+    return AndersonModule(pf=pf, theta=theta, dim=d, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
                           name="carlitz-tensor-{}".format(d))
 
 
-def maurischat(pf: PerfField, theta: PerfElement,
-               field: Fq = None) -> AndersonModule:
+def maurischat(pf: PerfField, theta: PerfElement) -> AndersonModule:
     """The dimension-2, rank-3 module with
     phi(t) = [[theta + tau^2, tau^3], [1 + tau, theta + tau^2]] and the
     declared bases e = (tau k2, k2, k1), e-check = (k1 tau, k1, k2)."""
-    fq = field if field is not None else pf.fq
     zero = SkewLaurent.zero(pf)
     one = SkewLaurent.one(pf)
     tau = SkewLaurent.tau(pf)
@@ -342,6 +336,6 @@ def maurischat(pf: PerfField, theta: PerfElement,
         SkewMatrix(pf, [[one], [zero]]),               # e2-check = k1
         SkewMatrix(pf, [[zero], [one]]),               # e3-check = k2
     ]
-    return AndersonModule(field=fq, pf=pf, theta=theta, dim=2, phi_t=phi,
+    return AndersonModule(pf=pf, theta=theta, dim=2, phi_t=phi,
                           motive_basis=motive, comotive_basis=comotive,
                           name="maurischat")

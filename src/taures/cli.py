@@ -86,20 +86,12 @@ def _manifest_skeleton(q):
     man = Manifest()
     man.q = q
     if m > 1:
-        man.modulus = find_irreducible(Fq(p), m).render(
-            "z", coeff_str=lambda c: str(c.coeffs[0]),
-            coeff_is_one=lambda c: c.is_one())
+        man.modulus = find_irreducible(Fq(p), m).render(Fq.gen_name)
     return man
 
 
 def example_carlitz(q=2):
-    man = _manifest_skeleton(q)
-    man.dim = 1
-    man.rank = 1
-    man.phi_rows = ["theta + tau"]
-    man.motive_rows = ["1"]
-    man.comotive_cols = ["1"]
-    return man
+    return example_drinfeld(q, 1, g_texts=["1"])
 
 
 def example_carlitz_tensor(q=2, d=2):
@@ -246,6 +238,10 @@ def cmd_perfectness(args):
 def cmd_lseries(args):
     man = _load(args.manifest)
     module = man.module
+    report = anderson.validate(module)
+    if not report.ok:
+        print(report, file=sys.stderr)
+        return EXIT_VALIDATION
     if args.ext_degree is not None:
         ext = ext_field_of_degree(man.field, args.ext_degree)
     else:
@@ -272,8 +268,7 @@ def cmd_lseries(args):
         consistent = consistent and oracle.unit_equiv(fit_m)
     print("motive: {}".format(fit_m))
     print("comotive: {}".format(fit_c))
-    print("E(k) fitting: {}".format(bf.render(
-        "t", coeff_str=str, coeff_is_one=lambda c: c.is_one())))
+    print("E(k) fitting: {}".format(bf))
     print("consistent: {}".format("yes" if consistent else "no"))
     return 0 if consistent else EXIT_VALIDATION
 

@@ -54,6 +54,7 @@ class DimensionError(TauresError):
 
 
 class NotInvertibleError(TauresError):
-    """A pivot column vanished to the working floor during elimination."""
+    """A pivot column is exactly zero during elimination; one known to
+    vanish only down to the working floor raises PrecisionError."""
 
     prefix = "error[invert]"

@@ -191,7 +191,7 @@ class FqElement:
             return str(self.coeffs[0])
         return render_poly_in_var(
             {i: c for i, c in enumerate(self.coeffs) if c},
-            self.field.gen_name, lambda c: str(c), lambda c: c == 1)
+            self.field.gen_name, lambda c: c == 1)
 
     def __repr__(self):
         return "FqElement({})".format(self)
@@ -205,12 +205,13 @@ class Fq:
     prime field itself.
     """
 
-    def __init__(self, q, modulus=None, gen_name="z"):
+    gen_name = "z"
+
+    def __init__(self, q, modulus=None):
         p, m = _factor_prime_power(q)
         self.p = p
         self.m = m
         self.q = q
-        self.gen_name = gen_name
         if modulus is None:
             if m != 1:
                 raise FieldError(
@@ -564,10 +565,8 @@ class SPoly:
         return SPoly._trusted(self.ring,
                               {e // k: c for e, c in self.terms.items()})
 
-    def render(self, var, coeff_str=str, coeff_is_one=None):
-        if coeff_is_one is None:
-            coeff_is_one = lambda c: getattr(c, "is_one")()
-        return render_poly_in_var(self.terms, var, coeff_str, coeff_is_one)
+    def render(self, var):
+        return render_poly_in_var(self.terms, var, lambda c: c.is_one())
 
     def __str__(self):
         return self.render("t")
@@ -589,7 +588,7 @@ def needs_parens(s):
     return " + " in s or " - " in s
 
 
-def render_poly_in_var(terms, var, coeff_str, coeff_is_one):
+def render_poly_in_var(terms, var, coeff_is_one):
     """Canonical rendering: decreasing exponent, '*' between coefficient
     and variable power, unit coefficients omitted on proper powers.  A
     coefficient that is a sum or a fraction goes in parentheses."""
@@ -598,7 +597,7 @@ def render_poly_in_var(terms, var, coeff_str, coeff_is_one):
     parts = []
     for e in sorted(terms, reverse=True):
         c = terms[e]
-        cs = coeff_str(c)
+        cs = str(c)
         if e == 0:
             parts.append(cs)
         else:
@@ -679,12 +678,12 @@ class ExtField:
     which is exactly the F_q-basis restriction of scalars works over.
     """
 
-    def __init__(self, base: Fq, modulus: SPoly, gen_name="w",
-                 _irreducible=False):
+    gen_name = "w"
+
+    def __init__(self, base: Fq, modulus: SPoly, _irreducible=False):
         # _irreducible: the caller has just proved the modulus irreducible
         # (find_irreducible), so it is not tested a second time
         self.base = base
-        self.gen_name = gen_name
         n = modulus.degree()
         if n < 1:
             raise FieldError("extension modulus must have degree >= 1")
@@ -803,7 +802,7 @@ class ExtElement:
 
     def __str__(self):
         terms = {i: c for i, c in enumerate(self.coeffs) if c}
-        return render_poly_in_var(terms, self.field.gen_name, str,
+        return render_poly_in_var(terms, self.field.gen_name,
                                   lambda c: c.is_one())
 
     def __repr__(self):

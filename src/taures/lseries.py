@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule, twist
-from .fields import (ExtElement, ExtField, Fq, FqElement, SPoly,
-                     needs_parens)
+from .fields import ExtElement, ExtField, Fq, SPoly, needs_parens
 from .linalg import charpoly, dot, inverse, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
@@ -47,6 +46,7 @@ class BivariatePoly:
     def __init__(self, fq: Fq, coeffs):
         """coeffs: list of SPoly over fq, index = T-exponent."""
         self.fq = fq
+        coeffs = list(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         lead = coeffs[-1] if coeffs else None
@@ -84,7 +84,7 @@ class BivariatePoly:
             c = self.coeffs[te]
             if not c:
                 continue
-            cs = c.render("t", coeff_str=str, coeff_is_one=FqElement.is_one)
+            cs = str(c)
             if te == 0:
                 parts.append(cs)
                 continue
@@ -110,14 +110,11 @@ def _extract_drinfeld_g(module: AndersonModule):
         raise FieldError("tau-matrix auto-derivation needs a Drinfeld "
                          "module; declare tau_matrix blocks instead")
     entry = module.phi_t[0, 0]
-    r = int(entry.deg_tau())
-    g = []
-    for i in range(1, r + 1):
-        left = entry.coeff(i).q_power_iter(i)  # right to left coefficient
-        g.append(left)
-    if not g or not g[-1]:
+    r = entry.deg_tau()
+    if r < 1:
         raise FieldError("phi(t) must have a nonzero leading tau term")
-    return g
+    # g_i, the left coefficient of tau^i, is the stored one twisted by q^i
+    return [entry.coeff(i).q_power_iter(i) for i in range(1, r + 1)]
 
 
 def _require_finite(module: AndersonModule):

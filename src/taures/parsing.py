@@ -222,16 +222,16 @@ def _skew_divide(a: SkewLaurent, b: SkewLaurent, op: Token):
     return SkewLaurent.scalar(pf, num / den)
 
 
-def parse_skew_expr(text, pf: PerfField, theta=None, line=1, col=1,
+def parse_skew_expr(text, pf: PerfField, line=1, col=1,
                     allow_theta=True) -> SkewLaurent:
     """Parse one skew expression into normal form."""
     return _evaluate(tokenize(text, line, col),
-                     *_skew_env(pf, theta, allow_theta))
+                     *_skew_env(pf, allow_theta=allow_theta))
 
 
-def parse_skew_row(text, pf, theta=None, line=1, col=1):
+def parse_skew_row(text, pf, theta=None):
     """Parse a '|'-separated list of skew expressions."""
-    return _evaluate_row(text, line, col, *_skew_env(pf, theta))
+    return _evaluate_row(text, 1, 1, *_skew_env(pf, theta))
 
 
 def parse_tpoly_row(text, ext: ExtField, line=1, col=1):
@@ -265,14 +265,14 @@ def _no_divide(a, b, op):
     raise SkewParseError("'/' is not legal in a modulus", op.line, op.col)
 
 
-def _parse_modulus(text, field: Fq, var, line, col) -> SPoly:
-    """A polynomial in ``var`` over ``field``, whose generator is an atom
+def _parse_modulus(text, fq: Fq, var, line, col) -> SPoly:
+    """A polynomial in ``var`` over ``fq``, whose generator is an atom
     too when it is not a prime field; '/' is rejected."""
-    atoms = {var: SPoly.gen(field)}
-    if field.m > 1:
-        atoms[field.gen_name] = SPoly.const(field, field.gen())
+    atoms = {var: SPoly.gen(fq)}
+    if fq.m > 1:
+        atoms[fq.gen_name] = SPoly.const(fq, fq.gen())
     return _evaluate(tokenize(text, line, col), atoms,
-                     lambda n: SPoly.const(field, field.from_int(n)),
+                     lambda n: SPoly.const(fq, fq.from_int(n)),
                      _no_divide)
 
 
@@ -402,7 +402,7 @@ def _build(man: Manifest, locations):
         modulus = None
         if man.modulus is not None:
             text, line, col = man.modulus
-            poly = _parse_modulus(text, Fq(p), "z", line, col)
+            poly = _parse_modulus(text, Fq(p), Fq.gen_name, line, col)
             modulus = [poly.coeff(e).coeffs[0]
                        for e in range(poly.degree() + 1)]
         fq = Fq(man.q, modulus)
@@ -472,8 +472,7 @@ def _build(man: Manifest, locations):
                 len(motive), len(comotive)), line, 1)
 
     man.module = AndersonModule(
-        field=fq, pf=pf, theta=theta, dim=man.dim,
-        phi_t=SkewMatrix(pf, phi_entries),
+        pf=pf, theta=theta, dim=man.dim, phi_t=SkewMatrix(pf, phi_entries),
         motive_basis=motive, comotive_basis=comotive)
 
 
@@ -482,7 +481,7 @@ def manifest_ext_field(man: Manifest) -> Optional[ExtField]:
     fq = man.field
     if man.ext_modulus_text is not None:
         text, line, col = man.ext_modulus_text
-        poly = _parse_modulus(text, fq, "w", line, col)
+        poly = _parse_modulus(text, fq, ExtField.gen_name, line, col)
         try:
             return ExtField(fq, poly)
         except FieldError as err:

@@ -149,14 +149,10 @@ class SkewLaurent:
         return SkewLaurent(self.pf, {e: -c for e, c in self.coeffs.items()},
                            self.floor)
 
-    def __mul__(self, other, floor=None):
-        """The product, computed only at tau-degrees >= its floor.
-
-        The floor is ``_mul_floor``, raised to ``floor`` when the caller
-        passes a higher one because it keeps nothing below it; see
-        ``sum_of_products``.
-        """
-        return sum_of_products(self.pf, [(self, other)], floor)
+    def __mul__(self, other):
+        """The product, computed only at tau-degrees >= its
+        ``_mul_floor``; see ``sum_of_products``."""
+        return sum_of_products(self.pf, [(self, other)])
 
     def _mul_floor(self, other):
         # unknown tail of f can contaminate degrees < floor_f + deg(g),

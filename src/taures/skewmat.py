@@ -158,24 +158,6 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
     return SkewMatrix(pf, out)
 
 
-def sigma_order(a: SkewMatrix):
-    """min over entries of (-deg_tau); +inf for the zero matrix.
-
-    For truncated entries with no stored terms the actual degree sits
-    strictly below the floor, so 1 - floor is a sound lower bound.
-    """
-    order = float("inf")
-    for row in a.entries:
-        for e in row:
-            d = e.deg_tau()
-            if d == NEG_INF:
-                if e.floor is not None:
-                    order = min(order, 1 - e.floor)
-            else:
-                order = min(order, -d)
-    return order
-
-
 def invert_series_matrix(phi: SkewMatrix, precision) -> SkewMatrix:
     """Invert a square matrix over R[tau] into Mat(R((sigma))).
 

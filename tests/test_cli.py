@@ -329,6 +329,22 @@ class TestExitCodes:
         assert out == ""
         assert "not invertible: column 1 is zero" in err
 
+    @pytest.mark.parametrize("theta,message", [
+        # phi(t) = 0 validates at theta = 0 but has no tau-term to read g
+        # from; at theta = 1 its constant term minus theta is not nilpotent
+        ("0", "error[field]: phi(t) must have a nonzero leading tau term"),
+        ("1", "invalid: constant term of phi(t) minus theta*I is not "
+              "nilpotent"),
+    ])
+    def test_lseries_zero_phi(self, capsys, tmp_path, theta, message):
+        man = ("q: 2\nbase: finite-field\ntheta: {}\ndim: 1\nphi_t:\n"
+               "row: 0\nmotive_basis:\nrow: 1\ncomotive_basis:\ncol: 1\n"
+               .format(theta))
+        path = write(tmp_path, "zero.man", man)
+        code, out, err = run(capsys, "lseries", path)
+        assert (code, out) == (3, "")
+        assert err.splitlines()[0] == message
+
     def test_pair_sigma_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         code, _, err = run(capsys, "pair", path, "--m", "sigma", "--n", "1")

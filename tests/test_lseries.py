@@ -420,6 +420,12 @@ class TestBivariate:
                                 SPoly(fq3, {0: fq3.one()})])
         assert not a.unit_equiv(c)
 
+    def test_init_keeps_the_callers_list(self, fq3):
+        p = SPoly(fq3, {1: fq3.one()})
+        coeffs = [p, SPoly(fq3, {})]
+        assert BivariatePoly(fq3, coeffs).coeffs == [p]
+        assert len(coeffs) == 2
+
     def test_render(self, fq3):
         p = BivariatePoly(fq3, [
             SPoly(fq3, {1: fq3.from_int(2), 0: fq3.one()}),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from taures import anderson, cli
 from taures.errors import SkewParseError
 from taures.anderson import validate
 from taures.cli import render_manifest
@@ -355,3 +356,47 @@ row: 1 | 0
         for side in ("motive", "comotive"):
             assert manifest_tau_matrix(again, side, ext).entries == \
                 manifest_tau_matrix(first, side, ext).entries
+
+
+def _drinfeld_g(pf, texts):
+    """The PerfElement values of the coefficient texts used below."""
+    th = pf.theta()
+    values = {"1": pf.one(), "theta": th, "theta + 1": th + pf.one(),
+              "theta^2": th * th}
+    return [values[t] for t in texts]
+
+
+class TestExamplesMatchConstructors:
+    """Each built-in family is written twice: as manifest text in
+    ``cli.example_*`` and as objects in ``anderson``.  Parsing the
+    rendered manifest must give the constructor's module."""
+
+    G_TEXTS = (["1"], ["theta + 1", "theta"],
+               ["theta + 1"] * 3 + ["theta"], ["theta^2", "1", "theta^2"])
+
+    @staticmethod
+    def assert_same(parsed, built):
+        assert parsed.dim == built.dim
+        assert parsed.theta == built.theta
+        assert parsed.phi_t == built.phi_t
+        assert parsed.motive_basis == built.motive_basis
+        assert parsed.comotive_basis == built.comotive_basis
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
+    def test_families(self, q):
+        def module_of(man):
+            man = parse_manifest(render_manifest(man))
+            return man.module, man.pf, man.pf.theta()
+
+        E, pf, th = module_of(cli.example_carlitz(q))
+        self.assert_same(E, anderson.carlitz(pf, th))
+        E, pf, th = module_of(cli.example_maurischat(q))
+        self.assert_same(E, anderson.maurischat(pf, th))
+        for d in (1, 2, 3, 5):
+            E, pf, th = module_of(cli.example_carlitz_tensor(q, d))
+            self.assert_same(E, anderson.carlitz_tensor(pf, th, d))
+        for texts in self.G_TEXTS:
+            E, pf, th = module_of(
+                cli.example_drinfeld(q, len(texts), g_texts=texts))
+            self.assert_same(E, anderson.drinfeld(pf, th,
+                                                  _drinfeld_g(pf, texts)))

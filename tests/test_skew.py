@@ -100,7 +100,7 @@ def check_mul_against_reference(rng, pf):
     ref = skew_mul_reference(f, g)
     assert f * g == ref
     w = rng.randint(-6, 6)
-    assert f.__mul__(g, w) == ref.truncate(w)
+    assert sum_of_products(pf, [(f, g)], w) == ref.truncate(w)
     # floors never overstate knowledge: truncating first agrees with the
     # product above the floor it reports
     ft = f.truncate(rng.randint(-5, 4))
@@ -126,7 +126,7 @@ class TestSumOfProducts:
                 if pairs:
                     x, y = pairs[0]
                     w = rng.randint(-6, 6)
-                    assert x.__mul__(y, w) == \
+                    assert sum_of_products(pf, [(x, y)], w) == \
                         sum_of_products_reference(pf, [(x, y)], w)
 
     def test_cancels_to_zero_at_q2(self, pf2):

@@ -12,7 +12,7 @@ from taures.fields import Fq, PerfField
 from taures.parsing import parse_skew_row
 from taures.skew import SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
-                            mat_mul, sigma_order)
+                            mat_mul)
 
 from conftest import (eliminate_reference, from_right_coeffs,
                       invert_series_matrix_reference, mat_mul_reference,
@@ -440,27 +440,27 @@ class TestInverseCache:
                     assert passes[0] == total, (E.name, pf.q, p)
 
 
-class TestSigmaOrder:
+class TestMaxDegTau:
     def test_examples(self, pf3):
         eye = SkewMatrix.identity(pf3, 2)
-        assert sigma_order(eye) == 0
+        assert eye.max_deg_tau() == 0
         s_eye = eye.map(lambda e: SkewLaurent.sigma(pf3) * e)
-        assert sigma_order(s_eye) == 1
-        assert sigma_order(SkewMatrix.zeros(pf3, 2, 2)) == float("inf")
+        assert s_eye.max_deg_tau() == -1
+        assert SkewMatrix.zeros(pf3, 2, 2).max_deg_tau() == float("-inf")
         th = pf3.theta()
         phi = SkewMatrix(pf3, [[from_right_coeffs(
             pf3, [(th, 0), (pf3.one(), 1)])]])
-        assert sigma_order(invert_series_matrix(phi, 3)) == 1
+        assert invert_series_matrix(phi, 3).max_deg_tau() == -1
 
-    def test_superadditive(self, pf3):
+    def test_subadditive(self, pf3):
         rng = random.Random(34)
         for _ in range(50):
             a = SkewMatrix(pf3, [[rand_skew(rng, pf3, lo=-3, hi=1)
                                   for _ in range(2)] for _ in range(2)])
             b = SkewMatrix(pf3, [[rand_skew(rng, pf3, lo=-3, hi=1)
                                   for _ in range(2)] for _ in range(2)])
-            assert sigma_order(mat_mul(a, b)) >= \
-                sigma_order(a) + sigma_order(b)
+            assert mat_mul(a, b).max_deg_tau() <= \
+                a.max_deg_tau() + b.max_deg_tau()
 
 
 def test_render(pf3):
