@@ -8,13 +8,16 @@ convergence-cap exceeded, 5 precision not reached or not certified.
 gram, perfectness and pair fail in one order: a sigma-precision above
 --precision-cap exits 5, then a phi(t)^-1 of positive tau-degree exits 5
 and names the degree, and only then can a k1 above --k-cap exit 4.
+
+A plain call is read from COMMANDS without argparse; any other call, and
+all help and error text, goes to the argparse tree built from COMMANDS.
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+from types import SimpleNamespace
 
 from .errors import (ConvergenceError, DimensionError, FieldError,
                      NotInvertibleError, PrecisionError, SkewParseError,
@@ -22,7 +25,8 @@ from .errors import (ConvergenceError, DimensionError, FieldError,
 from . import anderson, lseries, pairing
 from .fields import Fq, _factor_prime_power, find_irreducible
 from .parsing import (Manifest, manifest_ext_field, manifest_tau_matrix,
-                      parse_manifest, parse_skew_row, ext_field_of_degree)
+                      parse_manifest, parse_skew_expr, parse_skew_row,
+                      ext_field_of_degree)
 from .skewmat import SkewMatrix, invert_series_matrix
 
 EXIT_PARSE = 2
@@ -159,14 +163,34 @@ def example_drinfeld(q=2, r=2, seed=None, g_texts=None):
     return man
 
 
+def _example_drinfeld(args):
+    """`examples drinfeld`, checking each --g text is a scalar of the
+    example's field and g_r nonzero (example_drinfeld only writes text)."""
+    if args.g is None:
+        return example_drinfeld(q=args.q, r=args.r, seed=args.seed)
+    g_texts = args.g.split(",")
+    man = example_drinfeld(q=args.q, r=args.r, g_texts=g_texts)
+    pf = parse_manifest(render_manifest(example_carlitz(args.q))).pf
+    for i, text in enumerate(g_texts, start=1):
+        try:
+            g = parse_skew_expr(text, pf)
+        except SkewParseError:
+            g = None
+        if g is None or not g.sigma_free() or g.deg_tau() > 0 or \
+                not g and i == args.r:
+            raise SkewParseError("drinfeld example needs g_{} to be a {}"
+                                 "scalar, got {!r}".format(
+                                     i, "nonzero " * (i == args.r), text),
+                                 0, 0)
+    return man
+
+
 EXAMPLES = {
     "carlitz": lambda args: example_carlitz(q=args.q),
     "carlitz-tensor": lambda args: example_carlitz_tensor(q=args.q,
                                                           d=args.d),
     "maurischat": lambda args: example_maurischat(q=args.q),
-    "drinfeld": lambda args: example_drinfeld(
-        q=args.q, r=args.r, seed=args.seed,
-        g_texts=args.g.split(",") if args.g else None),
+    "drinfeld": _example_drinfeld,
 }
 
 
@@ -283,90 +307,98 @@ def cmd_examples(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("manifest", help="path to a module manifest")
-    p.add_argument("--precision-cap", type=int,
-                   default=pairing.PRECISION_CAP, dest="precision_cap",
-                   help="max sigma-precision of the pairing's phi(t)^-1")
-    p.add_argument("--k-cap", type=int, default=64, dest="k_cap",
-                   help="search cap for the convergence exponent k1")
+_COMMON = (
+    ("manifest", dict(help="path to a module manifest")),
+    ("--precision-cap", dict(
+        type=int, default=pairing.PRECISION_CAP,
+        help="max sigma-precision of the pairing's phi(t)^-1")),
+    ("--k-cap", dict(type=int, default=64,
+                     help="search cap for the convergence exponent k1")),
+)
 
-
-def _add_invert(p):
-    _add_common(p)
-    p.add_argument("--order", type=int, default=6,
-                   help="sigma-precision of the inverse")
-
-
-def _add_pair(p):
-    _add_common(p)
-    p.add_argument("--m", required=True,
-                   help="motive element ('|'-separated entries)")
-    p.add_argument("--n", required=True,
-                   help="comotive element ('|'-separated entries)")
-
-
-def _add_lseries(p):
-    _add_common(p)
-    p.add_argument("--ext-degree", type=int, default=None, dest="ext_degree",
-                   help="degree of k over F_q (overrides the manifest)")
-
-
-def _add_examples(p):
-    p.add_argument("name", help="carlitz | carlitz-tensor | drinfeld | "
-                                "maurischat")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--d", type=int, default=2, help="tensor power")
-    p.add_argument("--r", type=int, default=2, help="drinfeld rank")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for drinfeld coefficients")
-    p.add_argument("--g", type=str, default=None,
-                   help="comma-separated drinfeld coefficients g_1..g_r")
-
-
-# (name, help, adds the command's arguments, handler), in usage order
+# (name, help, [(flag, add_argument options)], handler), in usage order
 COMMANDS = (
-    ("validate", "check the module axioms", _add_common, cmd_validate),
-    ("invert", "phi(t)^-1 as a truncated matrix", _add_invert, cmd_invert),
-    ("pair", "pair a motive row with a comotive column", _add_pair,
+    ("validate", "check the module axioms", _COMMON, cmd_validate),
+    ("invert", "phi(t)^-1 as a truncated matrix", _COMMON + (
+        ("--order", dict(type=int, default=6,
+                         help="sigma-precision of the inverse")),),
+     cmd_invert),
+    ("pair", "pair a motive row with a comotive column", _COMMON + (
+        ("--m", dict(required=True,
+                     help="motive element ('|'-separated entries)")),
+        ("--n", dict(required=True,
+                     help="comotive element ('|'-separated entries)"))),
      cmd_pair),
-    ("gram", "all pairings of the declared bases", _add_common, cmd_gram),
-    ("perfectness", "gram determinant certificate", _add_common,
+    ("gram", "all pairings of the declared bases", _COMMON, cmd_gram),
+    ("perfectness", "gram determinant certificate", _COMMON,
      cmd_perfectness),
     ("lseries", "T-deformation fitting ideals over a finite base",
-     _add_lseries, cmd_lseries),
-    ("examples", "write a built-in example manifest to stdout",
-     _add_examples, cmd_examples),
+     _COMMON + (("--ext-degree", dict(
+         type=int, help="degree of k over F_q (overrides the manifest)")),),
+     cmd_lseries),
+    ("examples", "write a built-in example manifest to stdout", (
+        ("name", dict(help="carlitz | carlitz-tensor | drinfeld | "
+                           "maurischat")),
+        ("--q", dict(type=int, default=2)),
+        ("--d", dict(type=int, default=2, help="tensor power")),
+        ("--r", dict(type=int, default=2, help="drinfeld rank")),
+        ("--seed", dict(type=int, help="seed for drinfeld coefficients")),
+        ("--g", dict(help="comma-separated drinfeld coefficients g_1..g_r"))),
+     cmd_examples),
 )
 
 
 def build_arg_parser():
     """The full argument parser, one subparser per command."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="taures",
         description="Exact residue-in-tau pairings for Anderson t-modules")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments, func in COMMANDS:
+    for name, help_text, arguments, func in COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
     return ap
 
 
+def _read_args(argv):
+    """A plain call read straight from COMMANDS, or None: the command, its
+    positionals, and each long option at most once, as its exact flag and
+    a value not starting with '-' that its type accepts.  argparse reads
+    such a call to the same values; anything else is left to it."""
+    row = next((c for c in COMMANDS if argv and argv[0] == c[0]), None)
+    if row is None:
+        return None
+    name, _, arguments, func = row
+    options = dict(arguments)  # each read pops its flag: no repeats
+    positionals = [flag for flag in options if not flag.startswith("-")]
+    values = {flag: opts.get("default") for flag, opts in arguments}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, value = token, next(tokens, "-")
+        else:
+            flag, value = positionals.pop(0) if positionals else None, token
+        opts = options.pop(flag, None)
+        if opts is None or value.startswith("-"):
+            return None
+        try:
+            values[flag] = opts.get("type", str)(value)
+        except ValueError:
+            return None
+    if positionals or any(opts.get("required") for opts in options.values()):
+        return None
+    return SimpleNamespace(command=name, func=func, **{
+        flag.lstrip("-").replace("-", "_"): v for flag, v in values.items()})
+
+
 def _parse_args(argv):
-    """Parse on the invoked command's own parser when that settles the
-    call: it is built like that command's subparser, so its usage, help
-    and errors read the same.  Anything it leaves over, a missing or
-    unknown command and options before the command go to the full tree,
-    so that every top-level message lists all commands."""
-    for name, _, add_arguments, func in COMMANDS:
-        if argv and argv[0] == name:
-            p = argparse.ArgumentParser(prog="taures " + name)
-            add_arguments(p)
-            p.set_defaults(func=func, command=name)
-            args, extra = p.parse_known_args(argv[1:])
-            if not extra:
-                return args
+    """_read_args, else the full tree, which settles help and errors."""
+    args = _read_args(argv)
+    if args is not None:
+        return args
     return build_arg_parser().parse_args(argv)
 
 

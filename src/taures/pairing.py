@@ -144,10 +144,15 @@ def _pair_row(pf, m, ns, k_cut, inv, window):
     (the inverse matrix has non-positive degree, n non-negative), so each
     chain product is computed only down to that window, and each pairing
     product only down to coeff_0.
+
+    The chain stops once deg(acc) + D < window, D <= 0 being the degree
+    of phi(t)^-1: no later acc has a term at or above the window, and the
+    floors stay <= it (``_pair_matrix``), so each skipped coeff_0 is 0.
     """
     minus_tau = SkewLaurent(pf, {1: -pf.one()})
     tau_row = m.map(lambda e: minus_tau * e)
     acc = mat_mul(tau_row, inv, floor=window)
+    deg_inv = inv.max_deg_tau()
     terms = [{} for _ in ns]
     for k in range(1, k_cut + 1):
         for idx, n in enumerate(ns):
@@ -155,8 +160,9 @@ def _pair_row(pf, m, ns, k_cut, inv, window):
             c = val.coeff(0)  # raises PrecisionError if floor is above 0
             if c:
                 terms[idx][k - 1] = c
-        if k < k_cut:
-            acc = mat_mul(acc, inv, floor=window)
+        if k == k_cut or acc.max_deg_tau() + deg_inv < window:
+            break
+        acc = mat_mul(acc, inv, floor=window)
     return [Differential(SPoly(pf, t)) for t in terms]
 
 

@@ -492,6 +492,22 @@ def find_k1_reference(module, cap=64, precision=2):
     raise AssertionError("no k1 <= {}".format(cap))
 
 
+def pair_row_reference(pf, m, ns, k_cut, inv, window):
+    """Test-only reference for ``pairing._pair_row``: all k_cut steps of
+    the chain (-tau)*m*phi(t)^-k, with no early exit."""
+    minus_tau = SkewLaurent(pf, {1: -pf.one()})
+    acc = mat_mul(m.map(lambda e: minus_tau * e), inv, floor=window)
+    terms = [{} for _ in ns]
+    for k in range(1, k_cut + 1):
+        for idx, n in enumerate(ns):
+            c = mat_mul(acc, n, floor=0)[0, 0].coeff(0)
+            if c:
+                terms[idx][k - 1] = c
+        if k < k_cut:
+            acc = mat_mul(acc, inv, floor=window)
+    return [Differential(SPoly(pf, t)) for t in terms]
+
+
 def positive_degree_manifest(q):
     """A validating module whose phi(t)^-1 has tau-degree 1:
     phi(t) = [[theta + tau, tau^3], [0, theta + tau]], identity bases.

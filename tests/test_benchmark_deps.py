@@ -107,6 +107,21 @@ def test_seed_zero_outputs_match_golden_digests(tmp_path):
     assert mismatches == []
 
 
+def test_every_case_is_read_without_argparse(tmp_path):
+    """Every seed-0 case argv of the four workloads is a plain call, which
+    `cli._read_args` reads straight from the command table: no benchmark
+    case builds an argparse parser."""
+    fallbacks, checked = [], 0
+    for workload in workloads.WORKLOADS:
+        for case in workloads.build(workload, 0):
+            argv = case.argv(str(tmp_path))
+            checked += 1
+            if cli._read_args(argv) is None:
+                fallbacks.append(argv)
+    assert checked > 0
+    assert fallbacks == []
+
+
 def test_src_never_calls_the_frobenius_aliases():
     """`PerfElement.q_pow` and `q_root` call `q_power_iter`, and the tracer
     wraps all three under `fields.frobenius`: a call to an alias from the

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import time
 
@@ -417,7 +419,8 @@ class TestArgumentText:
 
     def test_one_command_builds_one_subparser(self, monkeypatch, capsys,
                                               tmp_path):
-        # the full tree takes 8 parsers and 36 add_argument calls
+        # a plain call builds no parser; one argparse must settle builds
+        # the full tree: 8 parsers and 36 add_argument calls
         counts = {"parsers": 0, "arguments": 0}
         init = argparse.ArgumentParser.__init__
         add = argparse.ArgumentParser.add_argument
@@ -436,8 +439,9 @@ class TestArgumentText:
                             counted_add)
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         assert main(["gram", path]) == 0
-        assert counts["parsers"] == 1
-        assert counts["arguments"] <= 4
+        assert counts == {"parsers": 0, "arguments": 0}
+        assert main(["gram", path, "--k", "64"]) == 0
+        assert counts == {"parsers": 8, "arguments": 36}
         counts.update(parsers=0, arguments=0)
         build_arg_parser()
         assert counts == {"parsers": 8, "arguments": 36}
@@ -471,6 +475,17 @@ class TestArgumentText:
         (("carlitz-tensor", "--d", "-2"),
          "carlitz-tensor example needs d >= 1, got -2"),
         (("drinfeld", "--r", "0"), "drinfeld example needs r >= 1, got 0"),
+        (("drinfeld", "--g", ","),
+         "drinfeld example needs g_1 to be a scalar, got ''"),
+        (("drinfeld", "--r", "2", "--g", "1,0"),
+         "drinfeld example needs g_2 to be a nonzero scalar, got '0'"),
+        (("drinfeld", "--r", "1", "--g", "0"),
+         "drinfeld example needs g_1 to be a nonzero scalar, got '0'"),
+        (("drinfeld", "--g", "tau,1"),
+         "drinfeld example needs g_1 to be a scalar, got 'tau'"),
+        (("drinfeld", "--g", ""), "drinfeld example needs 2 coefficients"),
+        (("drinfeld", "--r", "1", "--g", ""),
+         "drinfeld example needs g_1 to be a nonzero scalar, got ''"),
     ])
     def test_example_rejects_bad_arguments(self, capsys, argv, message):
         code, out, err = run(capsys, "examples", *argv)
@@ -483,3 +498,119 @@ class TestArgumentText:
         code, out, err = run(capsys, "validate", path)
         assert (code, out) == (2, "")
         assert err == "error[parse] 2:10: q = 6 is not a prime power\n"
+
+
+GRAM_HELP = """\
+usage: taures gram [-h] [--precision-cap PRECISION_CAP] [--k-cap K_CAP]
+                   manifest
+
+positional arguments:
+  manifest              path to a module manifest
+
+options:
+  -h, --help            show this help message and exit
+  --precision-cap PRECISION_CAP
+                        max sigma-precision of the pairing's phi(t)^-1
+  --k-cap K_CAP         search cap for the convergence exponent k1
+"""
+
+# what argv may hold: exact flags, values argparse reads in its own ways
+# or the types refuse, and tokens that only argparse can settle
+READ_FLAGS = ["--order", "--m", "--n", "--q", "--d", "--r", "--seed", "--g",
+              "--precision-cap", "--k-cap", "--ext-degree"]
+READ_VALUES = ["m.man", "carlitz", "tau", "theta | 1", "-1", "0", "1", "3",
+               " 4", "", "1_0", "x", "-", "--", "-h"]
+READ_OTHERS = ([name for name, *_ in COMMANDS]
+               + ["--prec", "--k", "--k-cap=3", "--m=tau", "--bogus", "-h",
+                  "--", "-"])
+
+
+class TestDirectRead:
+    """`_read_args` reads plain calls straight from COMMANDS; whatever it
+    reads, argparse reads the same, and whatever it leaves, argparse
+    settles as before."""
+
+    def test_agrees_with_argparse(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        parser = build_arg_parser()
+
+        def argvs(name, arguments):
+            # the command's own flag-value pairs make plain calls common
+            flags = [flag for flag, _ in arguments if flag.startswith("-")]
+            pair = st.tuples(st.sampled_from(flags),
+                             st.sampled_from(READ_VALUES)).map(list)
+            value = st.sampled_from(READ_VALUES).map(lambda t: [t])
+            other = st.sampled_from(READ_FLAGS + READ_OTHERS).map(
+                lambda t: [t])
+            return st.lists(st.one_of(pair, pair, value, other),
+                            max_size=5).map(
+                lambda ts: [name] + [t for pair in ts for t in pair])
+
+        @hypothesis.settings(max_examples=1000, deadline=None,
+                             database=None, derandomize=True)
+        @hypothesis.given(argv=st.one_of([argvs(name, arguments) for
+                                          name, _, arguments, _ in COMMANDS]))
+        @hypothesis.example(argv=["gram", "m.man"])
+        @hypothesis.example(argv=["pair", "--n", "1", "m.man", "--k-cap",
+                                  " 4", "--m", "theta | 1"])
+        @hypothesis.example(argv=["examples", "--q", "1_0", "carlitz", "--g",
+                                  ""])
+        @hypothesis.example(argv=["examples", "carlitz", "--g", "-h"])
+        @hypothesis.example(argv=["pair", "m.man", "--m", "--", "--n", "1"])
+        def check(argv):
+            read = cli._read_args(argv)
+            if read is not None:
+                assert vars(read) == vars(parser.parse_args(argv))
+
+        check()
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_main_output_as_with_argparse(self, q, tmp_path, monkeypatch):
+        paths = []
+        for name, argv in (
+                ("carlitz", ["carlitz"]),
+                ("drinfeld", ["drinfeld", "--r", "3", "--seed", "1"]),
+                ("tensor", ["carlitz-tensor", "--d", "3"])):
+            text, _, code = outcome(main, ["examples", *argv, "--q", str(q)])
+            assert code == 0
+            paths.append(write(tmp_path, name + ".man", text))
+        calls = []
+        for value in ("-1", "0", "1", "2", "3", " 4", "1_0"):
+            for opt in ("--q", "--d", "--r", "--seed"):
+                calls += [["examples", "drinfeld", opt, value],
+                          ["examples", opt, value, "carlitz-tensor"]]
+            for path in paths:
+                dim = 3 if path.endswith("tensor.man") else 1
+                m = " | ".join(["tau"] + ["0"] * (dim - 1))
+                n = " | ".join(["0"] * (dim - 1) + ["tau"])
+                for command, opts, extra in (
+                        ("gram", ("--precision-cap", "--k-cap"), []),
+                        ("invert", ("--order",), []),
+                        ("pair", ("--k-cap",), ["--m", m, "--n", n])):
+                    for opt in opts:
+                        calls += [[command, path, opt, value] + extra,
+                                  [command] + extra + [opt, value, path]]
+        direct = [outcome(main, argv) for argv in calls]
+        monkeypatch.setattr(cli, "_read_args", lambda argv: None)
+        assert [outcome(main, argv) for argv in calls] == direct
+
+    def test_plain_call_never_imports_argparse(self, tmp_path):
+        path = write(tmp_path, "car.man", CARLITZ_Q2)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+        script = ("import sys\n"
+                  "from taures.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('argparse' in sys.modules, code)\n")
+
+        def fresh(*argv):
+            return subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+
+        plain = fresh("gram", path)
+        assert plain.stdout.endswith("\nFalse 0\n"), plain.stderr
+        helped = fresh("gram", "-h")
+        assert (helped.stdout, helped.returncode) == (GRAM_HELP, 0)

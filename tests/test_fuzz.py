@@ -67,7 +67,8 @@ ARGV_TOKENS = ([name for name, *_ in COMMANDS]
                   "--seed", "--g", "--precision-cap", "--k-cap",
                   "--ext-degree", "--bogus", "-h", "--", "-", "0", "1",
                   "-1", "2", "3", "x", "tau", "theta | 1", "carlitz",
-                  "carlitz-tensor", "drinfeld", "maurischat"])
+                  "carlitz-tensor", "drinfeld", "maurischat", "--k-cap=3",
+                  "--k", " 4", "", "1_0"])
 
 
 def test_random_argv_exit_cleanly(tmp_path):

@@ -19,8 +19,9 @@ from taures.parsing import parse_manifest
 from taures.skew import SkewLaurent
 from taures.skewmat import SkewMatrix, invert_series_matrix, mat_mul
 
-from conftest import (maurischat_display, positive_degree_manifest,
-                      rand_fq, rand_perf, rand_skew)
+from conftest import (maurischat_display, pair_row_reference,
+                      positive_degree_manifest, rand_fq, rand_perf,
+                      rand_skew)
 
 
 def minus_dt(pf):
@@ -619,3 +620,65 @@ def test_positive_degree_inverse_is_refused_once(q, inversions):
         with pytest.raises(PrecisionError, match="tau-degree 1 > 0"):
             call(ctx)
         assert inversions == [("taures.pairing", 3)]
+
+
+def _chain_modules(q):
+    """The four families at q, and seeded Drinfeld modules of rank 1-4.
+    Their leading coefficients are monomials: inverting past a two-term
+    one costs exponentially in precision (README, "Performance notes")."""
+    pf = PerfField(Fq(q))
+    th = pf.theta()
+    modules = [carlitz(pf, th), maurischat(pf, th),
+               carlitz_tensor(pf, th, 2), carlitz_tensor(pf, th, 3)]
+    modules += [drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th])
+                for r in (2, 3, 4)]
+    rng = random.Random("chain-{}".format(q))
+    for r in (1, 2, 3, 4):
+        g = [rand_perf(rng, pf) for _ in range(r - 1)]
+        lead = rand_fq(rng, pf.fq) or pf.fq.one()
+        g.append(pf.from_fq(lead) * th ** rng.randrange(3))
+        modules.append(drinfeld(pf, th, g))
+    return modules
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_chain_exit_matches_the_full_chain(q, monkeypatch):
+    """The chain's early exit (see ``_pair_row``) changes no value: every
+    gram, and every pair of tau^k in the first coordinate against tau^k in
+    the last for k <= 4, equals what all K steps of the chain give."""
+    for module in _chain_modules(q):
+        pf, d = module.pf, module.dim
+        zero = SkewLaurent.zero(pf)
+        calls = [lambda: gram(module)]
+        for k in range(1, 5):
+            tk = SkewLaurent.tau(pf, k)
+            m = row(pf, [tk] + [zero] * (d - 1))
+            n = col(pf, [zero] * (d - 1) + [tk])
+            calls.append(lambda m=m, n=n: residue_pair(module, m, n))
+        for call in calls:
+            value = call()
+            with monkeypatch.context() as patch:
+                patch.setattr(pairing, "_pair_row", pair_row_reference)
+                assert value == call()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_drinfeld_gram_chain_products(q, r, monkeypatch):
+    """A rank-r Drinfeld gram makes r(r + 1) chain products: per motive
+    row, tau*m*phi(t)^-1 and its r pairing products, after which no acc
+    reaches the window.  All K steps made 8704 at r = 16, q = 2 (272
+    now)."""
+    pf = PerfField(Fq(q))
+    th = pf.theta()
+    module = drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th])
+    calls = [0]
+    original = pairing.mat_mul
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "mat_mul", counted)
+    gram(module)
+    assert calls[0] == r * (r + 1)
