@@ -210,11 +210,12 @@ def phi_inverse_power(module: AndersonModule, k, precision) -> SkewMatrix:
     return acc.truncate(-precision)
 
 
-# the sigma-precision find_k1 inverts phi(t) at
+# the sigma-precision find_k1 inverts phi(t) at, and its default search cap
 _K1_PRECISION = 3
+K1_CAP = 64
 
 
-def find_k1(module: AndersonModule, cap=64):
+def find_k1(module: AndersonModule, cap=K1_CAP):
     """Least k1 <= cap with every entry of phi(t)^-k1 of tau-degree < 0.
 
     Submultiplicativity of the norm then gives phi(t)^(-k1*j) tau-degree

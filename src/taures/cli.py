@@ -94,11 +94,11 @@ def _manifest_skeleton(q):
     return man
 
 
-def example_carlitz(q=2):
+def example_carlitz(q):
     return example_drinfeld(q, 1, g_texts=["1"])
 
 
-def example_carlitz_tensor(q=2, d=2):
+def example_carlitz_tensor(q, d):
     if d < 1:
         raise SkewParseError(
             "carlitz-tensor example needs d >= 1, got {}".format(d), 0, 0)
@@ -120,7 +120,7 @@ def example_carlitz_tensor(q=2, d=2):
     return man
 
 
-def example_maurischat(q=2):
+def example_maurischat(q):
     man = _manifest_skeleton(q)
     man.dim = 2
     man.rank = 3
@@ -130,7 +130,7 @@ def example_maurischat(q=2):
     return man
 
 
-def example_drinfeld(q=2, r=2, seed=None, g_texts=None):
+def example_drinfeld(q, r, seed=None, g_texts=None):
     if r < 1:
         raise SkewParseError(
             "drinfeld example needs r >= 1, got {}".format(r), 0, 0)
@@ -307,33 +307,33 @@ def cmd_examples(args):
     return 0
 
 
-_COMMON = (
-    ("manifest", dict(help="path to a module manifest")),
+_MANIFEST = (("manifest", dict(help="path to a module manifest")),)
+_PAIRING = _MANIFEST + (
     ("--precision-cap", dict(
         type=int, default=pairing.PRECISION_CAP,
         help="max sigma-precision of the pairing's phi(t)^-1")),
-    ("--k-cap", dict(type=int, default=64,
+    ("--k-cap", dict(type=int, default=anderson.K1_CAP,
                      help="search cap for the convergence exponent k1")),
 )
 
 # (name, help, [(flag, add_argument options)], handler), in usage order
 COMMANDS = (
-    ("validate", "check the module axioms", _COMMON, cmd_validate),
-    ("invert", "phi(t)^-1 as a truncated matrix", _COMMON + (
+    ("validate", "check the module axioms", _MANIFEST, cmd_validate),
+    ("invert", "phi(t)^-1 as a truncated matrix", _MANIFEST + (
         ("--order", dict(type=int, default=6,
                          help="sigma-precision of the inverse")),),
      cmd_invert),
-    ("pair", "pair a motive row with a comotive column", _COMMON + (
+    ("pair", "pair a motive row with a comotive column", _PAIRING + (
         ("--m", dict(required=True,
                      help="motive element ('|'-separated entries)")),
         ("--n", dict(required=True,
                      help="comotive element ('|'-separated entries)"))),
      cmd_pair),
-    ("gram", "all pairings of the declared bases", _COMMON, cmd_gram),
-    ("perfectness", "gram determinant certificate", _COMMON,
+    ("gram", "all pairings of the declared bases", _PAIRING, cmd_gram),
+    ("perfectness", "gram determinant certificate", _PAIRING,
      cmd_perfectness),
     ("lseries", "T-deformation fitting ideals over a finite base",
-     _COMMON + (("--ext-degree", dict(
+     _MANIFEST + (("--ext-degree", dict(
          type=int, help="degree of k over F_q (overrides the manifest)")),),
      cmd_lseries),
     ("examples", "write a built-in example manifest to stdout", (
@@ -395,11 +395,18 @@ def _read_args(argv):
 
 
 def _parse_args(argv):
-    """_read_args, else the full tree, which settles help and errors."""
+    """_read_args, else the full tree, which settles help and errors; it
+    also refuses the [] that argparse (3.11) reads from `--flag=--`."""
     args = _read_args(argv)
     if args is not None:
         return args
-    return build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error("argument --{}: expected one argument".format(
+                dest.replace("_", "-")))
+    return args
 
 
 def main(argv=None):

@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, FieldError, PrecisionError
-from .anderson import (_K1_PRECISION, AndersonModule, Differential,
-                       find_k1, termination_bound, twist, validate)
+from .anderson import (_K1_PRECISION, K1_CAP, AndersonModule,
+                       Differential, find_k1, termination_bound, twist,
+                       validate)
 from .fields import SPoly
 from .linalg import det
 from .skew import SkewLaurent
@@ -40,7 +41,7 @@ class PairingContext:
     truncations of the pairing's inverse (see ``_pair_matrix``).
     """
 
-    def __init__(self, module: AndersonModule, k_cap=64,
+    def __init__(self, module: AndersonModule, k_cap=K1_CAP,
                  precision_cap=PRECISION_CAP):
         report = validate(module)
         if not report.ok:
@@ -86,21 +87,18 @@ def _check_morphism(mat: SkewMatrix, rows, cols, what):
         raise FieldError("{} must lie in R[tau]".format(what))
 
 
-def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix,
-                 extra_terms=0) -> Differential:
+def residue_pair(module_or_ctx, m: SkewMatrix, n: SkewMatrix) -> Differential:
     """Pair a motive element (1 x d row) with a comotive element (d x 1
     column), both over R[tau]."""
     ctx = _context(module_or_ctx)
-    module = ctx.module
-    d = module.dim
+    d = ctx.module.dim
     _check_morphism(m, 1, d, "motive element")
     _check_morphism(n, d, 1, "comotive element")
-
-    _, rows = _pair_matrix(ctx, [m], [n], extra_terms)
+    _, rows = _pair_matrix(ctx, [m], [n])
     return rows[0][0]
 
 
-def _pair_matrix(ctx, ms, ns, extra_terms):
+def _pair_matrix(ctx, ms, ns):
     """Pair every motive row of ms against every comotive column of ns;
     returns the cut-off K and the rows of pairings.
 
@@ -114,11 +112,11 @@ def _pair_matrix(ctx, ms, ns, extra_terms):
 
     One order serves every command: the cap is checked against P, phi(t)
     is inverted once, D > 0 is refused with a PrecisionError naming D,
-    and only then are k1 and the cut-off K = max(k_cutoff, k1 * P) +
-    extra_terms read.  find_k1 and termination_bound still ask for their
-    own inverses, at 3 and 2, which are truncations of this one; reading
-    k1 and K straight off it would drop two requests, but
-    ``perfbench/tests`` pins three requests per Drinfeld gram.
+    and only then are k1 and the cut-off K = max(k_cutoff, k1 * P) read.
+    find_k1 and termination_bound still ask for their own inverses, at 3
+    and 2, which are truncations of this one; reading k1 and K straight
+    off it would drop two requests, but ``perfbench/tests`` pins three
+    requests per Drinfeld gram.
     """
     dm = max(m.deg_or_zero() for m in ms)
     dn = max(n.deg_or_zero() for n in ns)
@@ -129,7 +127,7 @@ def _pair_matrix(ctx, ms, ns, extra_terms):
         raise PrecisionError(
             "phi(t)^-1 has tau-degree {} > 0; the pairing's truncation is "
             "certified only for tau-degree <= 0".format(deg))
-    k_cut = max(ctx.k_cutoff, ctx.k1 * precision) + extra_terms
+    k_cut = max(ctx.k_cutoff, ctx.k1 * precision)
     return k_cut, [_pair_row(ctx.module.pf, m, ns, k_cut, inv, -dn)
                    for m in ms]
 
@@ -195,11 +193,11 @@ class GramMatrix:
         return self.render()
 
 
-def gram(module_or_ctx, extra_terms=0) -> GramMatrix:
+def gram(module_or_ctx) -> GramMatrix:
     """The r x r matrix of pairings of declared motive x comotive bases."""
     ctx = _context(module_or_ctx)
     k_cut, entries = _pair_matrix(ctx, ctx.module.motive_basis,
-                                  ctx.module.comotive_basis, extra_terms)
+                                  ctx.module.comotive_basis)
     b_level = max((e.max_level() for row in entries for e in row), default=0)
     return GramMatrix(entries=entries, k_cutoff=k_cut, b_level=b_level)
 

@@ -470,6 +470,9 @@ def _build(man: Manifest, locations):
         raise SkewParseError(
             "motive basis has {} rows, comotive {} columns".format(
                 len(motive), len(comotive)), line, 1)
+    if man.rank is not None and man.rank != len(motive):
+        raise SkewParseError("rank {} but the bases have {} elements".format(
+            man.rank, len(motive)), *locations["rank"])
 
     man.module = AndersonModule(
         pf=pf, theta=theta, dim=man.dim, phi_t=SkewMatrix(pf, phi_entries),

@@ -493,17 +493,19 @@ def find_k1_reference(module, cap=64, precision=2):
 
 
 def pair_row_reference(pf, m, ns, k_cut, inv, window):
-    """Test-only reference for ``pairing._pair_row``: all k_cut steps of
-    the chain (-tau)*m*phi(t)^-k, with no early exit."""
+    """Test-only reference for ``pairing._pair_row``: the chain
+    (-tau)*m*phi(t)^-k with no early exit, run 5 steps past the cut-off
+    k_cut, so that agreeing with it checks both the exit and the cut-off."""
     minus_tau = SkewLaurent(pf, {1: -pf.one()})
     acc = mat_mul(m.map(lambda e: minus_tau * e), inv, floor=window)
     terms = [{} for _ in ns]
-    for k in range(1, k_cut + 1):
+    steps = k_cut + 5
+    for k in range(1, steps + 1):
         for idx, n in enumerate(ns):
             c = mat_mul(acc, n, floor=0)[0, 0].coeff(0)
             if c:
                 terms[idx][k - 1] = c
-        if k < k_cut:
+        if k < steps:
             acc = mat_mul(acc, inv, floor=window)
     return [Differential(SPoly(pf, t)) for t in terms]
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from taures import pairing
 from taures.anderson import (Differential, carlitz, carlitz_tensor,
                              drinfeld, find_k1, maurischat, phi_of_poly)
 from taures.fields import ExtField, Fq, PerfField, SPoly, find_irreducible
@@ -26,8 +27,9 @@ from taures.pairing import (PairingContext, check_perfectness,
 from taures.skew import SkewLaurent, invert_scalar
 from taures.skewmat import SkewMatrix, mat_mul
 
-from conftest import (degree_T, maurischat_display, rand_perf, rand_skew,
-                      rand_skew_monomial_lead, rand_skew_nonzero)
+from conftest import (degree_T, maurischat_display, pair_row_reference,
+                      rand_perf, rand_skew, rand_skew_monomial_lead,
+                      rand_skew_nonzero)
 
 FIELDS = {}
 SHARED = {}
@@ -227,7 +229,7 @@ def test_criterion_6_tau_commutation_property():
            checked == 200, "%.2fs" % elapsed)
 
 
-def test_criterion_7_bilinearity_and_cutoff():
+def test_criterion_7_bilinearity_and_cutoff(monkeypatch):
     t0 = time.monotonic()
     rng = random.Random(707)
     pools = []
@@ -255,18 +257,23 @@ def test_criterion_7_bilinearity_and_cutoff():
         assert residue_pair(ctx, m, n.map(lambda e: e * scal)) == \
             base.scale(c)
         checked += 1
+    # the cut-off: tau^k against tau^k (k <= 4, first coordinate against
+    # the last) equals the chain run to K + 5 with no early exit
     cutoff_ok = True
-    for q in (2, 3):
-        pf = field(q)
-        for E in (carlitz(pf, pf.theta()),
-                  carlitz_tensor(pf, pf.theta(), 3),
-                  maurischat(pf, pf.theta())):
-            cutoff_ok = cutoff_ok and \
-                gram(E).entries == gram(E, extra_terms=5).entries
+    for pf, E, ctx, _ in contexts:
+        zero = SkewLaurent.zero(pf)
+        for k in range(1, 5):
+            tk = SkewLaurent.tau(pf, k)
+            m = SkewMatrix(pf, [[tk] + [zero] * (E.dim - 1)])
+            n = SkewMatrix(pf, [[zero]] * (E.dim - 1) + [[tk]])
+            value = residue_pair(ctx, m, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(pairing, "_pair_row", pair_row_reference)
+                cutoff_ok = cutoff_ok and residue_pair(ctx, m, n) == value
     elapsed = time.monotonic() - t0
     report(7, "t-bilinearity/q-sesquilinearity on 200 instances; "
-              "K vs K+5 identical", checked == 200 and cutoff_ok,
-           "%.2fs" % elapsed)
+              "tau^k pairs at K vs the chain to K+5 identical",
+           checked == 200 and cutoff_ok, "%.2fs" % elapsed)
 
 
 def test_criterion_8_perfection_level_measurement():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -239,6 +240,22 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error[parse] 2:")
 
+    def test_invert_failure_exit_code(self, capsys, tmp_path):
+        # the validation report goes to stderr, and nothing to stdout
+        path = write(tmp_path, "bad.man",
+                     CARLITZ_Q2.replace("theta + tau", "tau"))
+        code, report, _ = run(capsys, "validate", path)
+        assert code == 3 and report.startswith("invalid")
+        assert run(capsys, "invert", path) == (3, "", report)
+
+    def test_declared_rank_must_count_the_bases(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "examples", "maurischat", "--q", "2")
+        path = write(tmp_path, "mau.man", text.replace("rank: 3", "rank: 7"))
+        code, out, err = run(capsys, "perfectness", path)
+        assert (code, out) == (2, "")
+        assert err == \
+            "error[parse] 4:7: rank 7 but the bases have 3 elements\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.man")
         assert code == 2
@@ -420,7 +437,8 @@ class TestArgumentText:
     def test_one_command_builds_one_subparser(self, monkeypatch, capsys,
                                               tmp_path):
         # a plain call builds no parser; one argparse must settle builds
-        # the full tree: 8 parsers and 36 add_argument calls
+        # the full tree: 8 parsers and 30 add_argument calls (each -h is
+        # one)
         counts = {"parsers": 0, "arguments": 0}
         init = argparse.ArgumentParser.__init__
         add = argparse.ArgumentParser.add_argument
@@ -441,10 +459,10 @@ class TestArgumentText:
         assert main(["gram", path]) == 0
         assert counts == {"parsers": 0, "arguments": 0}
         assert main(["gram", path, "--k", "64"]) == 0
-        assert counts == {"parsers": 8, "arguments": 36}
+        assert counts == {"parsers": 8, "arguments": 30}
         counts.update(parsers=0, arguments=0)
         build_arg_parser()
-        assert counts == {"parsers": 8, "arguments": 36}
+        assert counts == {"parsers": 8, "arguments": 30}
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["taures", "examples", "carlitz"])
@@ -500,6 +518,70 @@ class TestArgumentText:
         assert err == "error[parse] 2:10: q = 6 is not a prime power\n"
 
 
+# (command, flag) for every option of every command
+OPTIONS = [(name, flag) for name, _, arguments, _ in COMMANDS
+           for flag, _ in arguments if flag.startswith("-")]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name,flag", OPTIONS,
+                             ids=[" ".join(o) for o in OPTIONS])
+    def test_double_dash_value_is_refused(self, name, flag, monkeypatch):
+        """argparse (3.11) reads `--flag=--` as []; it exits 2 with usage
+        instead of reaching a handler."""
+        monkeypatch.setenv("COLUMNS", "80")
+        arguments = dict(next(c[2] for c in COMMANDS if c[0] == name))
+        argv = [name, "carlitz" if name == "examples" else "m.man"]
+        for other, opts in arguments.items():
+            if opts.get("required") and other != flag:
+                argv += [other, "1"]
+        out, err, code = outcome(main, argv + [flag + "=--"])
+        assert (out, code) == ("", 2)
+        assert err.startswith("usage: taures")
+        assert err.endswith(
+            "error: argument {}: expected one argument\n".format(flag))
+
+    @pytest.mark.parametrize("flag", ["--precision-cap", "--k-cap"])
+    @pytest.mark.parametrize("name", ["validate", "invert", "lseries"])
+    def test_caps_belong_to_the_pairing_commands(self, name, flag,
+                                                  monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err, code = outcome(main, [name, "m.man", flag, "3"])
+        assert (out, code) == ("", 2)
+        assert err.startswith("usage: taures [-h]")
+        assert err.endswith(
+            "error: unrecognized arguments: {} 3\n".format(flag))
+
+    def test_every_declared_option_is_read(self, tmp_path, monkeypatch,
+                                           capsys):
+        """Each handler reads every option its COMMANDS row declares, over
+        calls covering every command and every example name."""
+        reads = {name: set() for name, *_ in COMMANDS}
+        parse = cli._parse_args
+
+        class Recorder(SimpleNamespace):
+            def __getattribute__(self, attr):
+                reads[object.__getattribute__(self, "command")].add(attr)
+                return object.__getattribute__(self, attr)
+
+        monkeypatch.setattr(cli, "_parse_args",
+                            lambda argv: Recorder(**vars(parse(argv))))
+        car = write(tmp_path, "car.man", CARLITZ_Q2)
+        fin = write(tmp_path, "fin.man", CARLITZ_Q2.replace(
+            "perf-rational", "finite-field\ntheta: 0"))
+        calls = [["validate", car], ["invert", car],
+                 ["pair", car, "--m", "1", "--n", "1"], ["gram", car],
+                 ["perfectness", car], ["lseries", fin]]
+        calls += [["examples", name] for name in cli.EXAMPLES]
+        calls.append(["examples", "drinfeld", "--g", "1,theta"])
+        for argv in calls:
+            assert main(argv) == 0, argv
+        for name, _, arguments, _ in COMMANDS:
+            declared = {flag.lstrip("-").replace("-", "_")
+                        for flag, _ in arguments}
+            assert declared <= reads[name], name
+
+
 GRAM_HELP = """\
 usage: taures gram [-h] [--precision-cap PRECISION_CAP] [--k-cap K_CAP]
                    manifest
@@ -537,8 +619,10 @@ class TestDirectRead:
         parser = build_arg_parser()
 
         def argvs(name, arguments):
-            # the command's own flag-value pairs make plain calls common
-            flags = [flag for flag, _ in arguments if flag.startswith("-")]
+            # the command's own flag-value pairs make plain calls common;
+            # validate has none, so it draws any command's flags
+            flags = [flag for flag, _ in arguments
+                     if flag.startswith("-")] or READ_FLAGS
             pair = st.tuples(st.sampled_from(flags),
                              st.sampled_from(READ_VALUES)).map(list)
             value = st.sampled_from(READ_VALUES).map(lambda t: [t])

@@ -407,6 +407,15 @@ class TestBruteForce:
             brute_force_fitting(E, ext_of(pf2.fq, 1))
 
 
+def test_poly_unit_equiv_needs_one_ratio(fq3):
+    one, two = fq3.one(), fq3.from_int(2)
+    a = SPoly(fq3, {1: one, 0: one})
+    assert poly_unit_equiv(a, SPoly(fq3, {1: two, 0: two}))
+    # the same support, with ratios 1 and 2
+    assert not poly_unit_equiv(a, SPoly(fq3, {1: one, 0: two}))
+    assert not poly_unit_equiv(a, SPoly(fq3, {1: one}))
+
+
 class TestBivariate:
     def test_unit_equiv(self, fq3):
         a = BivariatePoly(fq3, [SPoly(fq3, {1: fq3.from_int(1)}),

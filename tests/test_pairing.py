@@ -341,12 +341,6 @@ class TestBilinearity:
                     base.scale(c.q_pow())
                 assert residue_pair(ctx, m, n_scaled) == base.scale(c)
 
-    def test_cutoff_soundness(self, pf3):
-        for E in (carlitz(pf3, pf3.theta()),
-                  carlitz_tensor(pf3, pf3.theta(), 3),
-                  maurischat(pf3, pf3.theta())):
-            assert gram(E).entries == gram(E, extra_terms=5).entries
-
 
 class TestPerfectnessAndInverse:
     def test_drinfeld_det_formula(self, pf3):
@@ -643,9 +637,11 @@ def _chain_modules(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_chain_exit_matches_the_full_chain(q, monkeypatch):
-    """The chain's early exit (see ``_pair_row``) changes no value: every
-    gram, and every pair of tau^k in the first coordinate against tau^k in
-    the last for k <= 4, equals what all K steps of the chain give."""
+    """The chain's early exit (see ``_pair_row``) and the cut-off K change
+    no value: every gram, and every pair of tau^k in the first coordinate
+    against tau^k in the last for k <= 4, equals what K + 5 steps of the
+    chain give.  (A gram of the declared bases reads only chain step 1;
+    the tau^k pairs are the ones a too small K would change.)"""
     for module in _chain_modules(q):
         pf, d = module.pf, module.dim
         zero = SkewLaurent.zero(pf)

@@ -289,6 +289,12 @@ class TestDiagnostics:
         assert parse_error(text) == \
             "error[parse] 3:8: 'theta' is not legal here"
 
+    def test_rank_must_count_the_bases(self):
+        assert parse_manifest(MAURISCHAT_MANIFEST).rank == 3
+        text = MAURISCHAT_MANIFEST.replace("rank: 3", "rank: 7")
+        assert parse_error(text) == \
+            "error[parse] 4:7: rank 7 but the bases have 3 elements"
+
     @pytest.mark.parametrize("row,message", [
         ("t | t $", "12:12: unexpected character '$'"),
         ("t^2 + tau", "12:12: unknown name 'tau'"),
@@ -313,7 +319,7 @@ class TestRoundTrip:
         mans = []
         for q in (2, 3, 4, 5, 7, 8, 9):
             mans += [example_carlitz(q), example_maurischat(q),
-                     example_drinfeld(q), example_drinfeld(q, 3, seed=11)]
+                     example_drinfeld(q, 2), example_drinfeld(q, 3, seed=11)]
             mans += [example_carlitz_tensor(q, d) for d in (1, 3, 5)]
         for man in mans:
             text = render_manifest(man)

@@ -339,6 +339,16 @@ class TestFloors:
         h = SkewLaurent(pf3, {0: pf3.one(), -1: pf3.one()}, floor=-1)
         assert not f.agrees_with(h)
 
+    def test_a_term_only_one_side_has(self, pf3):
+        # above the common floor it disagrees, from either side; below it
+        # it is not compared
+        f = SkewLaurent(pf3, {0: pf3.one()}, floor=-1)
+        g = SkewLaurent(pf3, {0: pf3.one(), -1: pf3.theta()}, floor=-1)
+        assert not f.agrees_with(g)
+        assert not g.agrees_with(f)
+        h = SkewLaurent(pf3, {0: pf3.one(), -2: pf3.theta()}, floor=-2)
+        assert f.agrees_with(h) and h.agrees_with(f)
+
     def test_zero_to_precision_is_legal(self, pf3):
         f = SkewLaurent(pf3, {}, floor=-3)
         assert not f
