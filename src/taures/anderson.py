@@ -77,7 +77,7 @@ class Differential:
 @dataclass
 class ValidationReport:
     failure: Optional[str] = None
-    checks: list = dc_field(default_factory=list)
+    checks: list = dc_field(default_factory=list)  # (name, ok, message)
 
     @property
     def ok(self):
@@ -85,7 +85,7 @@ class ValidationReport:
 
     def __str__(self):
         lines = ["{}: {}".format("pass" if ok else "FAIL", name)
-                 for name, ok in self.checks]
+                 for name, ok, _ in self.checks]
         head = "valid" if self.ok else "invalid: {}".format(self.failure)
         return "\n".join([head] + lines)
 
@@ -119,55 +119,41 @@ class AndersonModule:
 
 
 def validate(module: AndersonModule) -> ValidationReport:
-    """Check the module axioms; diagnostics are returned, never thrown."""
-    checks = []
-    failure = None
-
+    """Check the module axioms; diagnostics are returned, never thrown.
+    The failure is the message of the first check that fails."""
     d = module.dim
-    ok_shape = (module.phi_t.rows == d and module.phi_t.cols == d)
-    checks.append(("phi_t is {0}x{0}".format(d), ok_shape))
-    if not ok_shape and failure is None:
-        failure = "phi_t has shape {}x{}, expected {}x{}".format(
-            module.phi_t.rows, module.phi_t.cols, d, d)
-
-    ok_sigma = module.phi_t.sigma_free() and module.phi_t.is_exact()
-    checks.append(("phi_t lies in R[tau]", ok_sigma))
-    if not ok_sigma and failure is None:
-        failure = "phi(t) must lie in R[tau] (no sigma terms)"
-
-    ok_len = len(module.motive_basis) == len(module.comotive_basis) \
-        and len(module.motive_basis) >= 1
-    checks.append(("basis lengths match and are >= 1", ok_len))
-    if not ok_len and failure is None:
-        failure = "motive basis has {} rows, comotive {} columns".format(
-            len(module.motive_basis), len(module.comotive_basis))
-
-    ok_rows = all(b.rows == 1 and b.cols == d for b in module.motive_basis)
-    ok_cols = all(b.rows == d and b.cols == 1 for b in module.comotive_basis)
-    checks.append(("basis shapes are 1x{0} rows / {0}x1 columns".format(d),
-                   ok_rows and ok_cols))
-    if not (ok_rows and ok_cols) and failure is None:
-        failure = "basis entries have wrong shape"
-
-    ok_basis = all(b.sigma_free() and b.is_exact()
-                   for b in module.motive_basis + module.comotive_basis)
-    checks.append(("bases lie in R[tau]", ok_basis))
-    if not ok_basis and failure is None:
-        failure = "basis entries must lie in R[tau]"
-
+    phi, mot, com = module.phi_t, module.motive_basis, module.comotive_basis
+    ok_shape = phi.rows == d and phi.cols == d
+    ok_sigma = phi.sigma_free() and phi.is_exact()
     nilpotent = False
     if ok_shape and ok_sigma:
         # constant term of phi_t minus theta*I must be nilpotent
         pf = module.pf
-        n0 = [[module.phi_t[i, j].coeff(0) -
-               (module.theta if i == j else pf.zero())
+        n0 = [[phi[i, j].coeff(0) - (module.theta if i == j else pf.zero())
                for j in range(d)] for i in range(d)]
         nilpotent = nilpotency_index(n0, pf.zero(), d) is not None
-    checks.append(("Lie(t) - theta is nilpotent", nilpotent))
-    if not nilpotent and failure is None:
-        failure = "constant term of phi(t) minus theta*I is not nilpotent"
-
-    return ValidationReport(failure=failure, checks=checks)
+    checks = [
+        ("phi_t is {0}x{0}".format(d), ok_shape,
+         "phi_t has shape {}x{}, expected {}x{}".format(phi.rows, phi.cols,
+                                                         d, d)),
+        ("phi_t lies in R[tau]", ok_sigma,
+         "phi(t) must lie in R[tau] (no sigma terms)"),
+        ("basis lengths match and are >= 1", len(mot) == len(com) >= 1,
+         "motive basis has {} rows, comotive {} columns".format(
+             len(mot), len(com))),
+        ("basis shapes are 1x{0} rows / {0}x1 columns".format(d),
+         all(b.rows == 1 and b.cols == d for b in mot)
+         and all(b.rows == d and b.cols == 1 for b in com),
+         "basis entries have wrong shape"),
+        ("bases lie in R[tau]",
+         all(b.sigma_free() and b.is_exact() for b in mot + com),
+         "basis entries must lie in R[tau]"),
+        ("Lie(t) - theta is nilpotent", nilpotent,
+         "constant term of phi(t) minus theta*I is not nilpotent"),
+    ]
+    return ValidationReport(
+        failure=next((msg for _, ok, msg in checks if not ok), None),
+        checks=checks)
 
 
 def phi_of_poly(module: AndersonModule, a: SPoly) -> SkewMatrix:

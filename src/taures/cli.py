@@ -26,7 +26,7 @@ from . import anderson, lseries, pairing
 from .fields import Fq, _factor_prime_power, find_irreducible
 from .parsing import (Manifest, manifest_ext_field, manifest_tau_matrix,
                       parse_manifest, parse_skew_expr, parse_skew_row,
-                      ext_field_of_degree)
+                      ext_field_of_degree, render_manifest)
 from .skewmat import SkewMatrix, invert_series_matrix
 
 EXIT_PARSE = 2
@@ -37,44 +37,6 @@ EXIT_PRECISION = 5
 WEIGHT_NOTE = ("note: b is measured from the gram coefficients; module "
                "weights are not computed, so no bound involving weights "
                "is checked")
-
-
-def render_manifest(man: Manifest) -> str:
-    """Canonical manifest text; parse(render(parse(x))) == parse(x)."""
-    lines = ["q: {}".format(man.q)]
-    if man.modulus is not None:
-        lines.append("modulus: {}".format(_payload(man.modulus)))
-    lines.append("base: {}".format(man.base))
-    if man.theta_text is not None:
-        lines.append("theta: {}".format(_payload(man.theta_text)))
-    lines.append("dim: {}".format(man.dim))
-    if man.rank is not None:
-        lines.append("rank: {}".format(man.rank))
-    lines.append("phi_t:")
-    for row in man.phi_rows:
-        lines.append("row: {}".format(_payload(row)))
-    lines.append("motive_basis:")
-    for row in man.motive_rows:
-        lines.append("row: {}".format(_payload(row)))
-    lines.append("comotive_basis:")
-    for col in man.comotive_cols:
-        lines.append("col: {}".format(_payload(col)))
-    if man.ext_degree is not None:
-        lines.append("ext_degree: {}".format(man.ext_degree))
-    if man.ext_modulus_text is not None:
-        lines.append("ext_modulus: {}".format(_payload(man.ext_modulus_text)))
-    for key in ("tau_matrix_motive", "tau_matrix_comotive"):
-        rows = man.tau_matrix_rows.get(key)
-        if rows:
-            lines.append("{}:".format(key))
-            for row in rows:
-                lines.append("row: {}".format(_payload(row)))
-    return "\n".join(lines) + "\n"
-
-
-def _payload(entry):
-    text = entry[0] if isinstance(entry, tuple) else entry
-    return " ".join(str(text).split())
 
 
 # --- built-in example registry ---
@@ -284,12 +246,12 @@ def cmd_lseries(args):
     fit_c = lseries.fitting_ideal(module, ext, "comotive",
                                   tau_matrix=tau_com)
     bf = lseries.brute_force_fitting(module, ext)
-    consistent = fit_m.unit_equiv(fit_c) and \
+    consistent = lseries.poly_unit_equiv(fit_m, fit_c) and \
         lseries.poly_unit_equiv(fit_m.at_T_one(), bf)
     if run_oracle:
         oracle = lseries.fitting_ideal_power_oracle(module, ext, "motive",
                                                     tau_matrix=tau_mot)
-        consistent = consistent and oracle.unit_equiv(fit_m)
+        consistent = consistent and lseries.poly_unit_equiv(oracle, fit_m)
     print("motive: {}".format(fit_m))
     print("comotive: {}".format(fit_c))
     print("E(k) fitting: {}".format(bf))

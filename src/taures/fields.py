@@ -300,13 +300,10 @@ class Fq:
         return FqElement(self, tuple(c % self.p for c in coeffs))
 
     def elements(self):
-        for idx in range(self.q):
-            coeffs = []
-            k = idx
-            for _ in range(self.m):
-                coeffs.append(k % self.p)
-                k //= self.p
-            yield FqElement(self, tuple(coeffs))
+        """Every element in index order, the constant coefficient varying
+        fastest."""
+        for coeffs in itertools.product(range(self.p), repeat=self.m):
+            yield FqElement(self, coeffs[::-1])
 
     def _mul(self, a, b):
         p = self.p
@@ -649,26 +646,13 @@ def irreducible_over(field, poly):
 
 def find_irreducible(field, degree):
     """Deterministic search: lexicographically first monic irreducible."""
-    elems = list(field.elements())
-    counters = [0] * degree
-    while True:
-        terms = {degree: field.one()}
-        for i, idx in enumerate(counters):
-            c = elems[idx]
-            if c:
-                terms[i] = c
-        cand = SPoly(field, terms)
+    # the constant coefficient varies fastest, as in field.elements()
+    for coeffs in itertools.product(field.elements(), repeat=degree):
+        cand = SPoly(field, {degree: field.one(),
+                             **dict(enumerate(reversed(coeffs)))})
         if irreducible_over(field, cand):
             return cand
-        i = 0
-        while i < degree:
-            counters[i] += 1
-            if counters[i] < len(elems):
-                break
-            counters[i] = 0
-            i += 1
-        if i == degree:
-            raise FieldError("no irreducible of degree {} found".format(degree))
+    raise FieldError("no irreducible of degree {} found".format(degree))
 
 
 class ExtField:
@@ -724,8 +708,7 @@ class ExtField:
 
     def elements(self):
         """Every element, the coefficient of 1 varying fastest."""
-        base = list(self.base.elements())
-        for coeffs in itertools.product(base, repeat=self.n):
+        for coeffs in itertools.product(self.base.elements(), repeat=self.n):
             yield ExtElement(self, coeffs[::-1])
 
     def _mul(self, a, b):
@@ -820,21 +803,18 @@ class PerfField:
         self._one = SPoly(fq, {0: fq.one()})
 
     def zero(self):
-        return PerfElement(self, SPoly(self.fq, {}), self._one_poly(), 0)
+        return PerfElement(self, SPoly(self.fq, {}), self._one, 0)
 
     def one(self):
-        return PerfElement(self, self._one_poly(), self._one_poly(), 0)
-
-    def _one_poly(self):
-        return self._one
+        return PerfElement(self, self._one, self._one, 0)
 
     def theta(self):
         return PerfElement(self, SPoly(self.fq, {1: self.fq.one()}),
-                           self._one_poly(), 0)
+                           self._one, 0)
 
     def from_fq(self, c: FqElement):
         return PerfElement(self, SPoly(self.fq, {0: c} if c else {}),
-                           self._one_poly(), 0)
+                           self._one, 0)
 
     def from_int(self, n):
         return self.from_fq(self.fq.from_int(n))
@@ -882,7 +862,7 @@ class PerfElement:
             raise FieldError("zero denominator")
         if not num:
             self.num = num
-            self.den = pf._one_poly()
+            self.den = pf._one
             self.level = 0
             return
         if len(den.terms) == 1:
@@ -894,7 +874,7 @@ class PerfElement:
                 num = num.shift(-m)
             if not c.is_one():
                 num = num.scale(c.inverse())
-            den = pf._one_poly() if k == m else \
+            den = pf._one if k == m else \
                 SPoly._trusted(pf.fq, {k - m: pf.fq.one()})
         else:
             g = num.gcd(den)
@@ -938,7 +918,7 @@ class PerfElement:
         """Construct from an already-reduced monic-den fraction: only the
         level strip runs (no polynomial gcd)."""
         if not num:
-            return cls(pf, num, pf._one_poly(), 0, _canonical=True)
+            return cls(pf, num, pf._one, 0, _canonical=True)
         num, den, level = _strip_levels(pf.q, num, den, level)
         return cls(pf, num, den, level, _canonical=True)
 
@@ -1025,7 +1005,7 @@ class PerfElement:
                             SPoly._trusted(pf.fq, {top: pf.fq.one()}), level)
             else:
                 total = cls._reduced(pf, SPoly.sum_of_products(pf.fq, pairs),
-                                     pf._one_poly(), level)
+                                     pf._one, level)
         for c in rest:
             total = c if total is None else total + c
         return total

@@ -66,10 +66,6 @@ class BivariatePoly:
         return {(te, e): c for te, poly in enumerate(self.coeffs)
                 for e, c in poly.terms.items()}
 
-    def unit_equiv(self, other) -> bool:
-        """Equality up to a scalar of F_q^x."""
-        return poly_unit_equiv(self, other)
-
     def at_T_one(self) -> SPoly:
         acc = SPoly(self.fq, {})
         for c in self.coeffs:

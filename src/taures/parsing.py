@@ -10,8 +10,8 @@ Grammar (precedence ^ > * > +,-; '*' is noncommutative, left to right):
 Division is legal only between tau/sigma-free subexpressions.  The same
 grammar parses k[t]-polynomial blocks with atoms t, z, w.
 
-Manifests are line oriented: top-level "key: value" lines plus sections
-(phi_t, motive_basis, comotive_basis, tau_matrix_motive/_comotive) whose
+Manifests are line oriented, with the keys of FORMAT: "key: value" lines
+plus sections (phi_t, motive_basis, comotive_basis, tau_matrix_*) whose
 "row:"/"col:" payloads split into entries on '|'.
 """
 
@@ -278,10 +278,26 @@ def _parse_modulus(text, fq: Fq, var, line, col) -> SPoly:
 
 # --- manifest ---
 
-SECTION_KEYS = ("phi_t", "motive_basis", "comotive_basis",
-                "tau_matrix_motive", "tau_matrix_comotive")
-SCALAR_KEYS = ("q", "modulus", "base", "theta", "dim", "rank",
-               "ext_degree", "ext_modulus")
+# (key, Manifest attribute, kind) in canonical order.  A section's kind
+# is the key of its lines; a scalar is an "int", a "base" name, or "text"
+# kept with its line:col for later parsing.
+FORMAT = (
+    ("q", "q", "int"),
+    ("modulus", "modulus", "text"),
+    ("base", "base", "base"),
+    ("theta", "theta_text", "text"),
+    ("dim", "dim", "int"),
+    ("rank", "rank", "int"),
+    ("phi_t", "phi_rows", "row"),
+    ("motive_basis", "motive_rows", "row"),
+    ("comotive_basis", "comotive_cols", "col"),
+    ("ext_degree", "ext_degree", "int"),
+    ("ext_modulus", "ext_modulus_text", "text"),
+    ("tau_matrix_motive", "tau_motive_rows", "row"),
+    ("tau_matrix_comotive", "tau_comotive_rows", "row"),
+)
+_FORMAT_OF = {key: (attr, kind) for key, attr, kind in FORMAT}
+_LINE_KEYS = ("row", "col")
 
 
 @dataclass
@@ -297,7 +313,8 @@ class Manifest:
     comotive_cols: list = dc_field(default_factory=list)
     ext_degree: Optional[int] = None
     ext_modulus_text: Optional[str] = None
-    tau_matrix_rows: dict = dc_field(default_factory=dict)
+    tau_motive_rows: list = dc_field(default_factory=list)
+    tau_comotive_rows: list = dc_field(default_factory=list)
 
     # filled by build()
     field: Optional[Fq] = None
@@ -308,8 +325,7 @@ class Manifest:
 def parse_manifest(text) -> Manifest:
     """Parse and semantically check a manifest; errors carry line:col."""
     man = Manifest()
-    section = None
-    seen = {}
+    section = None  # (key, attribute, line key) of the open section
     locations = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -324,73 +340,71 @@ def parse_manifest(text) -> Manifest:
         key = key.strip()
         payload = payload.strip()
         col = indent + len(key) + 3
-        if key in SECTION_KEYS:
-            if payload:
-                raise SkewParseError(
-                    "section header takes no value", lineno, col)
-            section = key
-            seen[key] = lineno
-            continue
-        if key in ("row", "col"):
+        if key in _LINE_KEYS:
             if section is None:
                 raise SkewParseError(
                     "'{}:' outside of a section".format(key), lineno,
                     indent + 1)
-            expected = "col" if section == "comotive_basis" else "row"
+            name, attr, expected = section
             if key != expected:
                 raise SkewParseError(
-                    "section {} takes '{}:' lines".format(section,
-                                                          expected),
+                    "section {} takes '{}:' lines".format(name, expected),
                     lineno, indent + 1)
-            entry = (payload, lineno, col)
-            if section == "phi_t":
-                man.phi_rows.append(entry)
-            elif section == "motive_basis":
-                man.motive_rows.append(entry)
-            elif section == "comotive_basis":
-                man.comotive_cols.append(entry)
-            else:
-                man.tau_matrix_rows.setdefault(section, []).append(entry)
+            getattr(man, attr).append((payload, lineno, col))
             continue
         section = None
-        if key not in SCALAR_KEYS:
+        if key not in _FORMAT_OF:
             raise SkewParseError("unknown key {!r}".format(key), lineno,
                                  indent + 1)
-        if key in seen:
+        if key in locations:
             raise SkewParseError("duplicate key {!r}".format(key), lineno,
                                  indent + 1)
-        seen[key] = lineno
         locations[key] = (lineno, col)
-        if key == "q":
-            man.q = _parse_int(payload, lineno, col)
-        elif key == "modulus":
-            man.modulus = (payload, lineno, col)
-        elif key == "base":
+        attr, kind = _FORMAT_OF[key]
+        if kind in _LINE_KEYS:
+            if payload:
+                raise SkewParseError(
+                    "section header takes no value", lineno, col)
+            section = (key, attr, kind)
+        elif kind == "int":
+            try:
+                setattr(man, attr, int(payload))
+            except ValueError:
+                raise SkewParseError("expected an integer, got {!r}".format(
+                    payload), lineno, col) from None
+        elif kind == "base":
             if payload not in ("perf-rational", "finite-field"):
                 raise SkewParseError(
                     "base must be perf-rational or finite-field", lineno,
                     col)
             man.base = payload
-        elif key == "theta":
-            man.theta_text = (payload, lineno, col)
-        elif key == "dim":
-            man.dim = _parse_int(payload, lineno, col)
-        elif key == "rank":
-            man.rank = _parse_int(payload, lineno, col)
-        elif key == "ext_degree":
-            man.ext_degree = _parse_int(payload, lineno, col)
-        elif key == "ext_modulus":
-            man.ext_modulus_text = (payload, lineno, col)
+        else:
+            setattr(man, attr, (payload, lineno, col))
     _build(man, locations)
     return man
 
 
-def _parse_int(payload, lineno, col):
-    try:
-        return int(payload)
-    except ValueError:
-        raise SkewParseError("expected an integer, got {!r}".format(payload),
-                             lineno, col) from None
+def render_manifest(man: Manifest) -> str:
+    """Canonical manifest text, in FORMAT order; a scalar is written when
+    set and a section when it has lines.  parse(render(parse(x))) ==
+    parse(x)."""
+    lines = []
+    for key, attr, kind in FORMAT:
+        value = getattr(man, attr)
+        if kind in _LINE_KEYS:
+            if value:
+                lines.append(key + ":")
+                lines += ["{}: {}".format(kind, _payload(v)) for v in value]
+        elif value is not None:
+            lines.append("{}: {}".format(key, _payload(value)))
+    return "\n".join(lines) + "\n"
+
+
+def _payload(entry):
+    """A value's text, parsed (text, line, col) or given, spaces
+    collapsed."""
+    text = entry[0] if isinstance(entry, tuple) else entry
+    return " ".join(str(text).split())
 
 
 def _build(man: Manifest, locations):
@@ -473,6 +487,9 @@ def _build(man: Manifest, locations):
     if man.rank is not None and man.rank != len(motive):
         raise SkewParseError("rank {} but the bases have {} elements".format(
             man.rank, len(motive)), *locations["rank"])
+    if man.ext_degree is not None and man.ext_degree < 1:
+        raise SkewParseError("ext degree must be >= 1",
+                             *locations["ext_degree"])
 
     man.module = AndersonModule(
         pf=pf, theta=theta, dim=man.dim, phi_t=SkewMatrix(pf, phi_entries),
@@ -505,8 +522,7 @@ def ext_field_of_degree(fq: Fq, degree) -> ExtField:
 def manifest_tau_matrix(man: Manifest, side: str, ext: ExtField):
     """Parse a declared tau_matrix block over k[t], if present."""
     from .lseries import TauMatrix
-    key = "tau_matrix_{}".format(side)
-    rows = man.tau_matrix_rows.get(key)
+    rows = getattr(man, _FORMAT_OF["tau_matrix_" + side][0])
     if not rows:
         return None
     entries = []

@@ -131,12 +131,7 @@ class SkewLaurent:
         return SkewLaurent(self.pf, coeffs, floor)
 
     def __sub__(self, other):
-        floor = self._add_floor(other)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = coeffs.get(e)
-            coeffs[e] = s - c if s is not None else -c
-        return SkewLaurent(self.pf, coeffs, floor)
+        return self + (-other)
 
     def _add_floor(self, other):
         if self.floor is None:

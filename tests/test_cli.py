@@ -195,6 +195,22 @@ class TestCommands:
         assert expected[degree][1].endswith("consistent: yes\n")
         assert expected[degree] != expected[2]
 
+    @pytest.mark.parametrize("modulus", ["w^2 + w + z", "w^2 + z*w + 1"])
+    def test_lseries_ext_modulus_names_z(self, capsys, tmp_path, modulus):
+        """Over q = 4 the ext modulus may use F_4's generator z; any
+        quadratic k gives the Fitting ideals of --ext-degree 2."""
+        man = ("q: 4\nmodulus: z^2 + z + 1\nbase: finite-field\n"
+               "theta: z\ndim: 1\nphi_t:\nrow: theta + tau\n"
+               "motive_basis:\nrow: 1\ncomotive_basis:\ncol: 1\n")
+        bare = write(tmp_path, "bare.man", man)
+        path = write(tmp_path, "k.man", man + "ext_modulus: " + modulus)
+        expected = run(capsys, "lseries", bare, "--ext-degree", "2")
+        assert run(capsys, "lseries", path) == expected
+        assert expected == (0, "motive: T^2 + t^2 + z + 1\n"
+                               "comotive: T^2 + t^2 + z + 1\n"
+                               "E(k) fitting: t^2 + z\nconsistent: yes\n",
+                            "")
+
     def test_gram_maurischat_golden(self, capsys, tmp_path):
         code, manifest_text, _ = run(capsys, "examples", "maurischat",
                                      "--q", "3")
@@ -233,6 +249,109 @@ def test_tensor_gram_digest(capsys, tmp_path, q, d):
         TENSOR_GRAM_SHA256[q, d]
 
 
+# stdout sha256 of `taures examples`, recorded while render_manifest was
+# still written out in cli, before it walked parsing.FORMAT
+EXAMPLES_SHA256 = {
+    ("carlitz", "--q", "2"): "7765232c8829440cb67178f5721e4739"
+                             "97730531abbbafa433251752ee1ee737",
+    ("carlitz-tensor", "--q", "2"): "ea2edfcd50080d89e23747888212e8eb"
+                                    "4cec2f953863fa6e690a8698d3c62945",
+    ("maurischat", "--q", "2"): "282ac29dc930e8b7f57dcc18838762d6"
+                                "8174db935e0dfb82bd8cd4f2529b64f2",
+    ("drinfeld", "--q", "2"): "59a1659d411eaf5072ec98e7b85a6600"
+                              "036dbadb54dd644b606a3bebd3a42b4a",
+    ("carlitz", "--q", "3"): "93e1b0fd293f87bdcb03028b8ef64bd2"
+                             "7b449d8316425163d516152f7f1a92c5",
+    ("carlitz-tensor", "--q", "3"): "ffe53e75744d384f0c4d64c73af3d6c9"
+                                    "0849ebd96e6675fd558eccf58acdc2d2",
+    ("maurischat", "--q", "3"): "8887d0b21a6f4aecdf286002e0e36deb"
+                                "23f69d1e294a83d8e8ecd5f095f34f16",
+    ("drinfeld", "--q", "3"): "4378153391fd83f612c60fa6e029f3fb"
+                              "cbd162ce29163759c55847db8ac9ed24",
+    ("carlitz", "--q", "4"): "34fb9dbc3d94a214329c78e63098d6d0"
+                             "a77ab966c0daf59b93e92ce8d875610e",
+    ("carlitz-tensor", "--q", "4"): "145536638515968561245b9925a28816"
+                                    "47c73dfa49f2bd2ef72adbe5616f172f",
+    ("maurischat", "--q", "4"): "02cb8d62970a73cb840878b3034a5056"
+                                "d7da1d205613991f1770c25b4d226e9e",
+    ("drinfeld", "--q", "4"): "bd5f638b825e8738c72317302222a564"
+                              "d4a43092862846f8c8136df16d549f56",
+    ("carlitz", "--q", "9"): "3b8d82943741662dee759bd71c452cd4"
+                             "e35d9440aeb0748b11428111aa6a2798",
+    ("carlitz-tensor", "--q", "9"): "5106ff6e98f8a61398eee6acf5e8b031"
+                                    "92ef597387bd7f736446d5d92cc57512",
+    ("maurischat", "--q", "9"): "1f7c90c0d5d1f3d7a3f13585cd179251"
+                                "efe5ab45363acf70c83cbd51db01990f",
+    ("drinfeld", "--q", "9"): "e70f94a733568c161f6dcc081e37a43f"
+                              "0778f924a7ec329ff0a65c2aaf9d8440",
+    ("carlitz-tensor", "--q", "2", "--d", "1"):
+        "7765232c8829440cb67178f5721e4739"
+        "97730531abbbafa433251752ee1ee737",
+    ("carlitz-tensor", "--q", "2", "--d", "3"):
+        "57445285abb0622b217a4514961c42dd"
+        "ccdb140b53dfefa53e760e72550a1548",
+    ("carlitz-tensor", "--q", "3", "--d", "1"):
+        "93e1b0fd293f87bdcb03028b8ef64bd2"
+        "7b449d8316425163d516152f7f1a92c5",
+    ("carlitz-tensor", "--q", "3", "--d", "3"):
+        "d751c3f1fec3a283439d62f4eff4aa40"
+        "8d21140db22d92e7bb91a4f6016cf167",
+    ("drinfeld", "--q", "3", "--r", "3", "--seed", "7"):
+        "134a7026a2823e82838efadfce5c79a7"
+        "9a7d592d1218aeccba35c14eb3c3f6ba",
+    ("drinfeld", "--q", "9", "--r", "4", "--seed", "11"):
+        "26c8b64a343b7f2c373cdc8da0fecf16"
+        "c9ed14958b2ece2f575c9667a0fb82c1",
+    ("drinfeld", "--q", "4", "--r", "3", "--g", "z,theta + 1,theta^2"):
+        "925e9d1d888667a8b5f451bb57fe26a4"
+        "779423cd1616452803eaaeadb747ec76",
+    ("drinfeld", "--q", "2", "--r", "2", "--g", "theta,1"):
+        "e32d611b3711c92dc352f7c14d1709ef"
+        "4d399c0574dcd32be366faaa4fa838f1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXAMPLES_SHA256))
+def test_examples_digest(capsys, argv):
+    code, out, err = run(capsys, "examples", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        EXAMPLES_SHA256[argv]
+
+
+# a manifest with every key of parsing.FORMAT, loosely spaced and
+# commented, and the sha256 of its canonical text, recorded as for
+# EXAMPLES_SHA256
+EVERY_KEY_MANIFEST = """\
+q: 4
+modulus:  z^2 +  z + 1
+base: finite-field
+theta: z   # a unit of F_4
+dim: 1
+rank: 1
+phi_t:
+  row: z +  tau
+motive_basis:
+row: 1
+comotive_basis:
+col: 1
+ext_degree: 2
+ext_modulus: w^2 + w + z
+tau_matrix_motive:
+row: t +  w
+tau_matrix_comotive:
+row: z*t
+"""
+EVERY_KEY_SHA256 = ("0d8729d6883068f118ac19a8bb1d64e6"
+                    "bb009b13f85833aa34442208ac845a58")
+
+
+def test_every_key_renders_as_recorded():
+    text = cli.render_manifest(parse_manifest(EVERY_KEY_MANIFEST))
+    assert hashlib.sha256(text.encode()).hexdigest() == EVERY_KEY_SHA256
+    assert cli.render_manifest(parse_manifest(text)) == text
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys, tmp_path):
         path = write(tmp_path, "bad.man", "q: 2\nwhat: 1\n")
@@ -255,6 +374,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == \
             "error[parse] 4:7: rank 7 but the bases have 3 elements\n"
+
+    def test_ext_degree_is_located(self, capsys, tmp_path):
+        # in the manifest at its key; on the command line at 0:0
+        path = write(tmp_path, "k0.man", CARLITZ_Q2 + "ext_degree: 0\n")
+        assert run(capsys, "lseries", path) == (
+            2, "", "error[parse] 11:13: ext degree must be >= 1\n")
+        path = write(tmp_path, "car.man", CARLITZ_Q2)
+        assert run(capsys, "lseries", path, "--ext-degree", "0") == (
+            2, "", "error[parse] 0:0: ext degree must be >= 1\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.man")

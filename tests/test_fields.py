@@ -483,7 +483,7 @@ def check_kernel_against_reference(rng, pf):
             assert (y.num.terms, y.den.terms, y.level) == \
                 perf_canonical_reference(pf, x.den, x.num, x.level)
         elems.append(x)
-    unit = dict(pf._one_poly().terms)
+    unit = dict(pf._one.terms)
     before = snapshot(*elems)
     for x in elems:
         for y in elems:
@@ -497,7 +497,7 @@ def check_kernel_against_reference(rng, pf):
                 assert (z.num.terms, z.den.terms, z.level) == \
                     perf_op_reference(x, y, op), (x, op, y)
     assert snapshot(*elems) == before
-    assert pf._one_poly().terms == unit == {0: fq.one()}
+    assert pf._one.terms == unit == {0: fq.one()}
 
 
 class TestKernelReference:
@@ -509,7 +509,7 @@ class TestKernelReference:
 
     def test_unit_objects_are_shared(self, fq4, pf3):
         assert fq4.one() is fq4.one() and fq4.zero() is fq4.zero()
-        assert pf3.one().den is pf3.zero().den is pf3._one_poly()
+        assert pf3.one().den is pf3.zero().den is pf3._one
 
 
 def canonical(x):
@@ -615,6 +615,14 @@ class TestExtField:
             assert len(checked) == len(set(checked))
             if n > 1:
                 assert checked[-1] == frozenset(ext.modulus.terms.items())
+
+    def test_str_names_w_and_z(self, fq4):
+        # k = F_4[w]/(w^2 + w + z), so w^2 = w + z
+        ext = ExtField(fq4, SPoly(fq4, {2: fq4.one(), 1: fq4.one(),
+                                        0: fq4.gen()}))
+        w, z, one = ext.gen(), ext.embed(fq4.gen()), ext.one()
+        assert [str(x) for x in (w * w, (z + one) * w, ext.zero(), one)] \
+            == ["w + z", "(z + 1)*w", "0", "1"]
 
     def test_frobenius_fixes_base(self, fq3):
         ext = ExtField(fq3, find_irreducible(fq3, 3))

@@ -285,7 +285,7 @@ class TestFittingIdeal:
                 ext = ext_of(pf.fq, n)
                 fm = fitting_ideal(E, ext, "motive")
                 fc = fitting_ideal(E, ext, "comotive")
-                assert fm.unit_equiv(fc)
+                assert poly_unit_equiv(fm, fc)
 
     def test_power_oracle_agrees(self, pf2, pf3):
         for pf in (pf2, pf3):
@@ -295,7 +295,7 @@ class TestFittingIdeal:
                 for side in ("motive", "comotive"):
                     fit = fitting_ideal(E, ext, side)
                     oracle = fitting_ideal_power_oracle(E, ext, side)
-                    assert oracle.unit_equiv(fit)
+                    assert poly_unit_equiv(oracle, fit)
 
     def test_power_oracle_matches_reference(self):
         # each step's twist is one Frobenius on the previous step's, in
@@ -325,6 +325,16 @@ class TestFittingIdeal:
                         assert fitting_ideal_power_oracle(
                             E, ext, side, tau_matrix=scaled) == \
                             power_oracle_reference(scaled, ext) == expected
+
+    def test_side_is_checked(self, pf2):
+        E = carlitz(pf2, pf2.one())
+        ext = ext_of(pf2.fq, 1)
+        with pytest.raises(FieldError, match="side must be motive or "
+                                             "comotive"):
+            fitting_ideal(E, ext, "dual")
+        comotive = drinfeld_tau_matrices(E, ext)[1]
+        with pytest.raises(FieldError, match="side marker is comotive"):
+            fitting_ideal(E, ext, "motive", tau_matrix=comotive)
 
     def test_T_degree(self, pf3):
         E = drinfeld(pf3, pf3.from_int(1), [pf3.one(), pf3.one()])
@@ -424,10 +434,10 @@ class TestBivariate:
                                 SPoly(fq3, {0: fq3.from_int(2)})])
         # monic normalization makes them literally equal
         assert a == b
-        assert a.unit_equiv(b)
+        assert poly_unit_equiv(a, b)
         c = BivariatePoly(fq3, [SPoly(fq3, {0: fq3.from_int(2)}),
                                 SPoly(fq3, {0: fq3.one()})])
-        assert not a.unit_equiv(c)
+        assert not poly_unit_equiv(a, c)
 
     def test_init_keeps_the_callers_list(self, fq3):
         p = SPoly(fq3, {1: fq3.one()})

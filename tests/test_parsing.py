@@ -163,6 +163,12 @@ col: 1
         with pytest.raises(SkewParseError):
             parse_manifest("q: 3\nq: 5\n")
 
+    def test_zero_over_theta_in_a_row(self):
+        text = MAURISCHAT_MANIFEST.replace("row: 0 | tau\n",
+                                           "row: 0/theta | tau\n")
+        first = parse_manifest(text).module.motive_basis[0]
+        assert not first[0, 0] and first[0, 1].coeff(1).is_one()
+
     def test_finite_field_base(self):
         text = """\
 q: 2
@@ -288,6 +294,38 @@ class TestDiagnostics:
         text = "q: 3\nbase: finite-field\ntheta: theta\n" + CARLITZ_BODY
         assert parse_error(text) == \
             "error[parse] 3:8: 'theta' is not legal here"
+
+    @pytest.mark.parametrize("again,message", [
+        ("phi_t:\nrow: tau\n", "10:1: duplicate key 'phi_t'"),
+        ("motive_basis:\nrow: tau\ncomotive_basis:\ncol: tau\n",
+         "10:1: duplicate key 'motive_basis'"),
+        ("comotive_basis:\ncol: tau\n",
+         "10:1: duplicate key 'comotive_basis'"),
+        ("tau_matrix_motive:\nrow: t\ntau_matrix_motive:\nrow: t\n",
+         "12:1: duplicate key 'tau_matrix_motive'"),
+        ("q: 3\n", "10:1: duplicate key 'q'"),
+    ])
+    def test_every_key_is_written_once(self, again, message):
+        """A second section header is refused like a second scalar key;
+        it does not append to the first section."""
+        text = "q: 3\nbase: perf-rational\n" + CARLITZ_BODY + again
+        assert parse_error(text) == "error[parse] " + message
+
+    @pytest.mark.parametrize("text,message", [
+        ("q: 3\nrow: 1\n", "2:1: 'row:' outside of a section"),
+        ("q: 3\nbase: perf-rational\n" + CARLITZ_BODY + "rank: 1\n"
+         "  col: tau\n", "11:3: 'col:' outside of a section"),
+        ("q: 3\nphi_t:\ncol: 1\n", "3:1: section phi_t takes 'row:' lines"),
+    ])
+    def test_line_outside_its_section(self, text, message):
+        assert parse_error(text) == "error[parse] " + message
+
+    @pytest.mark.parametrize("degree", ["0", "-3"])
+    def test_ext_degree_is_located(self, degree):
+        text = "q: 3\nbase: perf-rational\n" + CARLITZ_BODY \
+            + "ext_degree: {}\n".format(degree)
+        assert parse_error(text) == \
+            "error[parse] 10:13: ext degree must be >= 1"
 
     def test_rank_must_count_the_bases(self):
         assert parse_manifest(MAURISCHAT_MANIFEST).rank == 3
