@@ -618,7 +618,7 @@ def irreducible_over(field, poly):
     n = poly.degree()
     if n <= 1:
         return n == 1
-    size = field.q if isinstance(field, Fq) else field.size
+    size = field.q
     if size * n ** 3 > 3 * 10 ** 6:
         raise FieldError("modulus of degree {} over F_{} is too large for "
                          "Rabin's test (Q*n^3 > 3*10^6)".format(n, size))

@@ -1,8 +1,8 @@
 """Matrices over commutative rings, stored as lists of rows: the one
-product, nilpotency test, characteristic polynomial, determinant and
-inverse of taures.  The rings are R^perf and R^perf[t] (the pairing),
-F_q, F_q[t] and k[t] (the L-series).  Every routine skips zero entries,
-since the matrices met here are sparse.
+product, nilpotency test, characteristic polynomial and determinant of
+taures.  The rings are R^perf and R^perf[t] (the pairing), F_q, F_q[t]
+and k[t] (the L-series).  Every routine skips zero entries, since the
+matrices met here are sparse.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import add, neg
 
-from .errors import DimensionError, FieldError
+from .errors import DimensionError
 from .fields import Fq, SPoly
 
 
@@ -171,23 +171,3 @@ def det(a):
             acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
-
-def inverse(a, one):
-    """a^-1 over a field, by Gauss-Jordan elimination; FieldError if a
-    is singular."""
-    n = len(a)
-    zero = one - one
-    aug = [row[:] + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise FieldError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

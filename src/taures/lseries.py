@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule, twist
 from .fields import ExtElement, ExtField, Fq, SPoly, needs_parens
-from .linalg import charpoly, dot, inverse, mat_mul
+from .linalg import charpoly, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
 
@@ -160,31 +160,20 @@ def _powers(x: ExtElement, n):
     return out
 
 
-def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
-    """The F_q[t]-matrix of the semilinear tau on basis (e_i b_a).
+def restrict_tau(tau_matrix: TauMatrix, ext: ExtField):
+    """The F_q[t]-matrix of the semilinear tau on the basis (e_i w^a).
 
     Motive side twists scalars by q, comotive by q^(-1); either way
-    tau(b_a e_i) = twist(b_a) * sum_l M[l][i] e_l, decomposed over F_q.
-    The default basis is the power basis, whose coordinates are just the
-    coefficient tuple.  F_q is Frobenius-fixed, so twist(sum_i c_i w^i) =
-    sum_i c_i twist(w)^i: the twisted power basis is the powers of one
-    Frobenius power of w, and they twist every other basis too.
+    tau(w^a e_i) = twist(w^a) * sum_l M[l][i] e_l, decomposed over F_q by
+    its coefficient tuple.  F_q is Frobenius-fixed, so twist(w^a) =
+    twist(w)^a: the twisted power basis is the powers of one Frobenius
+    power of w.
     """
     r = tau_matrix.rank
     n = ext.n
     fq = ext.base
-    zero = fq.zero()
-    w = ext.gen()
-    twisted = _powers(w.q_power_iter(1 if tau_matrix.side == "motive"
-                                     else -1), n)
-    basis_inv = None
-    if basis is not None:
-        if len(basis) != n:
-            raise DimensionError("basis of k needs {} elements".format(n))
-        rows = [b.coeffs for b in basis]
-        basis_inv = inverse([list(col) for col in zip(*rows)], fq.one())
-        twisted = [ext.element(row) for row in
-                   mat_mul(rows, [p.coeffs for p in twisted], zero)]
+    twisted = _powers(ext.gen().q_power_iter(
+        1 if tau_matrix.side == "motive" else -1), n)
     size = r * n
     # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
     terms = [[{} for _ in range(size)] for _ in range(size)]
@@ -192,18 +181,14 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField, basis=None):
         for a in range(n):
             for l in range(r):
                 for te, c in tau_matrix.entries[l][i].terms.items():
-                    coords = (twisted[a] * c).coeffs
-                    if basis_inv is not None:
-                        coords = [dot(list(zip(row, coords)), zero)
-                                  for row in basis_inv]
-                    for ap, comp in enumerate(coords):
+                    for ap, comp in enumerate((twisted[a] * c).coeffs):
                         if comp:
                             terms[l * n + ap][i * n + a][te] = comp
     return [[SPoly(fq, entry) for entry in row] for row in terms]
 
 
 def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
-                  tau_matrix: TauMatrix = None, basis=None) -> BivariatePoly:
+                  tau_matrix: TauMatrix = None) -> BivariatePoly:
     """det(T - tau) on the chosen side after restriction of scalars:
     the monic-in-T generator of the T-deformation Fitting ideal."""
     if side not in ("motive", "comotive"):
@@ -213,7 +198,7 @@ def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
     elif tau_matrix.side != side:
         raise FieldError("tau_matrix side marker is {}".format(
             tau_matrix.side))
-    big = restrict_tau(tau_matrix, ext, basis=basis)
+    big = restrict_tau(tau_matrix, ext)
     fq = ext.base
     coeffs_lead_first = charpoly(big, SPoly.const(fq, fq.one()))
     coeffs = list(reversed(coeffs_lead_first))

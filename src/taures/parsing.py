@@ -440,8 +440,6 @@ def _build(man: Manifest, locations):
         if not val.sigma_free() or val.deg_tau() > 0:
             raise SkewParseError("theta must be a scalar", line, col)
         theta = val.coeffs.get(0, pf.zero())
-        if finite and not theta.is_constant():
-            raise SkewParseError("theta must lie in F_q", line, col)
     row_env = _skew_env(pf, theta if finite else None)
 
     if man.dim < 1:
@@ -466,10 +464,11 @@ def _build(man: Manifest, locations):
     phi_entries = parse_rows(man.phi_rows,
                              "phi_t row has {} entries, need {}", "phi(t)")
     if len(phi_entries) != man.dim:
-        line = max((l for _, l, _ in man.phi_rows), default=0)
+        line, col = ((man.phi_rows[-1][1], 1) if man.phi_rows
+                     else locations.get("phi_t", locations["q"]))
         raise SkewParseError(
             "phi_t has {} rows, need {}".format(len(phi_entries), man.dim),
-            line, 1)
+            line, col)
     motive = [SkewMatrix(pf, [row]) for row in parse_rows(
         man.motive_rows, "motive basis entry has {} components, need {}",
         "motive basis")]
@@ -477,8 +476,10 @@ def _build(man: Manifest, locations):
         man.comotive_cols, "comotive basis entry has {} components, need {}",
         "comotive basis")]
     if not motive or not comotive:
-        raise SkewParseError("manifest needs motive_basis and "
-                             "comotive_basis sections", 1, 1)
+        raise SkewParseError(
+            "manifest needs motive_basis and comotive_basis sections",
+            *locations.get("motive_basis" if not motive else
+                           "comotive_basis", locations["q"]))
     if len(motive) != len(comotive):
         _, line, col = (man.comotive_cols or man.motive_rows)[-1]
         raise SkewParseError(
@@ -490,6 +491,13 @@ def _build(man: Manifest, locations):
     if man.ext_degree is not None and man.ext_degree < 1:
         raise SkewParseError("ext degree must be >= 1",
                              *locations["ext_degree"])
+    if man.ext_degree is not None and man.ext_modulus_text is not None:
+        text, line, col = man.ext_modulus_text
+        n = _parse_modulus(text, fq, ExtField.gen_name, line, col).degree()
+        if n != man.ext_degree:
+            raise SkewParseError(
+                "ext degree {} but ext_modulus has degree {}".format(
+                    man.ext_degree, n), *locations["ext_degree"])
 
     man.module = AndersonModule(
         pf=pf, theta=theta, dim=man.dim, phi_t=SkewMatrix(pf, phi_entries),

@@ -7,7 +7,7 @@ exponents.  The defining relation tau*a = a^q*tau makes the product rule
     coeff_k(f*g) = sum_{i+j=k} a_i^(q^-j) * b_j.
 
 Truncation is tracked by ``floor``: all coefficients at tau-degree < floor
-are unknown.  Exact elements carry floor = -inf (stored as None).  The
+are unknown.  Exact elements carry floor = -inf (``NEG_INF``).  The
 product floor is max(floor_f + deg(g), floor_g + deg(f)), deg being the
 stored tau-degree, or floor - 1 for a truncated element that stores no
 term.  It is the exact frontier below which an unknown tail can
@@ -35,15 +35,10 @@ class SkewLaurent:
 
     __slots__ = ("pf", "coeffs", "floor")
 
-    def __init__(self, pf: PerfField, coeffs, floor=None):
+    def __init__(self, pf: PerfField, coeffs, floor=NEG_INF):
         self.pf = pf
-        if floor is None:
-            self.coeffs = {e: c for e, c in coeffs.items() if c}
-            self.floor = None
-        else:
-            self.coeffs = {e: c for e, c in coeffs.items()
-                           if c and e >= floor}
-            self.floor = floor
+        self.coeffs = {e: c for e, c in coeffs.items() if c and e >= floor}
+        self.floor = floor
 
     # --- constructors ---
 
@@ -81,17 +76,14 @@ class SkewLaurent:
     # --- structure ---
 
     def is_exact(self):
-        return self.floor is None
-
-    def floor_value(self):
-        return NEG_INF if self.floor is None else self.floor
+        return self.floor == NEG_INF
 
     def deg_tau(self):
         """Max stored exponent; -inf for (known-)zero."""
         return max(self.coeffs) if self.coeffs else NEG_INF
 
     def coeff(self, i) -> PerfElement:
-        if self.floor is not None and i < self.floor:
+        if i < self.floor:
             raise PrecisionError(
                 "coefficient of tau^{} is below the precision floor {}"
                 .format(i, self.floor))
@@ -111,7 +103,7 @@ class SkewLaurent:
 
     def agrees_with(self, other) -> bool:
         """Equality to precision: compare above the common floor only."""
-        lo = max(self.floor_value(), other.floor_value())
+        lo = max(self.floor, other.floor)
         for e, c in self.coeffs.items():
             if e >= lo and other.coeffs.get(e) != c:
                 return False
@@ -123,22 +115,14 @@ class SkewLaurent:
     # --- ring operations ---
 
     def __add__(self, other):
-        floor = self._add_floor(other)
         coeffs = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = coeffs.get(e)
             coeffs[e] = s + c if s is not None else c
-        return SkewLaurent(self.pf, coeffs, floor)
+        return SkewLaurent(self.pf, coeffs, max(self.floor, other.floor))
 
     def __sub__(self, other):
         return self + (-other)
-
-    def _add_floor(self, other):
-        if self.floor is None:
-            return other.floor
-        if other.floor is None:
-            return self.floor
-        return max(self.floor, other.floor)
 
     def __neg__(self):
         return SkewLaurent(self.pf, {e: -c for e, c in self.coeffs.items()},
@@ -151,29 +135,22 @@ class SkewLaurent:
 
     def _mul_floor(self, other):
         # unknown tail of f can contaminate degrees < floor_f + deg(g),
-        # where deg(g) counts g's own unknown tail when g stores no term
-        cands = []
-        if self.floor is not None:
-            dg = other._deg_bound()
-            if dg != NEG_INF:
-                cands.append(self.floor + dg)
-        if other.floor is not None:
-            df = self._deg_bound()
-            if df != NEG_INF:
-                cands.append(other.floor + df)
-        return max(cands) if cands else None
+        # where deg(g) counts g's own unknown tail when g stores no term;
+        # an exact factor, or an exact zero, contributes -inf
+        if self.floor == NEG_INF and other.floor == NEG_INF:
+            return NEG_INF
+        return max(self.floor + other._deg_bound(),
+                   other.floor + self._deg_bound())
 
     def _deg_bound(self):
         """Highest tau-degree the full element can reach: the stored degree,
-        or just below the floor for a truncated element storing nothing."""
-        if self.floor is None or self.coeffs:
-            return self.deg_tau()
-        return self.floor - 1
+        or just below the floor for an element storing nothing."""
+        return max(self.coeffs) if self.coeffs else self.floor - 1
 
     def __pow__(self, n):
         if n < 0:
             raise FieldError("negative skew power; use invert_scalar")
-        if self.floor is None and len(self.coeffs) == 1:
+        if self.is_exact() and len(self.coeffs) == 1:
             (e, c), = self.coeffs.items()
             if c.is_one():  # (tau^e)^n = tau^(e*n): no product to form
                 return SkewLaurent.tau(self.pf, e * n)
@@ -181,9 +158,7 @@ class SkewLaurent:
 
     def truncate(self, floor):
         """Impose a precision floor (may only lose knowledge)."""
-        if self.floor is not None and self.floor > floor:
-            floor = self.floor
-        return SkewLaurent(self.pf, self.coeffs, floor)
+        return SkewLaurent(self.pf, self.coeffs, max(self.floor, floor))
 
     def sigma_free(self):
         return all(e >= 0 for e in self.coeffs)
@@ -195,7 +170,7 @@ class SkewLaurent:
         return "SkewLaurent({})".format(self)
 
 
-def sum_of_products(pf: PerfField, pairs, floor=None) -> SkewLaurent:
+def sum_of_products(pf: PerfField, pairs, floor=NEG_INF) -> SkewLaurent:
     """sum of x * y over the (x, y) in pairs, at tau-degrees >= its floor.
 
     The floor is the highest ``_mul_floor`` of the pairs, raised to
@@ -206,15 +181,12 @@ def sum_of_products(pf: PerfField, pairs, floor=None) -> SkewLaurent:
     one ``PerfElement.twisted_sum``: no product or partial sum is built.
     """
     for x, y in pairs:
-        own = x._mul_floor(y)
-        if own is not None and (floor is None or own > floor):
-            floor = own
-    lowest = NEG_INF if floor is None else floor
+        floor = max(floor, x._mul_floor(y))
     groups = {}
     for x, y in pairs:
         y_terms = y.coeffs.items()
         for i, a in x.coeffs.items():
-            lo = lowest - i
+            lo = floor - i
             for j, b in y_terms:
                 if j >= lo:
                     groups.setdefault(i + j, []).append((a, -j, b))
@@ -238,7 +210,7 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
     no division.  Only the a_i with i > d - precision reach the window.
     The result carries floor -d - precision + 1 and satisfies
     f*g == 1 == g*f above the floors the product rule reports; an exact
-    monomial has an exact inverse, returned with no floor.
+    monomial has an exact inverse, returned with floor -inf.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -246,13 +218,13 @@ def invert_scalar(f: SkewLaurent, precision) -> SkewLaurent:
         raise FieldError("cannot invert zero (or zero-to-precision)")
     pf = f.pf
     d = f.deg_tau()
-    if f.floor is not None and f.floor > d - precision + 1:
+    if f.floor > d - precision + 1:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
     inv = f.coeffs[d].q_power_iter(d).inverse()
     b = {-d: inv}
-    if f.floor is None and len(f.coeffs) == 1:
+    if f.is_exact() and len(f.coeffs) == 1:
         # an exact monomial tau^d * a has the exact inverse
         # tau^-d * a^-(q^d): the recurrence leaves every lower b zero
         return SkewLaurent(pf, b)
@@ -289,6 +261,6 @@ def render_skew(f: SkewLaurent) -> str:
                 cs = "({})".format(cs)
             parts.append("{} * {}".format(v, cs))
     body = " + ".join(parts) if parts else "0"
-    if f.floor is not None:
+    if not f.is_exact():
         body += " + O(sigma^{})".format(1 - f.floor)
     return body

@@ -97,11 +97,8 @@ class SkewMatrix:
 
     def max_floor(self):
         """Worst (highest) precision floor over entries; -inf if all exact."""
-        worst = NEG_INF
-        for row in self.entries:
-            for e in row:
-                worst = max(worst, e.floor_value())
-        return worst
+        return max((e.floor for row in self.entries for e in row),
+                   default=NEG_INF)
 
     def is_exact(self):
         return all(e.is_exact() for row in self.entries for e in row)
@@ -131,12 +128,12 @@ class SkewMatrix:
         return "SkewMatrix({}x{})".format(self.rows, self.cols)
 
 
-def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
+def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=NEG_INF) -> SkewMatrix:
     """Entry-wise sums of skew products; a's entries multiply from the left.
 
     With ``floor`` the result equals ``mat_mul(a, b).truncate(floor)``, but
     each entry computes only the terms at or above it.  An exact zero
-    operand (no term, no floor) adds neither terms nor a floor, so its
+    operand (no term, floor -inf) adds neither terms nor a floor, so its
     products are skipped; each entry is one ``skew.sum_of_products`` of
     the rest, which sums each coefficient once over every product.
     """
@@ -146,12 +143,12 @@ def mat_mul(a: SkewMatrix, b: SkewMatrix, floor=None) -> SkewMatrix:
                 a.rows, a.cols, b.rows, b.cols))
     pf = a.pf
     b_rows = [[(j, y) for j, y in enumerate(row)
-               if y.coeffs or y.floor is not None] for row in b.entries]
+               if y.coeffs or y.floor != NEG_INF] for row in b.entries]
     out = []
     for a_row in a.entries:
         pairs = [[] for _ in range(b.cols)]
         for l, x in enumerate(a_row):
-            if x.coeffs or x.floor is not None:
+            if x.coeffs or x.floor != NEG_INF:
                 for j, y in b_rows[l]:
                     pairs[j].append((x, y))
         out.append([sum_of_products(pf, p, floor) for p in pairs])
@@ -218,7 +215,7 @@ def _eliminate(phi: SkewMatrix, work):
                 best = d
                 pivot = r
         if pivot is None:
-            if any(a[r][col].floor is not None for r in range(col, n)):
+            if not all(a[r][col].is_exact() for r in range(col, n)):
                 # the column is only known to vanish above its floors
                 raise PrecisionError(
                     "column {} vanishes to the working floor".format(col))
@@ -241,11 +238,11 @@ def _eliminate(phi: SkewMatrix, work):
         lift = int(max(max((e.deg_tau() for e in right + x[col]),
                            default=0), 0)) \
             + int(max(max((e.deg_tau() for e in factors), default=0), 0))
-        p_eff = max(1, work + 1 - deg + lift)
-        if pivot_entry.floor is not None:
-            # a truncated pivot only supports inversion to the depth it
-            # is known; floors on the output keep the accounting honest
-            p_eff = min(p_eff, deg - pivot_entry.floor + 1)
+        # a truncated pivot only supports inversion to the depth it is
+        # known (an exact one, floor -inf, to any); floors on the output
+        # keep the accounting honest
+        p_eff = min(max(1, work + 1 - deg + lift),
+                    deg - pivot_entry.floor + 1)
         inv = invert_scalar(pivot_entry, p_eff)
         a[col][col + 1:] = right = [e if _is_zero(e) else inv * e
                                     for e in right]
@@ -265,8 +262,8 @@ def _eliminate(phi: SkewMatrix, work):
 
 
 def _is_zero(e):
-    """e is an exact zero: no term and no floor."""
-    return not e.coeffs and e.floor is None
+    """e is an exact zero: no term and floor -inf."""
+    return not e.coeffs and e.floor == NEG_INF
 
 
 def _cleared(pf, one, e, neg, p):

@@ -139,7 +139,7 @@ def invert_scalar_geometric(f, precision):
     term is kept at full depth and only the sum is cut to the output
     floor, so the cost grows exponentially in precision for multi-term
     leading coefficients; it shares no step with the recurrence.  An
-    exact monomial has the exact inverse, with no floor.
+    exact monomial has the exact inverse, with floor -inf.
     """
     if precision < 1:
         raise PrecisionError("inversion precision must be >= 1")
@@ -147,7 +147,7 @@ def invert_scalar_geometric(f, precision):
         raise FieldError("cannot invert zero (or zero-to-precision)")
     pf = f.pf
     d = f.deg_tau()
-    if f.floor is not None and f.floor > d - precision + 1:
+    if f.floor > d - precision + 1:
         raise PrecisionError(
             "operand known to sigma^{} only; sigma^{} needed".format(
                 d - f.floor, precision - 1))
@@ -168,7 +168,7 @@ def invert_scalar_geometric(f, precision):
         if not acc:
             break
         series = series + acc
-    if h or f.floor is not None:
+    if h or not f.is_exact():
         # for an exact monomial h = 0, and the series is exactly 1
         series = series.truncate(-(precision - 1))
     # f^-1 = u^-1 * series * sigma^d
@@ -191,29 +191,33 @@ def skew_mul_reference(f, g):
             s = coeffs.get(k)
             coeffs[k] = s + c if s is not None else c
 
+    return SkewLaurent(f.pf, coeffs, product_floor_reference(f, g))
+
+
+def product_floor_reference(f, g):
+    """Test-only reference for ``SkewLaurent._mul_floor``: the highest
+    floor_f + deg(g) and floor_g + deg(f) over the truncated factors whose
+    partner has a finite deg, -inf when there is none."""
     def deg(h):
         if h:
             return h.deg_tau()
-        return None if h.floor is None else h.floor - 1
+        return NEG_INF if h.is_exact() else h.floor - 1
 
     floors = [lo + deg(other) for lo, other in ((f.floor, g), (g.floor, f))
-              if lo is not None and deg(other) is not None]
-    return SkewLaurent(f.pf, coeffs, max(floors) if floors else None)
+              if lo != NEG_INF and deg(other) != NEG_INF]
+    return max(floors) if floors else NEG_INF
 
 
-def skew_product_reference(f, g, floor=None):
+def skew_product_reference(f, g, floor=NEG_INF):
     """Test-only reference for one product of ``skew.sum_of_products``:
-    each term pair at or above the product floor (``_mul_floor``, raised
-    to ``floor``) is one PerfElement product, folded into its coefficient
-    by ``+``."""
-    own = f._mul_floor(g)
-    if own is not None and (floor is None or own > floor):
-        floor = own
-    lowest = NEG_INF if floor is None else floor
+    each term pair at or above the product floor
+    (``product_floor_reference``, raised to ``floor``) is one PerfElement
+    product, folded into its coefficient by ``+``."""
+    floor = max(floor, product_floor_reference(f, g))
     coeffs = {}
     for i, a in f.coeffs.items():
         for j, b in g.coeffs.items():
-            if i + j < lowest:
+            if i + j < floor:
                 continue
             c = a.q_power_iter(-j) * b
             if not c:
@@ -223,22 +227,21 @@ def skew_product_reference(f, g, floor=None):
     return SkewLaurent(f.pf, coeffs, floor)
 
 
-def sum_of_products_reference(pf, pairs, floor=None):
+def sum_of_products_reference(pf, pairs, floor=NEG_INF):
     """Test-only reference for ``skew.sum_of_products``: each product by
     ``skew_product_reference``, and their terms folded by ``+`` under the
     highest of their floors and ``floor``."""
     products = [skew_product_reference(x, y, floor) for x, y in pairs]
     coeffs = {}
     for p in products:
-        if p.floor is not None and (floor is None or p.floor > floor):
-            floor = p.floor
+        floor = max(floor, p.floor)
         for k, c in p.coeffs.items():
             s = coeffs.get(k)
             coeffs[k] = s + c if s is not None else c
     return SkewLaurent(pf, coeffs, floor)
 
 
-def mat_mul_reference(a, b, floor=None):
+def mat_mul_reference(a, b, floor=NEG_INF):
     """Test-only reference for ``skewmat.mat_mul``: every entry product is
     formed by ``skew_product_reference``, exact zeros included, and
     folded into a running SkewLaurent sum that starts empty at
@@ -335,7 +338,7 @@ def eliminate_reference(phi, work, sized=False):
                 best = d
                 pivot = r
         if pivot is None:
-            if any(a[r][col].floor is not None for r in range(col, n)):
+            if not all(a[r][col].is_exact() for r in range(col, n)):
                 raise PrecisionError(
                     "column {} vanishes to the working floor".format(col))
             raise NotInvertibleError(
@@ -352,7 +355,7 @@ def eliminate_reference(phi, work, sized=False):
             lift = sum(int(max(max((e.deg_tau() for e in es), default=0), 0))
                        for es in (row, column))
             p_eff = max(1, work + 1 - deg + lift)
-        if pivot_entry.floor is not None:
+        if not pivot_entry.is_exact():
             p_eff = min(p_eff, deg - pivot_entry.floor + 1)
         inv = invert_scalar_geometric(pivot_entry, p_eff)
         a[col] = [inv * e for e in a[col]]

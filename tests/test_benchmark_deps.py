@@ -122,15 +122,28 @@ def test_every_case_is_read_without_argparse(tmp_path):
     assert fallbacks == []
 
 
+def src_lines_matching(pattern):
+    """(file, line number) of every `src/taures` line the regex matches."""
+    src = os.path.join(ROOT, "src", "taures")
+    hits = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                hits += [(name, no) for no, line in enumerate(fh, 1)
+                         if re.search(pattern, line)]
+    return hits
+
+
 def test_src_never_calls_the_frobenius_aliases():
     """`PerfElement.q_pow` and `q_root` call `q_power_iter`, and the tracer
     wraps all three under `fields.frobenius`: a call to an alias from the
     library would count twice there."""
-    src = os.path.join(ROOT, "src", "taures")
-    calls = []
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                calls += [(name, no) for no, line in enumerate(fh, 1)
-                          if re.search(r"\.q_(pow|root)\(", line)]
-    assert calls == []
+    assert src_lines_matching(r"\.q_(pow|root)\(") == []
+
+
+def test_src_spells_an_exact_floor_one_way():
+    """An exact element's floor is `NEG_INF`, never `None`: no source line
+    stores, passes or tests `None` as a floor, nor calls the deleted
+    translators between the two spellings."""
+    assert src_lines_matching(
+        r"floor is (not )?None|floor=None|floor_value|_add_floor") == []

@@ -33,6 +33,10 @@ col: 1
 """
 
 
+CARLITZ_FINITE = CARLITZ_Q2.replace("base: perf-rational",
+                                    "base: finite-field\ntheta: 1")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -383,6 +387,28 @@ class TestExitCodes:
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         assert run(capsys, "lseries", path, "--ext-degree", "0") == (
             2, "", "error[parse] 0:0: ext degree must be >= 1\n")
+
+    @pytest.mark.parametrize("command,text,code,err", [
+        ("validate", CARLITZ_Q2.replace("q: 2", "q: 1"), 2,
+         "error[parse] 1:4: manifest needs q >= 2\n"),
+        ("validate", CARLITZ_Q2.replace("dim: 1", "dim: 0"), 2,
+         "error[parse] 3:6: manifest needs dim >= 1\n"),
+        ("validate", CARLITZ_Q2.replace("row: theta + tau\n", ""), 2,
+         "error[parse] 5:8: phi_t has 0 rows, need 1\n"),
+        ("lseries", CARLITZ_FINITE + "tau_matrix_motive:\nrow: t | 1\n", 2,
+         "error[parse] 13:1: tau_matrix block must be square\n"),
+        ("lseries", CARLITZ_FINITE + "ext_degree: 3\n"
+         "ext_modulus: w^2 + w + 1\n", 2,
+         "error[parse] 12:13: ext degree 3 but ext_modulus has degree 2\n"),
+        ("lseries", CARLITZ_Q2.replace("theta + tau", "1 + tau * theta")
+         .replace("dim:", "theta: 1\ndim:"), 3,
+         "error[field]: L-series need a finite base: phi(t) coefficients "
+         "must be F_q constants\n"),
+    ])
+    def test_manifest_errors(self, capsys, tmp_path, command, text, code,
+                             err):
+        path = write(tmp_path, "bad.man", text)
+        assert run(capsys, command, path) == (code, "", err)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.man")

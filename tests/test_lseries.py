@@ -1,6 +1,7 @@
 """T-deformation Fitting ideals over finite bases, with both oracle
 routes: the tau^d determinant over k[t] and the t-action on E(k)."""
 
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,24 @@ def ext_of(fq, n):
     if n == 1:
         return ExtField(fq, SPoly(fq, {1: fq.one()}))
     return ExtField(fq, find_irreducible(fq, n))
+
+
+def restrict_in_basis(tau_matrix, ext, basis, coords):
+    """Test-only reference for ``restrict_tau`` on the basis (e_i b_a):
+    each b_a twisted on its own, and each image read back by ``coords``,
+    which maps an element of k to its F_q coordinates on ``basis``."""
+    n = ext.n
+    j = 1 if tau_matrix.side == "motive" else -1
+    size = tau_matrix.rank * n
+    terms = [[{} for _ in range(size)] for _ in range(size)]
+    for i in range(tau_matrix.rank):
+        for a, b in enumerate(basis):
+            for l in range(tau_matrix.rank):
+                for te, c in tau_matrix.entries[l][i].terms.items():
+                    for ap, comp in enumerate(coords(b.q_power_iter(j) * c)):
+                        if comp:
+                            terms[l * n + ap][i * n + a][te] = comp
+    return [[SPoly(ext.base, entry) for entry in row] for row in terms]
 
 
 def gauge_scaled(rng, tau, ext):
@@ -233,8 +252,8 @@ class TestRestrictTau:
     @pytest.mark.parametrize("q,modulus", [(2, None), (3, None),
                                            (4, [1, 1, 1]), (5, None)])
     def test_power_basis_matches_explicit_basis(self, q, modulus):
-        # the default basis skips the change of basis; handing the same
-        # power basis in explicitly goes through _basis_inverse
+        # restrict_tau twists w once and takes powers of twist(w); the
+        # reference twists each w^a on its own
         rng = random.Random(q)
         fq = Fq(q, modulus)
         pf = PerfField(fq)
@@ -250,8 +269,8 @@ class TestRestrictTau:
                      for e in row] for row in tau.entries])
                 for tm in (tau, scaled):
                     basis = [ext.gen() ** a for a in range(n)]
-                    assert restrict_tau(tm, ext) == \
-                        restrict_tau(tm, ext, basis=basis)
+                    assert restrict_tau(tm, ext) == restrict_in_basis(
+                        tm, ext, basis, lambda x: x.coeffs)
 
 
 class TestFittingIdeal:
@@ -344,26 +363,34 @@ class TestFittingIdeal:
             assert degree_T(fit) == 2 * n
 
     def test_basis_independence(self, pf2, pf3):
-        E = carlitz(pf2, pf2.zero())
+        # det(T - tau) on the power basis equals it on other F_q-bases of
+        # k, whose coordinates are looked up among all their combinations
+        def check(E, ext, basis, sides):
+            fq = ext.base
+            coords = {}
+            for cs in itertools.product(list(fq.elements()), repeat=ext.n):
+                v = ext.zero()
+                for c, b in zip(cs, basis):
+                    v = v + ext.embed(c) * b
+                coords[v] = cs
+            for side in sides:
+                tm = drinfeld_tau_matrices(E, ext)[side != "motive"]
+                big = restrict_in_basis(tm, ext, basis, coords.__getitem__)
+                lead_first = charpoly(big, SPoly.const(fq, fq.one()))
+                assert fitting_ideal(E, ext, side) == \
+                    BivariatePoly(fq, list(reversed(lead_first)))
+
         ext = ext_of(pf2.fq, 2)
-        w = ext.gen()
-        one = ext.one()
-        default = fitting_ideal(E, ext, "motive")
-        other = fitting_ideal(E, ext, "motive",
-                              basis=[one + w, w])
-        assert default == other
-        # a declared basis that is not triangular in the power basis: each
-        # element twists as a combination of powers of twist(w)
+        w, one = ext.gen(), ext.one()
+        check(carlitz(pf2, pf2.zero()), ext, [one + w, w], ["motive"])
+        # bases that are not triangular in the power basis
         E = drinfeld(pf3, pf3.from_int(1), [pf3.from_int(2), pf3.one()])
         for n in (3, 4):
             ext = ext_of(pf3.fq, n)
-            w = ext.gen()
-            one = ext.one()
+            w, one = ext.gen(), ext.one()
             basis = [one + w, w + w ** 2, one + w ** 2] if n == 3 else \
                 [one + w, w + w ** 2, w ** 2 + w ** 3, one + w + w ** 3]
-            for side in ("motive", "comotive"):
-                default = fitting_ideal(E, ext, side)
-                assert fitting_ideal(E, ext, side, basis=basis) == default
+            check(E, ext, basis, ["motive", "comotive"])
 
     def test_declared_tau_matrix(self, pf2):
         # tensor square with declared motive matrix [(t - theta)^2]

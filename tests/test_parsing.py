@@ -327,6 +327,43 @@ class TestDiagnostics:
         assert parse_error(text) == \
             "error[parse] 10:13: ext degree must be >= 1"
 
+    @pytest.mark.parametrize("text,message", [
+        # an empty section at its header, a missing one at q
+        ("q: 3\ndim: 1\nphi_t:\nmotive_basis:\nrow: 1\n"
+         "comotive_basis:\ncol: 1\n", "3:8: phi_t has 0 rows, need 1"),
+        ("q: 3\ndim: 1\nmotive_basis:\nrow: 1\ncomotive_basis:\ncol: 1\n",
+         "1:4: phi_t has 0 rows, need 1"),
+        ("q: 3\ndim: 1\nphi_t:\nrow: theta + tau\n",
+         "1:4: manifest needs motive_basis and comotive_basis sections"),
+        ("q: 3\ndim: 1\nphi_t:\nrow: theta + tau\nmotive_basis:\n"
+         "comotive_basis:\ncol: 1\n",
+         "5:15: manifest needs motive_basis and comotive_basis sections"),
+        ("q: 3\ndim: 1\nphi_t:\nrow: theta + tau\nmotive_basis:\n"
+         "row: 1\ncomotive_basis:\n",
+         "7:17: manifest needs motive_basis and comotive_basis sections"),
+    ])
+    def test_missing_sections_are_located(self, text, message):
+        assert parse_error(text) == "error[parse] " + message
+
+    def test_ext_degree_must_match_ext_modulus(self):
+        text = "q: 2\nbase: perf-rational\n" + CARLITZ_BODY \
+            + "ext_degree: {}\next_modulus: w^2 + w + 1\n"
+        assert parse_error(text.format(3)) == \
+            "error[parse] 10:13: ext degree 3 but ext_modulus has degree 2"
+        assert manifest_ext_field(parse_manifest(text.format(2))).n == 2
+
+    @pytest.mark.parametrize("field,text", [
+        ("q: 3", "2"), ("q: 3", "sigma * 2 * tau"),
+        ("q: 3", "tau^2 * sigma^2 + 1"), ("q: 4\nmodulus: z^2 + z + 1", "z"),
+        ("q: 4\nmodulus: z^2 + z + 1", "1 / (z + 1)"),
+        ("q: 4\nmodulus: z^2 + z + 1", "sigma * z * tau")])
+    def test_finite_theta_is_an_fq_constant(self, field, text):
+        # 'theta' is no atom on a finite base, so every scalar the grammar
+        # can build there is an F_q constant
+        man = parse_manifest("{}\nbase: finite-field\ntheta: {}\n"
+                             .format(field, text) + CARLITZ_BODY)
+        assert man.module.theta.is_constant()
+
     def test_rank_must_count_the_bases(self):
         assert parse_manifest(MAURISCHAT_MANIFEST).rank == 3
         text = MAURISCHAT_MANIFEST.replace("rank: 3", "rank: 7")

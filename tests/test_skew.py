@@ -7,7 +7,7 @@ import pytest
 
 from taures.errors import FieldError, PrecisionError
 from taures.fields import PerfElement, SPoly
-from taures.skew import SkewLaurent, invert_scalar, sum_of_products
+from taures.skew import NEG_INF, SkewLaurent, invert_scalar, sum_of_products
 
 from conftest import (apply_skew, from_right_coeffs,
                       invert_scalar_geometric, rand_fq,
@@ -120,7 +120,7 @@ class TestSumOfProducts:
             for _ in range(80):
                 pairs = [(rand_kernel_skew(rng, pf), rand_kernel_skew(rng, pf))
                          for _ in range(rng.randint(0, 4))]
-                for w in (None, rng.randint(-6, 6)):
+                for w in (NEG_INF, rng.randint(-6, 6)):
                     assert sum_of_products(pf, pairs, w) == \
                         sum_of_products_reference(pf, pairs, w)
                 if pairs:
@@ -361,7 +361,7 @@ class TestInvertScalar:
         assert inv.coeffs == {-1: pf3.one()}
 
     def test_exact_monomial_inverse(self, pf3):
-        # an exact monomial tau^d * a inverts exactly: no floor, whatever
+        # an exact monomial tau^d * a inverts exactly, floor -inf, whatever
         # the precision asked for
         one = SkewLaurent.one(pf3)
         inv = invert_scalar(one, 2)

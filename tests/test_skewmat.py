@@ -10,7 +10,7 @@ from taures.anderson import carlitz_tensor, drinfeld, maurischat
 from taures.errors import DimensionError, NotInvertibleError, PrecisionError
 from taures.fields import Fq, PerfField
 from taures.parsing import parse_skew_row
-from taures.skew import SkewLaurent
+from taures.skew import NEG_INF, SkewLaurent
 from taures.skewmat import (SkewMatrix, _eliminate, invert_series_matrix,
                             mat_mul)
 
@@ -93,7 +93,7 @@ class TestMatMul:
                                     for _ in range(n)])
                 b = SkewMatrix(pf, [[entry(pf) for _ in range(p)]
                                     for _ in range(m)])
-                for w in (None, rng.randint(-6, 6)):
+                for w in (NEG_INF, rng.randint(-6, 6)):
                     assert mat_mul(a, b, floor=w) == \
                         mat_mul_reference(a, b, floor=w)
 
@@ -109,7 +109,7 @@ class TestMatMul:
                                      for _ in range(m)] for _ in range(n)])
                 b = SkewMatrix(pf, [[rand_kernel_skew(rng, pf)
                                      for _ in range(p)] for _ in range(m)])
-                for w in (None, rng.randint(-6, 6)):
+                for w in (NEG_INF, rng.randint(-6, 6)):
                     assert mat_mul(a, b, floor=w) == \
                         mat_mul_reference(a, b, floor=w)
 
