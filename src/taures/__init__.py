@@ -17,8 +17,8 @@ from .pairing import (GramMatrix, PairingContext, check_perfectness,
                       check_tau_commutation, drinfeld_closed_form,
                       expand_sesquilinear, gram, measure_b, pairing_inverse,
                       residue_pair)
-from .lseries import (BivariatePoly, TauMatrix, brute_force_fitting,
-                      drinfeld_tau_matrices, fitting_ideal,
+from .lseries import (BivariatePoly, brute_force_fitting,
+                      drinfeld_tau_matrix, fitting_ideal,
                       fitting_ideal_power_oracle, poly_unit_equiv)
 from .parsing import parse_manifest, parse_skew_expr
 

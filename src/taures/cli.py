@@ -2,8 +2,9 @@
 byte-stable text output.
 
 Commands: validate, invert, pair, gram, perfectness, lseries, examples.
-Exit codes: 0 success, 2 parse error, 3 validation failure, 4
-convergence-cap exceeded, 5 precision not reached or not certified.
+Exit codes: 0 success, 3 a failed check; an error exits with its type's
+``exit_code``: 2 parse error, 3 validation failure, 4 convergence-cap
+exceeded, 5 precision not reached or not certified.
 
 gram, perfectness and pair fail in one order: a sigma-precision above
 --precision-cap exits 5, then a phi(t)^-1 of positive tau-degree exits 5
@@ -19,20 +20,15 @@ import random
 import sys
 from types import SimpleNamespace
 
-from .errors import (ConvergenceError, DimensionError, FieldError,
-                     NotInvertibleError, PrecisionError, SkewParseError,
-                     TauresError)
+from .errors import FieldError, SkewParseError, TauresError
 from . import anderson, lseries, pairing
 from .fields import Fq, _factor_prime_power, find_irreducible
 from .parsing import (Manifest, manifest_ext_field, manifest_tau_matrix,
                       parse_manifest, parse_skew_expr, parse_skew_row,
-                      ext_field_of_degree, render_manifest)
+                      render_manifest)
 from .skewmat import SkewMatrix, invert_series_matrix
 
-EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_CONVERGENCE = 4
-EXIT_PRECISION = 5
 
 WEIGHT_NOTE = ("note: b is measured from the gram coefficients; module "
                "weights are not computed, so no bound involving weights "
@@ -228,20 +224,15 @@ def cmd_lseries(args):
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_VALIDATION
-    if args.ext_degree is not None:
-        ext = ext_field_of_degree(man.field, args.ext_degree)
-    else:
-        ext = manifest_ext_field(man)
-        if ext is None:
-            ext = ext_field_of_degree(man.field, 1)
+    ext = manifest_ext_field(man, args.ext_degree)
     tau_mot = manifest_tau_matrix(man, "motive", ext)
     tau_com = manifest_tau_matrix(man, "comotive", ext)
     run_oracle = tau_mot is None
     if run_oracle:
-        # one build of the Drinfeld matrices serves every route below
-        tau_mot, com = lseries.drinfeld_tau_matrices(module, ext)
+        # one build of the Drinfeld matrix serves every route below
+        tau_mot = lseries.drinfeld_tau_matrix(module, ext)
         if tau_com is None:
-            tau_com = com
+            tau_com = tau_mot
     fit_m = lseries.fitting_ideal(module, ext, "motive", tau_matrix=tau_mot)
     fit_c = lseries.fitting_ideal(module, ext, "comotive",
                                   tau_matrix=tau_com)
@@ -375,21 +366,9 @@ def main(argv=None):
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except SkewParseError as err:
-        print(err, file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceError as err:
-        print(err, file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except PrecisionError as err:
-        print(err, file=sys.stderr)
-        return EXIT_PRECISION
-    except (FieldError, DimensionError, NotInvertibleError) as err:
-        print(err, file=sys.stderr)
-        return EXIT_VALIDATION
     except TauresError as err:
         print(err, file=sys.stderr)
-        return 1
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Shared exception types with stable machine-readable prefixes."""
+"""Shared exception types with stable prefixes and CLI exit codes."""
 
 
 class TauresError(Exception):
     """Base class for all package errors."""
 
     prefix = "error"
+    exit_code = 1
 
     def __str__(self):
         return "{}: {}".format(self.prefix, super().__str__())
@@ -14,6 +15,7 @@ class FieldError(TauresError):
     """Bad field data: composite p, reducible modulus, division by zero."""
 
     prefix = "error[field]"
+    exit_code = 3
 
 
 class SkewParseError(TauresError):
@@ -23,6 +25,7 @@ class SkewParseError(TauresError):
     """
 
     prefix = "error[parse]"
+    exit_code = 2
 
     def __init__(self, message, line=0, col=0):
         super().__init__(message)
@@ -39,18 +42,21 @@ class PrecisionError(TauresError):
     operand is not known deep enough for the requested output."""
 
     prefix = "error[precision]"
+    exit_code = 5
 
 
 class ConvergenceError(TauresError):
     """No convergence exponent k1 certified within the search cap."""
 
     prefix = "error[convergence]"
+    exit_code = 4
 
 
 class DimensionError(TauresError):
     """Matrix or basis dimensions do not match."""
 
     prefix = "error[dimension]"
+    exit_code = 3
 
 
 class NotInvertibleError(TauresError):
@@ -58,3 +64,4 @@ class NotInvertibleError(TauresError):
     vanish only down to the working floor raises PrecisionError."""
 
     prefix = "error[invert]"
+    exit_code = 3

@@ -6,7 +6,9 @@ T-deformation is det(T - tau) on the motive (or comotive) after
 restricting scalars from k[t] to F_q[t].  tau is q-semilinear on the
 motive and q^(-1)-semilinear on the comotive; restriction of scalars
 turns either into an honest F_q[t]-linear operator on a module of rank
-r * d_k whose characteristic polynomial in T is the generator.
+r * d_k whose characteristic polynomial in T is the generator.  A
+tau-matrix is its list of rows over k[t]; which side it acts on, and so
+which way it twists scalars, is the ``side`` argument of each route.
 
 Two independent oracles guard the computation: det(T^d - tau^d) over
 k[t] (tau^d is k[t]-linear), and the characteristic polynomial of the
@@ -16,26 +18,12 @@ must reproduce up to a unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule, twist
 from .fields import ExtElement, ExtField, Fq, SPoly, needs_parens
 from .linalg import charpoly, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
-
-
-@dataclass
-class TauMatrix:
-    """Matrix of the tau-action on a declared basis, entries in k[t]."""
-
-    side: str  # "motive" | "comotive"
-    entries: list  # r x r nested list of SPoly over ExtField
-
-    @property
-    def rank(self):
-        return len(self.entries)
 
 
 class BivariatePoly:
@@ -125,7 +113,7 @@ def _require_finite(module: AndersonModule):
                                      "coefficients must be F_q constants")
 
 
-def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
+def drinfeld_tau_matrix(module: AndersonModule, ext: ExtField):
     """The companion-shape matrix of tau on the standard bases
     (1, tau, .., tau^(r-1)) of a Drinfeld module, over k[t], from
     tau * tau^(r-1) = g_r^-1 ((t - theta) - g_1 tau - ..).
@@ -133,8 +121,8 @@ def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
     One matrix serves both sides.  On the comotive, resolving each left
     coefficient g_i through the scalar action twists it by q^(-i); but a
     finite base keeps every g_i in F_q, which Frobenius fixes, so the
-    twists are the identity.  The side markers still tell
-    ``restrict_tau`` and the power oracle which way scalars twist.
+    twists are the identity.  Which way scalars twist is the ``side``
+    argument of ``restrict_tau`` and the power oracle.
     """
     _require_finite(module)
     g = [ext.embed(c.as_fq()) for c in _extract_drinfeld_g(module)]
@@ -146,10 +134,16 @@ def drinfeld_tau_matrices(module: AndersonModule, ext: ExtField):
         SPoly.const(ext, -(g_r_inv * gs)) for gs in g[:-1]]
     zero, one = SPoly(ext, {}), SPoly.const(ext, ext.one())
     # column j < r - 1 is the unit vector e_(j+1), the last one is tau^r
-    entries = [[last[i] if j == r - 1 else one if i == j + 1 else zero
-                for j in range(r)] for i in range(r)]
-    return (TauMatrix(side="motive", entries=entries),
-            TauMatrix(side="comotive", entries=entries))
+    return [[last[i] if j == r - 1 else one if i == j + 1 else zero
+             for j in range(r)] for i in range(r)]
+
+
+def _side_twist(side):
+    """The Frobenius exponent tau twists scalars by on ``side``: 1 on the
+    motive, -1 on the comotive; any other side is refused."""
+    if side not in ("motive", "comotive"):
+        raise FieldError("side must be motive or comotive")
+    return 1 if side == "motive" else -1
 
 
 def _powers(x: ExtElement, n):
@@ -160,8 +154,9 @@ def _powers(x: ExtElement, n):
     return out
 
 
-def restrict_tau(tau_matrix: TauMatrix, ext: ExtField):
-    """The F_q[t]-matrix of the semilinear tau on the basis (e_i w^a).
+def restrict_tau(tau_matrix, ext: ExtField, side):
+    """The F_q[t]-matrix of the semilinear tau, given by its rows
+    ``tau_matrix`` over k[t], on the basis (e_i w^a).
 
     Motive side twists scalars by q, comotive by q^(-1); either way
     tau(w^a e_i) = twist(w^a) * sum_l M[l][i] e_l, decomposed over F_q by
@@ -169,18 +164,17 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField):
     twist(w)^a: the twisted power basis is the powers of one Frobenius
     power of w.
     """
-    r = tau_matrix.rank
     n = ext.n
+    twisted = _powers(ext.gen().q_power_iter(_side_twist(side)), n)
+    r = len(tau_matrix)
     fq = ext.base
-    twisted = _powers(ext.gen().q_power_iter(
-        1 if tau_matrix.side == "motive" else -1), n)
     size = r * n
     # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
     terms = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(r):
         for a in range(n):
             for l in range(r):
-                for te, c in tau_matrix.entries[l][i].terms.items():
+                for te, c in tau_matrix[l][i].terms.items():
                     for ap, comp in enumerate((twisted[a] * c).coeffs):
                         if comp:
                             terms[l * n + ap][i * n + a][te] = comp
@@ -188,17 +182,13 @@ def restrict_tau(tau_matrix: TauMatrix, ext: ExtField):
 
 
 def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
-                  tau_matrix: TauMatrix = None) -> BivariatePoly:
+                  tau_matrix=None) -> BivariatePoly:
     """det(T - tau) on the chosen side after restriction of scalars:
     the monic-in-T generator of the T-deformation Fitting ideal."""
-    if side not in ("motive", "comotive"):
-        raise FieldError("side must be motive or comotive")
+    _side_twist(side)  # refuse an unknown side before any work
     if tau_matrix is None:
-        tau_matrix = drinfeld_tau_matrices(module, ext)[side != "motive"]
-    elif tau_matrix.side != side:
-        raise FieldError("tau_matrix side marker is {}".format(
-            tau_matrix.side))
-    big = restrict_tau(tau_matrix, ext)
+        tau_matrix = drinfeld_tau_matrix(module, ext)
+    big = restrict_tau(tau_matrix, ext, side)
     fq = ext.base
     coeffs_lead_first = charpoly(big, SPoly.const(fq, fq.one()))
     coeffs = list(reversed(coeffs_lead_first))
@@ -207,19 +197,19 @@ def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
 
 def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
                                side="motive",
-                               tau_matrix: TauMatrix = None) -> BivariatePoly:
+                               tau_matrix=None) -> BivariatePoly:
     """Independent route: det over k[t] of (T^d - tau^d), where d = [k:F_q]
     makes tau^d k[t]-linear; the result must have F_q coefficients."""
+    j = _side_twist(side)
     if tau_matrix is None:
-        tau_matrix = drinfeld_tau_matrices(module, ext)[side != "motive"]
-    r = tau_matrix.rank
+        tau_matrix = drinfeld_tau_matrix(module, ext)
+    r = len(tau_matrix)
     n = ext.n
     # matrix of tau^n: M * M^(tw) * .. * M^(tw^(n-1)), tw = coefficient
     # Frobenius (inverse Frobenius on the comotive side); M^(tw^s) is one
     # more twist of M^(tw^(s-1))
-    j = 1 if tau_matrix.side == "motive" else -1
     zero = SPoly(ext, {})
-    acc = twisted = tau_matrix.entries
+    acc = twisted = tau_matrix
     for _ in range(1, n):
         twisted = [[twist(e, j) for e in row] for row in twisted]
         acc = mat_mul(acc, twisted, zero)

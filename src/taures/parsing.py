@@ -504,19 +504,19 @@ def _build(man: Manifest, locations):
         motive_basis=motive, comotive_basis=comotive)
 
 
-def manifest_ext_field(man: Manifest) -> Optional[ExtField]:
-    """Build the L-series extension field k from the manifest, if any."""
+def manifest_ext_field(man: Manifest, degree=None) -> ExtField:
+    """The L-series extension field k: of ``degree`` over F_q when given,
+    else from ``ext_modulus:``, else of degree ``ext_degree:``, else F_q."""
     fq = man.field
-    if man.ext_modulus_text is not None:
+    if degree is None and man.ext_modulus_text is not None:
         text, line, col = man.ext_modulus_text
         poly = _parse_modulus(text, fq, ExtField.gen_name, line, col)
         try:
             return ExtField(fq, poly)
         except FieldError as err:
             raise SkewParseError(err.args[0], line, col) from None
-    if man.ext_degree is not None:
-        return ext_field_of_degree(fq, man.ext_degree)
-    return None
+    return ext_field_of_degree(
+        fq, (man.ext_degree or 1) if degree is None else degree)
 
 
 def ext_field_of_degree(fq: Fq, degree) -> ExtField:
@@ -528,8 +528,7 @@ def ext_field_of_degree(fq: Fq, degree) -> ExtField:
 
 
 def manifest_tau_matrix(man: Manifest, side: str, ext: ExtField):
-    """Parse a declared tau_matrix block over k[t], if present."""
-    from .lseries import TauMatrix
+    """The rows over k[t] of a declared tau_matrix block, if present."""
     rows = getattr(man, _FORMAT_OF["tau_matrix_" + side][0])
     if not rows:
         return None
@@ -541,4 +540,4 @@ def manifest_tau_matrix(man: Manifest, side: str, ext: ExtField):
     if any(len(r) != width for r in entries) or len(entries) != width:
         _, line, col = rows[-1]
         raise SkewParseError("tau_matrix block must be square", line, 1)
-    return TauMatrix(side=side, entries=entries)
+    return entries

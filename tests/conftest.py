@@ -649,16 +649,17 @@ def perf_str_reference(x):
     return "{}/{}".format(ns, ds)
 
 
-def power_oracle_reference(tau_matrix, ext):
+def power_oracle_reference(tau_matrix, ext, side):
     """Test-only reference for ``lseries.fitting_ideal_power_oracle``
-    given its tau matrix: the factor for step s twists every coefficient
-    of the original matrix s times over, and the descent to F_q keeps
-    each coefficient's constant term without checking the rest.  Each
+    given the rows of its tau matrix and its side: the factor for step s
+    twists every coefficient of the original matrix s times over, and
+    the descent to F_q keeps each coefficient's constant term without
+    checking the rest.  Each
     twist is a plain power, x^q on the motive and x^(q^(n-1)) on the
     comotive, so the reference shares no code with ``q_power_iter``."""
-    r = tau_matrix.rank
+    r = len(tau_matrix)
     n = ext.n
-    step = ext.q if tau_matrix.side == "motive" else ext.size // ext.q
+    step = ext.q if side == "motive" else ext.size // ext.q
 
     def twist_poly(p, steps):
         def tw(c):
@@ -668,9 +669,9 @@ def power_oracle_reference(tau_matrix, ext):
         return p.map_coeffs(tw)
 
     zero = SPoly(ext, {})
-    acc = tau_matrix.entries
+    acc = tau_matrix
     for s in range(1, n):
-        twisted = [[twist_poly(tau_matrix.entries[i][j], s)
+        twisted = [[twist_poly(tau_matrix[i][j], s)
                     for j in range(r)] for i in range(r)]
         acc = [[reduce(add, [acc[i][l] * twisted[l][j] for l in range(r)],
                        zero) for j in range(r)] for i in range(r)]

@@ -14,6 +14,9 @@ import pytest
 
 from taures import cli
 from taures.cli import COMMANDS, build_arg_parser, main
+from taures.errors import (ConvergenceError, DimensionError, FieldError,
+                           NotInvertibleError, PrecisionError,
+                           SkewParseError, TauresError)
 from taures.parsing import parse_manifest
 from taures.skewmat import invert_series_matrix
 
@@ -409,6 +412,24 @@ class TestExitCodes:
                              err):
         path = write(tmp_path, "bad.man", text)
         assert run(capsys, command, path) == (code, "", err)
+
+    @pytest.mark.parametrize("error,code", [
+        (TauresError("bare"), 1),
+        (SkewParseError("bad token", 3, 4), 2),
+        (FieldError("reducible"), 3),
+        (DimensionError("3 rows, need 2"), 3),
+        (NotInvertibleError("zero pivot"), 3),
+        (ConvergenceError("no k1"), 4),
+        (PrecisionError("floor"), 5),
+    ])
+    def test_each_error_type_exits_with_its_code(self, capsys, monkeypatch,
+                                                 error, code):
+        def raising(path):
+            raise error
+
+        monkeypatch.setattr(cli, "_load", raising)
+        assert run(capsys, "validate", "m.man") == (code, "",
+                                                    str(error) + "\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.man")

@@ -9,8 +9,8 @@ import pytest
 from taures.anderson import carlitz, carlitz_tensor, drinfeld
 from taures.errors import DimensionError, FieldError
 from taures.fields import ExtField, Fq, PerfField, SPoly, find_irreducible
-from taures.lseries import (BivariatePoly, TauMatrix, brute_force_fitting,
-                            charpoly, drinfeld_tau_matrices, fitting_ideal,
+from taures.lseries import (BivariatePoly, brute_force_fitting,
+                            charpoly, drinfeld_tau_matrix, fitting_ideal,
                             fitting_ideal_power_oracle, poly_unit_equiv,
                             restrict_tau)
 
@@ -24,35 +24,35 @@ def ext_of(fq, n):
     return ExtField(fq, find_irreducible(fq, n))
 
 
-def restrict_in_basis(tau_matrix, ext, basis, coords):
+def restrict_in_basis(tau_matrix, ext, side, basis, coords):
     """Test-only reference for ``restrict_tau`` on the basis (e_i b_a):
     each b_a twisted on its own, and each image read back by ``coords``,
     which maps an element of k to its F_q coordinates on ``basis``."""
     n = ext.n
-    j = 1 if tau_matrix.side == "motive" else -1
-    size = tau_matrix.rank * n
+    r = len(tau_matrix)
+    j = 1 if side == "motive" else -1
+    size = r * n
     terms = [[{} for _ in range(size)] for _ in range(size)]
-    for i in range(tau_matrix.rank):
+    for i in range(r):
         for a, b in enumerate(basis):
-            for l in range(tau_matrix.rank):
-                for te, c in tau_matrix.entries[l][i].terms.items():
+            for l in range(r):
+                for te, c in tau_matrix[l][i].terms.items():
                     for ap, comp in enumerate(coords(b.q_power_iter(j) * c)):
                         if comp:
                             terms[l * n + ap][i * n + a][te] = comp
     return [[SPoly(ext.base, entry) for entry in row] for row in terms]
 
 
-def gauge_scaled(rng, tau, ext):
+def gauge_scaled(rng, tau, ext, side):
     """tau on the basis scaled by a random diagonal D over k:
     D^-1 M D^(tw), tw the side's Frobenius.  The tau^n matrix becomes
     D^-1 P D, with the same characteristic polynomial."""
     units = [x for x in ext.elements() if x]
-    d = [rng.choice(units) for _ in range(tau.rank)]
-    e = ext.q if tau.side == "motive" else ext.size // ext.q
+    d = [rng.choice(units) for _ in range(len(tau))]
+    e = ext.q if side == "motive" else ext.size // ext.q
     tw = [x ** e for x in d]
-    return TauMatrix(side=tau.side, entries=[
-        [e.scale(d[i].inverse() * tw[j]) for j, e in enumerate(row)]
-        for i, row in enumerate(tau.entries)])
+    return [[e.scale(d[i].inverse() * tw[j]) for j, e in enumerate(row)]
+            for i, row in enumerate(tau)]
 
 
 class TestCharpoly:
@@ -212,13 +212,13 @@ class TestCharpolyOracle:
 
 class TestTauMatrices:
     def test_carlitz_both_sides(self, pf3):
+        # one matrix serves both sides: over F_q the comotive twists are
+        # trivial (Frobenius fixes F_q)
         E = carlitz(pf3, pf3.from_int(1))
         ext = ext_of(pf3.fq, 1)
-        mot, com = drinfeld_tau_matrices(E, ext)
         t_minus_theta = SPoly(ext, {1: ext.one(),
                                     0: -ext.embed(pf3.fq.from_int(1))})
-        assert mot.entries == [[t_minus_theta]]
-        assert com.entries == [[t_minus_theta]]
+        assert drinfeld_tau_matrix(E, ext) == [[t_minus_theta]]
 
     def test_rank2_companion_shape(self, pf3):
         # second column from tau^2 = g2^-1 (t - theta - g1 tau)
@@ -227,25 +227,23 @@ class TestTauMatrices:
         g2 = pf3.from_int(2)
         E = drinfeld(pf3, theta, [g1, g2])
         ext = ext_of(pf3.fq, 1)
-        mot, com = drinfeld_tau_matrices(E, ext)
+        tau = drinfeld_tau_matrix(E, ext)
         zero = SPoly(ext, {})
         one = SPoly.const(ext, ext.one())
         g2k = ext.embed(g2.as_fq())
         g1k = ext.embed(g1.as_fq())
         thk = ext.embed(theta.as_fq())
         inv = g2k.inverse()
-        assert mot.entries[1][0] == one
-        assert mot.entries[0][0] == zero
+        assert tau[1][0] == one
+        assert tau[0][0] == zero
         expect_top = SPoly(ext, {1: inv, 0: -(inv * thk)})
-        assert mot.entries[0][1] == expect_top
-        assert mot.entries[1][1] == SPoly.const(ext, -(inv * g1k))
-        # over F_q the comotive twists are trivial (Frobenius fixes F_q)
-        assert com.entries == mot.entries
+        assert tau[0][1] == expect_top
+        assert tau[1][1] == SPoly.const(ext, -(inv * g1k))
 
     def test_requires_finite_base(self, pf3):
         E = carlitz(pf3, pf3.theta())
         with pytest.raises(FieldError):
-            drinfeld_tau_matrices(E, ext_of(pf3.fq, 1))
+            drinfeld_tau_matrix(E, ext_of(pf3.fq, 1))
 
 
 class TestRestrictTau:
@@ -262,15 +260,15 @@ class TestRestrictTau:
             ext = ext_of(fq, n)
             E = drinfeld(pf, pf.from_fq(rng.choice(units)),
                          [pf.from_fq(rng.choice(units)) for _ in range(2)])
-            for tau in drinfeld_tau_matrices(E, ext):
-                scaled = TauMatrix(side=tau.side, entries=[
-                    [e.scale(ext.element([rand_fq(rng, fq)
-                                          for _ in range(n)]))
-                     for e in row] for row in tau.entries])
-                for tm in (tau, scaled):
-                    basis = [ext.gen() ** a for a in range(n)]
-                    assert restrict_tau(tm, ext) == restrict_in_basis(
-                        tm, ext, basis, lambda x: x.coeffs)
+            tau = drinfeld_tau_matrix(E, ext)
+            scaled = [[e.scale(ext.element([rand_fq(rng, fq)
+                                            for _ in range(n)]))
+                       for e in row] for row in tau]
+            basis = [ext.gen() ** a for a in range(n)]
+            for side, tm in itertools.product(("motive", "comotive"),
+                                              (tau, scaled)):
+                assert restrict_tau(tm, ext, side) == restrict_in_basis(
+                    tm, ext, side, basis, lambda x: x.coeffs)
 
 
 class TestFittingIdeal:
@@ -331,19 +329,20 @@ class TestFittingIdeal:
                 E = drinfeld(pf, pf.from_fq(rng.choice(nonzero)), g)
                 for n in (1, 2, 3):
                     ext = ext_of(fq, n)
-                    mot, com = drinfeld_tau_matrices(E, ext)
-                    for side, tau in (("motive", mot), ("comotive", com)):
-                        expected = power_oracle_reference(tau, ext)
+                    tau = drinfeld_tau_matrix(E, ext)
+                    for side in ("motive", "comotive"):
+                        expected = power_oracle_reference(tau, ext, side)
                         assert fitting_ideal_power_oracle(
                             E, ext, side, tau_matrix=tau) == expected
                         assert fitting_ideal_power_oracle(
                             E, ext, side) == expected
                         # the same tau on a basis scaled by units of k:
                         # its entries leave F_q, so the twists count
-                        scaled = gauge_scaled(rng, tau, ext)
+                        scaled = gauge_scaled(rng, tau, ext, side)
                         assert fitting_ideal_power_oracle(
                             E, ext, side, tau_matrix=scaled) == \
-                            power_oracle_reference(scaled, ext) == expected
+                            power_oracle_reference(scaled, ext, side) == \
+                            expected
 
     def test_side_is_checked(self, pf2):
         E = carlitz(pf2, pf2.one())
@@ -351,9 +350,9 @@ class TestFittingIdeal:
         with pytest.raises(FieldError, match="side must be motive or "
                                              "comotive"):
             fitting_ideal(E, ext, "dual")
-        comotive = drinfeld_tau_matrices(E, ext)[1]
-        with pytest.raises(FieldError, match="side marker is comotive"):
-            fitting_ideal(E, ext, "motive", tau_matrix=comotive)
+        with pytest.raises(FieldError, match="side must be motive or "
+                                             "comotive"):
+            fitting_ideal_power_oracle(E, ext, "dual")
 
     def test_T_degree(self, pf3):
         E = drinfeld(pf3, pf3.from_int(1), [pf3.one(), pf3.one()])
@@ -373,9 +372,10 @@ class TestFittingIdeal:
                 for c, b in zip(cs, basis):
                     v = v + ext.embed(c) * b
                 coords[v] = cs
+            tm = drinfeld_tau_matrix(E, ext)
             for side in sides:
-                tm = drinfeld_tau_matrices(E, ext)[side != "motive"]
-                big = restrict_in_basis(tm, ext, basis, coords.__getitem__)
+                big = restrict_in_basis(tm, ext, side, basis,
+                                        coords.__getitem__)
                 lead_first = charpoly(big, SPoly.const(fq, fq.one()))
                 assert fitting_ideal(E, ext, side) == \
                     BivariatePoly(fq, list(reversed(lead_first)))
@@ -396,8 +396,7 @@ class TestFittingIdeal:
         # tensor square with declared motive matrix [(t - theta)^2]
         E = carlitz_tensor(pf2, pf2.zero(), 2)
         ext = ext_of(pf2.fq, 1)
-        tm = TauMatrix(side="motive",
-                       entries=[[SPoly(ext, {2: ext.one()})]])
+        tm = [[SPoly(ext, {2: ext.one()})]]
         fit = fitting_ideal(E, ext, "motive", tau_matrix=tm)
         assert str(fit) == "T + t^2"
         bf = brute_force_fitting(E, ext)

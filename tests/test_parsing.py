@@ -1,13 +1,15 @@
 """Expression grammar and manifest parsing, with located diagnostics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from taures import anderson, cli
 from taures.errors import SkewParseError
 from taures.anderson import validate
 from taures.cli import render_manifest
-from taures.fields import SPoly
-from taures.parsing import (ext_field_of_degree, manifest_ext_field,
+from taures.fields import ExtField, SPoly, find_irreducible
+from taures.parsing import (FORMAT, ext_field_of_degree, manifest_ext_field,
                             manifest_tau_matrix, parse_manifest,
                             parse_skew_expr, parse_skew_row,
                             parse_tpoly_row)
@@ -230,8 +232,8 @@ row: t^2
         man = parse_manifest(text)
         ext = ext_field_of_degree(man.field, 1)
         tm = manifest_tau_matrix(man, "motive", ext)
-        assert tm.side == "motive"
-        assert tm.entries[0][0].degree() == 2
+        assert len(tm) == 1
+        assert tm[0][0].degree() == 2
 
 
 class TestTPolyRow:
@@ -386,6 +388,10 @@ class TestDiagnostics:
         assert str(err.value) == "error[parse] " + message
 
 
+# entries of tau_matrix rows over k[t]; w generates k over F_q
+TPOLY_TEXTS = ["0", "1", "t", "t^2 + 1", "w*t + w^2", "(w + 1)*t"]
+
+
 class TestRoundTrip:
     def test_registry_round_trips(self):
         from taures.cli import (render_manifest, example_carlitz,
@@ -435,8 +441,87 @@ row: 1 | 0
         ext = manifest_ext_field(first)
         assert str(manifest_ext_field(again).modulus) == str(ext.modulus)
         for side in ("motive", "comotive"):
-            assert manifest_tau_matrix(again, side, ext).entries == \
-                manifest_tau_matrix(first, side, ext).entries
+            assert manifest_tau_matrix(again, side, ext) == \
+                manifest_tau_matrix(first, side, ext)
+
+    def test_every_format_key_round_trips(self):
+        """render(parse(render(m))) == render(m) for an example manifest m
+        with any subset of the optional keys; the same text with extra
+        spaces, comments and its blocks reordered parses to it too."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def manifests(draw):
+            name = draw(st.sampled_from(sorted(cli.EXAMPLES)))
+            man = cli.EXAMPLES[name](SimpleNamespace(
+                q=draw(st.sampled_from([2, 3, 4, 5, 8, 9])),
+                d=draw(st.integers(1, 3)), r=draw(st.integers(1, 3)),
+                seed=draw(st.integers(0, 3)), g=None))
+            if not draw(st.booleans()):  # shrinks to fewer keys
+                man.rank = None
+            if draw(st.booleans()):
+                man.base = "finite-field"
+                man.theta_text = draw(st.sampled_from(["0", "1", "2"]))
+            n = draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                man.ext_degree = n
+            if draw(st.booleans()):
+                fq = parse_manifest(render_manifest(man)).field
+                man.ext_modulus_text = find_irreducible(fq, n).render(
+                    ExtField.gen_name)
+            for attr in ("tau_motive_rows", "tau_comotive_rows"):
+                size = draw(st.integers(0, 2))
+                entries = st.lists(st.sampled_from(TPOLY_TEXTS),
+                                   min_size=size, max_size=size)
+                setattr(man, attr, [" | ".join(draw(entries))
+                                    for _ in range(size)])
+            return render_manifest(man)
+
+        keys = [key for key, _, _ in FORMAT]
+        # one style per key, drawn apart from the manifest so that a
+        # shrinking manifest keeps its noise: the line above the key, its
+        # indent, space before ':', each space doubled or not, the line
+        # end, and the key's place in the reordered text
+        style = st.tuples(
+            st.sampled_from(["", "\n", "   \n", "# note\n", "  # a: b\n"]),
+            st.sampled_from(["", "  "]), st.sampled_from(["", " "]),
+            st.sampled_from([" ", "  "]),
+            st.sampled_from(["", " ", "  # c"]),
+            st.integers(0, len(keys)))
+
+        def loosen(text, styles):
+            blocks = []  # (key, [its line and the row/col lines under it])
+            for line in text.splitlines():
+                if line.startswith(("row:", "col:")):
+                    blocks[-1][1].append(line)
+                else:
+                    blocks.append((line.partition(":")[0], [line]))
+            blocks.sort(key=lambda block: styles[block[0]][-1])
+            out = ""
+            for key, lines in blocks:
+                above, indent, before, space, end, _ = styles[key]
+                out += above
+                for line in lines:
+                    name, _, payload = line.partition(":")
+                    out += indent + name + before + ":" \
+                        + payload.replace(" ", space) + end + "\n"
+            return out
+
+        seen = set()
+
+        @hypothesis.settings(max_examples=150, deadline=None,
+                             database=None, derandomize=True)
+        @hypothesis.given(styles=st.fixed_dictionaries(
+            {key: style for key in keys}), text=manifests())
+        def check(styles, text):
+            assert render_manifest(parse_manifest(text)) == text
+            loose = loosen(text, styles)
+            assert render_manifest(parse_manifest(loose)) == text
+            seen.update(line.partition(":")[0] for line in text.splitlines())
+
+        check()
+        assert seen >= {key for key, _, _ in FORMAT}
 
 
 def _drinfeld_g(pf, texts):
