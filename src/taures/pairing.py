@@ -21,7 +21,7 @@ from .errors import DimensionError, FieldError, PrecisionError
 from .anderson import (_K1_PRECISION, K1_CAP, AndersonModule,
                        Differential, find_k1, termination_bound, twist,
                        validate)
-from .fields import SPoly
+from .fields import PerfElement, SPoly
 from .linalg import det
 from .skew import SkewLaurent
 from .skewmat import SkewMatrix, invert_series_matrix, mat_mul
@@ -140,8 +140,8 @@ def _pair_row(pf, m, ns, k_cut, inv, window):
     each coeff_0 the pairing's coefficient, with no negation after.  Only
     acc-coefficients at tau-exponent >= window = -deg(n) can reach coeff_0
     (the inverse matrix has non-positive degree, n non-negative), so each
-    chain product is computed only down to that window, and each pairing
-    product only down to coeff_0.
+    chain product is computed only down to that window, and of each
+    pairing product acc*n only coeff_0 is formed (``_coeff0``).
 
     The chain stops once deg(acc) + D < window, D <= 0 being the degree
     of phi(t)^-1: no later acc has a term at or above the window, and the
@@ -154,14 +154,35 @@ def _pair_row(pf, m, ns, k_cut, inv, window):
     terms = [{} for _ in ns]
     for k in range(1, k_cut + 1):
         for idx, n in enumerate(ns):
-            val = mat_mul(acc, n, floor=0)[0, 0]
-            c = val.coeff(0)  # raises PrecisionError if floor is above 0
+            c = _coeff0(pf, acc.entries[0], n)
             if c:
                 terms[idx][k - 1] = c
         if k == k_cut or acc.max_deg_tau() + deg_inv < window:
             break
         acc = mat_mul(acc, inv, floor=window)
     return [Differential(SPoly(pf, t)) for t in terms]
+
+
+def _coeff0(pf, row, col):
+    """coeff_0 of row * col for an exact column: one twisted sum of
+    row_l's coefficient at -j, twisted by -j, times col_l's at j.
+
+    Like ``(row * col).coeff(0)``, it raises a PrecisionError when the
+    product's floor, the largest floor(row_l) + deg(col_l) over the
+    nonzero col_l, is above 0: some term j of col_l has -j below the
+    floor of row_l, which may store no term.
+    """
+    floor, triples = 0, []
+    for a, (b,) in zip(row, col.entries):
+        if b.coeffs:
+            floor = max(floor, a.floor + max(b.coeffs))
+            triples += [(a.coeffs[-j], -j, c) for j, c in b.coeffs.items()
+                        if -j in a.coeffs]
+    if floor > 0:
+        raise PrecisionError(
+            "coefficient of tau^0 is below the precision floor {}"
+            .format(floor))
+    return PerfElement.twisted_sum(pf, triples) if triples else pf.zero()
 
 
 @dataclass

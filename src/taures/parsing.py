@@ -1,11 +1,18 @@
 """Expression and manifest parsing with located diagnostics.
 
-Grammar (precedence ^ > * > +,-; '*' is noncommutative, left to right):
+Tokens, matched by one pattern: integers (decimal digits, exactly those
+int() reads), names (word characters, not starting with a decimal
+digit), the symbols + - * / ^ ( ) |, and blank space (str.isspace),
+which only separates them; any other character is an "unexpected
+character" error at its line:col.  One ``_Parser`` pass reads each
+expression straight into its value.  Grammar (precedence ^ > * > +,-;
+'*' is noncommutative, left to right):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := atom ('^' nonneg-integer)?
     atom   := 'tau' | 'sigma' | 'theta' | 'z' | integer | '(' expr ')'
+    row    := expr ('|' expr)*
 
 Division is legal only between tau/sigma-free subexpressions.  The same
 grammar parses k[t]-polynomial blocks with atoms t, z, w.
@@ -17,6 +24,7 @@ plus sections (phi_t, motive_basis, comotive_basis, tau_matrix_*) whose
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -28,166 +36,122 @@ from .skew import SkewLaurent
 from .skewmat import SkewMatrix
 
 
-# --- tokenizer ---
+# --- tokenizer and recursive-descent evaluation ---
 
-SYMBOLS = "+-*/^()|"
-
-
-@dataclass
-class Token:
-    kind: str  # name | int | sym | end
-    value: str
-    line: int
-    col: int
+# newline; other blank space (str.isspace); an integer, exactly the
+# decimal digits int() reads; a name; a symbol; any other character
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<blank>[^\S\n]+)|(?P<int>\d+)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<sym>[-+*/^()|])|(?P<bad>.)")
 
 
 def tokenize(text, line=1, col=1):
+    """The (kind, value, line, col) of each int, name and sym token of
+    ``text``, then ("end", "", line, col) at the end of input."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        if kind == "newline":
+            line, col = line + 1, 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in SYMBOLS:
-            tokens.append(Token("sym", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SkewParseError("unexpected character {!r}".format(ch),
-                             line, col)
-    tokens.append(Token("end", "", line, col))
+        if kind == "bad":
+            raise SkewParseError("unexpected character {!r}".format(value),
+                                 line, col)
+        if kind != "blank":
+            tokens.append((kind, value, line, col))
+        col += len(value)
+    tokens.append(("end", "", line, col))
     return tokens
 
 
-# --- recursive-descent evaluation ---
-
 class _Parser:
-    """Evaluates the expression grammar directly into the atom domain.
+    """Evaluates the expression grammar of ``text`` directly into the atom
+    domain of ``env`` = (atoms, from_int, divide).
 
     ``atoms`` maps names to values; ``from_int`` embeds integer literals
     (reduced mod p).  The value type must support +, -, * and ** with a
-    nonnegative integer; division goes through ``divide`` which enforces
-    the tau/sigma-free restriction where applicable.
+    nonnegative integer; division goes through ``divide(a, b, where)``,
+    which enforces the tau/sigma-free restriction where applicable and
+    locates its errors at ``where`` = (line, col) of the '/'.  In a
+    ``row``, a '|' ends an entry just as the end of input does.
     """
 
-    def __init__(self, tokens, atoms, from_int, divide):
-        self.tokens = tokens
+    def __init__(self, text, line, col, env, row=False):
+        self.tokens = [("end", "") + tok[2:] if row and tok[1] == "|"
+                       else tok for tok in tokenize(text, line, col)]
         self.pos = 0
-        self.atoms = atoms
-        self.from_int = from_int
-        self.divide = divide
+        self.atoms, self.from_int, self.divide = env
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][:2]
 
     def next(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect_end(self):
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SkewParseError("unexpected trailing {!r}".format(tok.value),
-                                 tok.line, tok.col)
+    def whole(self):
+        """One expression, up to the end of input (or of its entry)."""
+        val = self.expr()
+        kind, value, line, col = self.next()
+        if kind != "end":
+            raise SkewParseError("unexpected trailing {!r}".format(value),
+                                 line, col)
+        return val
+
+    def row(self):
+        """The values of the '|'-separated entries."""
+        vals = [self.whole()]
+        while self.pos < len(self.tokens):
+            vals.append(self.whole())
+        return vals
 
     def expr(self):
         val = self.term()
-        while self.peek().kind == "sym" and self.peek().value in "+-":
-            op = self.next()
+        while self.peek() in (("sym", "+"), ("sym", "-")):
+            op = self.next()[1]
             rhs = self.term()
-            val = val + rhs if op.value == "+" else val - rhs
+            val = val + rhs if op == "+" else val - rhs
         return val
 
     def term(self):
         val = self.factor()
-        while self.peek().kind == "sym" and self.peek().value in "*/":
-            op = self.next()
+        while self.peek() in (("sym", "*"), ("sym", "/")):
+            _, op, line, col = self.next()
             rhs = self.factor()
-            if op.value == "*":
-                val = val * rhs
-            else:
-                val = self.divide(val, rhs, op)
+            val = val * rhs if op == "*" else self.divide(val, rhs,
+                                                          (line, col))
         return val
 
     def factor(self):
         val = self.atom()
-        if self.peek().kind == "sym" and self.peek().value == "^":
+        if self.peek() == ("sym", "^"):
             self.next()
-            tok = self.next()
-            if tok.kind != "int":
+            kind, value, line, col = self.next()
+            if kind != "int":
                 raise SkewParseError(
-                    "exponent must be a nonnegative integer", tok.line,
-                    tok.col)
-            val = val ** int(tok.value)
+                    "exponent must be a nonnegative integer", line, col)
+            val = val ** int(value)
         return val
 
     def atom(self):
-        tok = self.next()
-        if tok.kind == "int":
-            return self.from_int(int(tok.value))
-        if tok.kind == "name":
-            if tok.value not in self.atoms:
-                raise SkewParseError("unknown name {!r}".format(tok.value),
-                                     tok.line, tok.col)
-            val = self.atoms[tok.value]
-            if val is None:
-                raise SkewParseError(
-                    "{!r} is not legal here".format(tok.value),
-                    tok.line, tok.col)
-            return val
-        if tok.kind == "sym" and tok.value == "(":
+        kind, value, line, col = self.next()
+        if kind == "int":
+            return self.from_int(int(value))
+        if kind == "name":
+            if value not in self.atoms:
+                raise SkewParseError("unknown name {!r}".format(value),
+                                     line, col)
+            if self.atoms[value] is None:
+                raise SkewParseError("{!r} is not legal here".format(value),
+                                     line, col)
+            return self.atoms[value]
+        if (kind, value) == ("sym", "("):
             val = self.expr()
-            closing = self.next()
-            if not (closing.kind == "sym" and closing.value == ")"):
-                raise SkewParseError("expected ')'", closing.line,
-                                     closing.col)
+            kind, value, line, col = self.next()
+            if (kind, value) != ("sym", ")"):
+                raise SkewParseError("expected ')'", line, col)
             return val
         raise SkewParseError("expected a value, got {!r}".format(
-            tok.value or "end of input"), tok.line, tok.col)
-
-
-def _evaluate(tokens, atoms, from_int, divide):
-    """Value of one whole expression: trailing tokens are an error."""
-    parser = _Parser(tokens, atoms, from_int, divide)
-    val = parser.expr()
-    parser.expect_end()
-    return val
-
-
-def _evaluate_row(text, line, col, *env):
-    """Values of the '|'-separated expressions in ``text``."""
-    groups = [[]]
-    for tok in tokenize(text, line, col):
-        if tok.kind == "sym" and tok.value == "|":
-            groups[-1].append(Token("end", "", tok.line, tok.col))
-            groups.append([])
-        else:
-            groups[-1].append(tok)
-    return [_evaluate(g, *env) for g in groups]
+            value or "end of input"), line, col)
 
 
 def _skew_env(pf: PerfField, theta=None, allow_theta=True):
@@ -206,16 +170,16 @@ def _skew_env(pf: PerfField, theta=None, allow_theta=True):
             _skew_divide)
 
 
-def _skew_divide(a: SkewLaurent, b: SkewLaurent, op: Token):
+def _skew_divide(a: SkewLaurent, b: SkewLaurent, where):
     for v in (a, b):
         if not v.sigma_free() or v.deg_tau() > 0 or not v.is_exact():
             raise SkewParseError(
                 "'/' is only legal between tau/sigma-free expressions",
-                op.line, op.col)
+                *where)
     num = a.coeffs.get(0)
     den = b.coeffs.get(0)
     if den is None:
-        raise SkewParseError("division by zero", op.line, op.col)
+        raise SkewParseError("division by zero", *where)
     pf = a.pf
     if num is None:
         return SkewLaurent.zero(pf)
@@ -225,13 +189,13 @@ def _skew_divide(a: SkewLaurent, b: SkewLaurent, op: Token):
 def parse_skew_expr(text, pf: PerfField, line=1, col=1,
                     allow_theta=True) -> SkewLaurent:
     """Parse one skew expression into normal form."""
-    return _evaluate(tokenize(text, line, col),
-                     *_skew_env(pf, allow_theta=allow_theta))
+    return _Parser(text, line, col,
+                   _skew_env(pf, allow_theta=allow_theta)).whole()
 
 
 def parse_skew_row(text, pf, theta=None):
     """Parse a '|'-separated list of skew expressions."""
-    return _evaluate_row(text, 1, 1, *_skew_env(pf, theta))
+    return _Parser(text, 1, 1, _skew_env(pf, theta), row=True).row()
 
 
 def parse_tpoly_row(text, ext: ExtField, line=1, col=1):
@@ -248,21 +212,21 @@ def parse_tpoly_row(text, ext: ExtField, line=1, col=1):
         c = ext.embed(ext.base.from_int(n))
         return SPoly.const(ext, c)
 
-    def divide(a, b, op):
+    def divide(a, b, where):
         if b.degree() > 0 or a.degree() > 0:
-            raise SkewParseError("'/' needs constant operands here",
-                                 op.line, op.col)
+            raise SkewParseError("'/' needs constant operands here", *where)
         if not b:
-            raise SkewParseError("division by zero", op.line, op.col)
+            raise SkewParseError("division by zero", *where)
         if not a:
             return SPoly(ext, {})
         return SPoly.const(ext, a.coeff(0) / b.coeff(0))
 
-    return _evaluate_row(text, line, col, atoms, from_int, divide)
+    return _Parser(text, line, col, (atoms, from_int, divide),
+                   row=True).row()
 
 
-def _no_divide(a, b, op):
-    raise SkewParseError("'/' is not legal in a modulus", op.line, op.col)
+def _no_divide(a, b, where):
+    raise SkewParseError("'/' is not legal in a modulus", *where)
 
 
 def _parse_modulus(text, fq: Fq, var, line, col) -> SPoly:
@@ -271,9 +235,8 @@ def _parse_modulus(text, fq: Fq, var, line, col) -> SPoly:
     atoms = {var: SPoly.gen(fq)}
     if fq.m > 1:
         atoms[fq.gen_name] = SPoly.const(fq, fq.gen())
-    return _evaluate(tokenize(text, line, col), atoms,
-                     lambda n: SPoly.const(fq, fq.from_int(n)),
-                     _no_divide)
+    return _Parser(text, line, col, (
+        atoms, lambda n: SPoly.const(fq, fq.from_int(n)), _no_divide)).whole()
 
 
 # --- manifest ---
@@ -451,7 +414,7 @@ def _build(man: Manifest, locations):
         found and dim."""
         out = []
         for text, line, col in rows:
-            row = _evaluate_row(text, line, col, *row_env)
+            row = _Parser(text, line, col, row_env, row=True).row()
             if len(row) != man.dim:
                 raise SkewParseError(
                     width_message.format(len(row), man.dim), line, col)
@@ -488,6 +451,12 @@ def _build(man: Manifest, locations):
     if man.rank is not None and man.rank != len(motive):
         raise SkewParseError("rank {} but the bases have {} elements".format(
             man.rank, len(motive)), *locations["rank"])
+    for key in ("tau_matrix_motive", "tau_matrix_comotive"):
+        rows = getattr(man, _FORMAT_OF[key][0])
+        if rows and len(rows) != len(motive):
+            raise SkewParseError(
+                "{} has {} rows but the bases have {} elements".format(
+                    key, len(rows), len(motive)), *locations[key])
     if man.ext_degree is not None and man.ext_degree < 1:
         raise SkewParseError("ext degree must be >= 1",
                              *locations["ext_degree"])

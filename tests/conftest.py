@@ -13,7 +13,8 @@ from operator import add, mul
 import pytest
 
 from taures.anderson import Differential, phi_inverse_power
-from taures.errors import FieldError, NotInvertibleError, PrecisionError
+from taures.errors import (FieldError, NotInvertibleError, PrecisionError,
+                           SkewParseError)
 from taures.fields import (Fq, FqElement, PerfElement, PerfField, SPoly,
                            needs_parens, render_poly_in_var)
 from taures.lseries import BivariatePoly
@@ -732,3 +733,48 @@ def nilpotency_index_reference(a, limit):
         power = [[reduce(add, (power[i][l] * a[l][j] for l in range(n)))
                   for j in range(n)] for i in range(n)]
     return None
+
+
+def tokenize_reference(text, line=1, col=1):
+    """Test-only reference for ``parsing.tokenize``: the character-by-
+    character scanner it replaced, as (kind, value, line, col) tuples.
+    Its digit test is str.isdigit, which also takes digits that int()
+    refuses, such as superscripts, so the two agree on ASCII text only."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in "+-*/^()|":
+            tokens.append(("sym", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise SkewParseError("unexpected character {!r}".format(ch),
+                             line, col)
+    tokens.append(("end", "", line, col))
+    return tokens

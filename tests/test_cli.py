@@ -382,6 +382,44 @@ class TestExitCodes:
         assert err == \
             "error[parse] 4:7: rank 7 but the bases have 3 elements\n"
 
+    def test_tau_matrix_rows_must_count_the_bases(self, capsys, tmp_path):
+        # a rank-2 Drinfeld module with 1x1 blocks, refused at the header
+        path = write(tmp_path, "dr.man", """\
+q: 2
+base: finite-field
+theta: 1
+dim: 1
+rank: 2
+phi_t:
+row: theta + tau + tau^2
+motive_basis:
+row: 1
+row: tau
+comotive_basis:
+col: 1
+col: tau
+tau_matrix_motive:
+row: t + 1
+tau_matrix_comotive:
+row: t + 1
+""")
+        assert run(capsys, "lseries", path) == (
+            2, "", "error[parse] 14:20: tau_matrix_motive has 1 rows but "
+            "the bases have 2 elements\n")
+
+    def test_superscript_exponent_is_located(self, capsys, tmp_path):
+        # '²' passes str.isdigit but not int(): a name, not an integer
+        path = write(tmp_path, "car.man", CARLITZ_Q2)
+        assert run(capsys, "pair", path, "--m", "tau^²", "--n", "1") == (
+            2, "", "error[parse] 1:5: exponent must be a nonnegative "
+            "integer\n")
+        path = tmp_path / "sup.man"
+        path.write_text(CARLITZ_Q2.replace("theta + tau", "theta + tau^²"),
+                        encoding="utf-8")
+        assert run(capsys, "validate", str(path)) == (
+            2, "", "error[parse] 6:18: exponent must be a nonnegative "
+            "integer\n")
+
     def test_ext_degree_is_located(self, capsys, tmp_path):
         # in the manifest at its key; on the command line at 0:0
         path = write(tmp_path, "k0.man", CARLITZ_Q2 + "ext_degree: 0\n")

@@ -18,7 +18,7 @@ MANIFESTS = {
 }
 MUTATIONS_PER_MANIFEST = 300
 # what a damaged manifest may contain: its own characters and some others
-EXTRA_CHARS = "0123456789+-*/^()|:._ \n\tzqwxθ#"
+EXTRA_CHARS = "0123456789+-*/^()|:._ \n\tzqwxθ#²٣\u00a0"
 
 
 def call(argv):

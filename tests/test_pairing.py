@@ -661,10 +661,10 @@ def test_chain_exit_matches_the_full_chain(q, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_drinfeld_gram_chain_products(q, r, monkeypatch):
-    """A rank-r Drinfeld gram makes r(r + 1) chain products: per motive
-    row, tau*m*phi(t)^-1 and its r pairing products, after which no acc
-    reaches the window.  All K steps made 8704 at r = 16, q = 2 (272
-    now)."""
+    """A rank-r Drinfeld gram makes r chain products: per motive row,
+    tau*m*phi(t)^-1, after which no acc reaches the window; its r
+    pairings read coeff_0 of acc*n with no product.  All K steps, each
+    with r pairing products, made 8704 at r = 16, q = 2 (16 now)."""
     pf = PerfField(Fq(q))
     th = pf.theta()
     module = drinfeld(pf, th, [th + pf.one()] * (r - 1) + [th])
@@ -677,4 +677,22 @@ def test_drinfeld_gram_chain_products(q, r, monkeypatch):
 
     monkeypatch.setattr(pairing, "mat_mul", counted)
     gram(module)
-    assert calls[0] == r * (r + 1)
+    assert calls[0] == r
+
+
+@pytest.mark.parametrize("shallow", ["inverted", "truncated zero"])
+def test_pair_row_refuses_a_too_shallow_inverse(shallow):
+    """coeff_0 of acc*n needs acc down to -deg(n): with phi(t)^-1 known
+    only to sigma^1, acc = -tau*phi(t)^-1 is known down to tau^0, so
+    pairing against tau^3 raises where pairing against 1 does not, also
+    when the shallow inverse stores no term."""
+    pf = PerfField(Fq(2))
+    module = carlitz(pf, pf.theta())
+    inv = invert_series_matrix(module.phi_t, 1) if shallow == "inverted" \
+        else SkewMatrix(pf, [[SkewLaurent(pf, {}, -1)]])
+    one, tau3 = SkewLaurent.one(pf), SkewLaurent.tau(pf, 3)
+    with pytest.raises(PrecisionError) as err:
+        pairing._pair_row(pf, row(pf, [one]), [col(pf, [one]),
+                                               col(pf, [tau3])], 4, inv, -3)
+    assert str(err.value) == ("error[precision]: coefficient of tau^0 is "
+                              "below the precision floor 3")

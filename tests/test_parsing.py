@@ -1,5 +1,6 @@
 """Expression grammar and manifest parsing, with located diagnostics."""
 
+import string
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +10,12 @@ from taures.errors import SkewParseError
 from taures.anderson import validate
 from taures.cli import render_manifest
 from taures.fields import ExtField, SPoly, find_irreducible
-from taures.parsing import (FORMAT, ext_field_of_degree, manifest_ext_field,
-                            manifest_tau_matrix, parse_manifest,
-                            parse_skew_expr, parse_skew_row,
-                            parse_tpoly_row)
+from taures.parsing import (FORMAT, _parse_modulus, ext_field_of_degree,
+                            manifest_ext_field, manifest_tau_matrix,
+                            parse_manifest, parse_skew_expr, parse_skew_row,
+                            parse_tpoly_row, tokenize)
+
+from conftest import tokenize_reference
 
 
 class TestSkewExpr:
@@ -388,6 +391,60 @@ class TestDiagnostics:
         assert str(err.value) == "error[parse] " + message
 
 
+def test_tokenize_matches_the_reference_scanner(pf4):
+    """On ASCII text ``tokenize`` gives the reference scanner's tokens or
+    its error at the same line:col; on any text every entry point raises
+    only SkewParseError (searched by hypothesis, skipped without it)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    settings = hypothesis.settings(max_examples=500, deadline=None,
+                                   database=None, derandomize=True)
+
+    def outcome(scan, text, line, col):
+        try:
+            return scan(text, line, col)
+        except SkewParseError as err:
+            return str(err)
+
+    @settings
+    @hypothesis.given(text=st.text(string.printable), line=st.integers(1, 9),
+                      col=st.integers(1, 9))
+    @hypothesis.example(text="tau^2 |\n\t(z_1 $ 2)", line=1, col=1)
+    def check_ascii(text, line, col):
+        assert outcome(tokenize, text, line, col) == \
+            outcome(tokenize_reference, text, line, col)
+
+    fq = pf4.fq
+    ext = ext_field_of_degree(fq, 2)
+    entry_points = [
+        lambda text: parse_skew_expr(text, pf4),
+        lambda text: parse_skew_row(text, pf4),
+        lambda text: parse_tpoly_row(text, ext),
+        lambda text: _parse_modulus(text, fq, "x", 1, 1)]
+    # pieces of the grammar among arbitrary characters; in 8 pieces the
+    # exponent of a sum has at most 2 digits, so every value stays small
+    pieces = st.one_of(
+        st.sampled_from(["tau", "sigma", "theta", "t", "x", "z", "w", "1",
+                         "2", "+", "-", "*", "/", "^", "(", ")", "|", " ",
+                         "\n", "²", "٣", "\u00a0"]),
+        st.characters())
+
+    @settings
+    @hypothesis.given(text=st.lists(pieces, max_size=8).map("".join))
+    @hypothesis.example(text="tau^²")
+    @hypothesis.example(text="theta + tau^²")
+    @hypothesis.example(text="٣ +\u00a0tau")
+    def check_unicode(text):
+        for parse in entry_points:
+            try:
+                parse(text)
+            except SkewParseError:
+                pass
+
+    check_ascii()
+    check_unicode()
+
+
 # entries of tau_matrix rows over k[t]; w generates k over F_q
 TPOLY_TEXTS = ["0", "1", "t", "t^2 + 1", "w*t + w^2", "(w + 1)*t"]
 
@@ -413,14 +470,16 @@ class TestRoundTrip:
 q: 2
 base: finite-field
 theta: 1
-dim: 2
+dim: 1
+rank: 2
 phi_t:
-row: theta | 1
-row: tau | theta
+row: theta + tau + tau^2
 motive_basis:
-row: 1 | 0
+row: 1
+row: tau
 comotive_basis:
-col: 0 | 1
+col: 1
+col: tau
 ext_degree: 2
 ext_modulus: w^2 + w + 1
 tau_matrix_motive:
@@ -471,7 +530,8 @@ row: 1 | 0
                 man.ext_modulus_text = find_irreducible(fq, n).render(
                     ExtField.gen_name)
             for attr in ("tau_motive_rows", "tau_comotive_rows"):
-                size = draw(st.integers(0, 2))
+                # a block is absent or has a row per basis element
+                size = draw(st.sampled_from([0, len(man.motive_rows)]))
                 entries = st.lists(st.sampled_from(TPOLY_TEXTS),
                                    min_size=size, max_size=size)
                 setattr(man, attr, [" | ".join(draw(entries))
