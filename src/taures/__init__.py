@@ -17,9 +17,9 @@ from .pairing import (GramMatrix, PairingContext, check_perfectness,
                       check_tau_commutation, drinfeld_closed_form,
                       expand_sesquilinear, gram, measure_b, pairing_inverse,
                       residue_pair)
-from .lseries import (BivariatePoly, brute_force_fitting,
-                      drinfeld_tau_matrix, fitting_ideal,
-                      fitting_ideal_power_oracle, poly_unit_equiv)
+from .lseries import (brute_force_fitting, drinfeld_tau_matrix,
+                      fitting_ideal, fitting_ideal_power_oracle,
+                      render_fitting)
 from .parsing import parse_manifest, parse_skew_expr
 
 __version__ = "0.1.0"

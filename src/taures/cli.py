@@ -227,6 +227,8 @@ def cmd_lseries(args):
     ext = manifest_ext_field(man, args.ext_degree)
     tau_mot = manifest_tau_matrix(man, "motive", ext)
     tau_com = manifest_tau_matrix(man, "comotive", ext)
+    # E(k) past the desk bound is refused before any Fitting ideal
+    bf = lseries.brute_force_fitting(module, ext)
     run_oracle = tau_mot is None
     if run_oracle:
         # one build of the Drinfeld matrix serves every route below
@@ -236,15 +238,14 @@ def cmd_lseries(args):
     fit_m = lseries.fitting_ideal(module, ext, "motive", tau_matrix=tau_mot)
     fit_c = lseries.fitting_ideal(module, ext, "comotive",
                                   tau_matrix=tau_com)
-    bf = lseries.brute_force_fitting(module, ext)
-    consistent = lseries.poly_unit_equiv(fit_m, fit_c) and \
-        lseries.poly_unit_equiv(fit_m.at_T_one(), bf)
+    at_one = sum(fit_m[1:], fit_m[0])  # det(1 - tau)
+    consistent = fit_m == fit_c and at_one.monic() == bf
     if run_oracle:
         oracle = lseries.fitting_ideal_power_oracle(module, ext, "motive",
                                                     tau_matrix=tau_mot)
-        consistent = consistent and lseries.poly_unit_equiv(oracle, fit_m)
-    print("motive: {}".format(fit_m))
-    print("comotive: {}".format(fit_c))
+        consistent = consistent and oracle == fit_m
+    print("motive: {}".format(lseries.render_fitting(fit_m)))
+    print("comotive: {}".format(lseries.render_fitting(fit_c)))
     print("E(k) fitting: {}".format(bf))
     print("consistent: {}".format("yes" if consistent else "no"))
     return 0 if consistent else EXIT_VALIDATION

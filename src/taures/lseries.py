@@ -7,85 +7,28 @@ restricting scalars from k[t] to F_q[t].  tau is q-semilinear on the
 motive and q^(-1)-semilinear on the comotive; restriction of scalars
 turns either into an honest F_q[t]-linear operator on a module of rank
 r * d_k whose characteristic polynomial in T is the generator.  A
-tau-matrix is its list of rows over k[t]; which side it acts on, and so
-which way it twists scalars, is the ``side`` argument of each route.
+generator is its list of F_q[t] coefficients by T-exponent, monic in T:
+its last entry is 1.  A tau-matrix is its list of rows over k[t]; which
+side it acts on, and so which way it twists scalars, is the ``side``
+argument of each route.
 
 Two independent oracles guard the computation: det(T^d - tau^d) over
 k[t] (tau^d is k[t]-linear), and the characteristic polynomial of the
-t-action on E(k) = k^dim as an F_q-space, which the T = 1 specialization
-must reproduce up to a unit.
+t-action on E(k) = k^dim as an F_q-space.  ``taures lseries`` is
+consistent when the motive and comotive generators are equal, the
+power oracle equals the motive one, and det(1 - tau), the sum of the
+coefficients made monic, equals E(k)'s characteristic polynomial.  It
+checks E(k)'s desk bound before any Fitting ideal is computed.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule, twist
-from .fields import ExtElement, ExtField, Fq, SPoly, needs_parens
+from .fields import ExtElement, ExtField, SPoly, needs_parens
 from .linalg import charpoly, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
-
-
-class BivariatePoly:
-    """An element of F_q[t][T], normalized monic in T when possible."""
-
-    __slots__ = ("fq", "coeffs")
-
-    def __init__(self, fq: Fq, coeffs):
-        """coeffs: list of SPoly over fq, index = T-exponent."""
-        self.fq = fq
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        lead = coeffs[-1] if coeffs else None
-        if lead is not None and lead.degree() == 0 \
-                and not lead.leading().is_one():
-            inv = lead.leading().inverse()
-            coeffs = [c.scale(inv) for c in coeffs]
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, BivariatePoly)
-                and self.coeffs == other.coeffs)
-
-    @property
-    def terms(self):
-        """{(T-exponent, t-exponent): nonzero F_q coefficient}."""
-        return {(te, e): c for te, poly in enumerate(self.coeffs)
-                for e, c in poly.terms.items()}
-
-    def at_T_one(self) -> SPoly:
-        acc = SPoly(self.fq, {})
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
-
-    def render(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for te in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[te]
-            if not c:
-                continue
-            cs = str(c)
-            if te == 0:
-                parts.append(cs)
-                continue
-            v = "T" if te == 1 else "T^{}".format(te)
-            if c.degree() == 0 and c.leading().is_one():
-                parts.append(v)
-            else:
-                if needs_parens(cs) or "*" in cs:
-                    cs = "({})".format(cs)
-                parts.append("{}*{}".format(cs, v))
-        return " + ".join(parts)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return "BivariatePoly({})".format(self)
 
 
 def _extract_drinfeld_g(module: AndersonModule):
@@ -182,24 +125,24 @@ def restrict_tau(tau_matrix, ext: ExtField, side):
 
 
 def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
-                  tau_matrix=None) -> BivariatePoly:
-    """det(T - tau) on the chosen side after restriction of scalars:
-    the monic-in-T generator of the T-deformation Fitting ideal."""
+                  tau_matrix=None):
+    """det(T - tau) on the chosen side after restriction of scalars: the
+    T-deformation Fitting ideal's generator as its F_q[t] coefficients by
+    T-exponent, monic in T (Berkowitz leads with the ring's one)."""
     _side_twist(side)  # refuse an unknown side before any work
     if tau_matrix is None:
         tau_matrix = drinfeld_tau_matrix(module, ext)
     big = restrict_tau(tau_matrix, ext, side)
     fq = ext.base
-    coeffs_lead_first = charpoly(big, SPoly.const(fq, fq.one()))
-    coeffs = list(reversed(coeffs_lead_first))
-    return BivariatePoly(fq, coeffs)
+    return charpoly(big, SPoly.const(fq, fq.one()))[::-1]
 
 
 def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
                                side="motive",
-                               tau_matrix=None) -> BivariatePoly:
+                               tau_matrix=None):
     """Independent route: det over k[t] of (T^d - tau^d), where d = [k:F_q]
-    makes tau^d k[t]-linear; the result must have F_q coefficients."""
+    makes tau^d k[t]-linear; the result must have F_q coefficients, and
+    is returned as ``fitting_ideal``'s is."""
     j = _side_twist(side)
     if tau_matrix is None:
         tau_matrix = drinfeld_tau_matrix(module, ext)
@@ -226,7 +169,7 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
                     "F_q: {}".format(ec))
             terms[te] = ec.coeffs[0]
         out[u_exp * n] = SPoly(fq, terms)
-    return BivariatePoly(fq, out)
+    return out
 
 
 def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
@@ -262,17 +205,25 @@ def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
                       if c})
 
 
-def poly_unit_equiv(a, b) -> bool:
-    """Equality of F_q[t] (or F_q[t][T]) elements up to F_q^x: the same
-    support, and one ratio between the coefficients."""
-    a_terms, b_terms = a.terms, b.terms
-    if a_terms.keys() != b_terms.keys():
-        return False
-    ratio = None
-    for e, c in a_terms.items():
-        r = c / b_terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+def render_fitting(coeffs) -> str:
+    """A generator, given by its F_q[t] coefficients by T-exponent, in
+    decreasing powers of T."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for te in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[te]
+        if not c:
+            continue
+        cs = str(c)
+        if te == 0:
+            parts.append(cs)
+            continue
+        v = "T" if te == 1 else "T^{}".format(te)
+        if c.degree() == 0 and c.leading().is_one():
+            parts.append(v)
+        else:
+            if needs_parens(cs) or "*" in cs:
+                cs = "({})".format(cs)
+            parts.append("{}*{}".format(cs, v))
+    return " + ".join(parts)

@@ -17,7 +17,6 @@ from taures.errors import (FieldError, NotInvertibleError, PrecisionError,
                            SkewParseError)
 from taures.fields import (Fq, FqElement, PerfElement, PerfField, SPoly,
                            needs_parens, render_poly_in_var)
-from taures.lseries import BivariatePoly
 from taures.skew import NEG_INF, SkewLaurent
 from taures.skewmat import MAX_ESCALATIONS, SkewMatrix, mat_mul
 
@@ -61,11 +60,6 @@ def from_right_coeffs(pf, terms):
             s = coeffs.get(e)
             coeffs[e] = s + a if s is not None else a
     return SkewLaurent(pf, coeffs)
-
-
-def degree_T(f):
-    """Degree in T of a BivariatePoly."""
-    return len(f.coeffs) - 1
 
 
 def rand_fq(rng, fq):
@@ -682,7 +676,33 @@ def power_oracle_reference(tau_matrix, ext, side):
     for u_exp, c in enumerate(reversed(lead_first)):
         out[u_exp * n] = SPoly(fq, {te: ec.coeffs[0]
                                     for te, ec in c.terms.items()})
-    return BivariatePoly(fq, out)
+    return out
+
+
+def unit_equiv_reference(a, b):
+    """Test-only reference for the rule ``taures lseries`` compared its
+    routes by before every route's generator was monic in T: equality of
+    F_q[t] values, or of F_q[t][T] values given as coefficient lists by
+    T-exponent, up to F_q^x.  It asks for the same support, keyed by
+    (T-exponent, t-exponent) for a list, and one ratio between the
+    coefficients."""
+    def terms(x):
+        if isinstance(x, SPoly):
+            return x.terms
+        return {(te, e): c for te, poly in enumerate(x)
+                for e, c in poly.terms.items()}
+
+    a_terms, b_terms = terms(a), terms(b)
+    if a_terms.keys() != b_terms.keys():
+        return False
+    ratio = None
+    for e, c in a_terms.items():
+        r = c / b_terms[e]
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return False
+    return True
 
 
 def fq_str_reference(a):

@@ -577,6 +577,27 @@ row: t + 1
         assert (code, out) == (3, "")
         assert err.splitlines()[0] == message
 
+    def test_lseries_checks_the_desk_bound_first(self, capsys, tmp_path):
+        """E(k) past the desk bound is refused before any Fitting ideal is
+        computed (computing them first took about 20 s at n = 114), and
+        before a tau-matrix is derived: a carlitz-tensor square without
+        blocks reports the desk bound at d*n = 18, the derivation at 16."""
+        path = write(tmp_path, "car.man", CARLITZ_FINITE)
+        start = time.monotonic()
+        result = run(capsys, "lseries", path, "--ext-degree", "114")
+        assert time.monotonic() - start < 2.0
+        assert result == (3, "", "error[dimension]: E(k) dimension 114 "
+                                 "exceeds the desk bound 16\n")
+        man = cli.example_carlitz_tensor(2, 2)
+        man.base, man.theta_text = "finite-field", "1"
+        path = write(tmp_path, "sq.man", cli.render_manifest(man))
+        assert run(capsys, "lseries", path, "--ext-degree", "9") == (
+            3, "", "error[dimension]: E(k) dimension 18 exceeds the desk "
+                   "bound 16\n")
+        assert run(capsys, "lseries", path, "--ext-degree", "8") == (
+            3, "", "error[field]: tau-matrix auto-derivation needs a "
+                   "Drinfeld module; declare tau_matrix blocks instead\n")
+
     def test_pair_sigma_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         code, _, err = run(capsys, "pair", path, "--m", "sigma", "--n", "1")

@@ -43,3 +43,18 @@ def test_guard_sees_unused_names():
               "def f():\n    from json import dumps\n    return field\n")
     assert unused_imports(source) == [(2, "os"), (3, "regex"),
                                       (4, "dataclass"), (6, "dumps")]
+
+
+def test_src_defines_one_polynomial_type():
+    """One sparse polynomial type: `fields.SPoly` is the only class named
+    `*Poly` in src/taures, and an F_q[t][T] value is a list of them, so
+    the package exports neither `BivariatePoly` nor `poly_unit_equiv`."""
+    classes = []
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            classes += [(module, node.name) for node in ast.walk(
+                ast.parse(fh.read())) if isinstance(node, ast.ClassDef)
+                and node.name.endswith("Poly")]
+    assert classes == [("fields.py", "SPoly")]
+    import taures
+    assert not {"BivariatePoly", "poly_unit_equiv"} & set(dir(taures))

@@ -6,16 +6,19 @@ import random
 
 import pytest
 
+from taures import cli
 from taures.anderson import carlitz, carlitz_tensor, drinfeld
 from taures.errors import DimensionError, FieldError
 from taures.fields import ExtField, Fq, PerfField, SPoly, find_irreducible
-from taures.lseries import (BivariatePoly, brute_force_fitting,
-                            charpoly, drinfeld_tau_matrix, fitting_ideal,
-                            fitting_ideal_power_oracle, poly_unit_equiv,
+from taures.lseries import (brute_force_fitting, charpoly,
+                            drinfeld_tau_matrix, fitting_ideal,
+                            fitting_ideal_power_oracle, render_fitting,
                             restrict_tau)
+from taures.parsing import (manifest_ext_field, manifest_tau_matrix,
+                            parse_manifest, render_manifest)
 
-from conftest import (charpoly_reference, degree_T, power_oracle_reference,
-                      rand_fq)
+from conftest import (charpoly_reference, power_oracle_reference, rand_fq,
+                      unit_equiv_reference)
 
 
 def ext_of(fq, n):
@@ -279,9 +282,8 @@ class TestFittingIdeal:
         fit = fitting_ideal(E, ext, "motive")
         # T - (t - theta)
         fq = pf3.fq
-        expect = BivariatePoly(fq, [
-            SPoly(fq, {1: -(fq.one()), 0: fq.from_int(1)}),
-            SPoly(fq, {0: fq.one()})])
+        expect = [SPoly(fq, {1: -(fq.one()), 0: fq.from_int(1)}),
+                  SPoly(fq, {0: fq.one()})]
         assert fit == expect
 
     def test_f4_golden(self, pf2):
@@ -289,11 +291,10 @@ class TestFittingIdeal:
         ext = ext_of(pf2.fq, 2)
         fit = fitting_ideal(E, ext, "motive")
         fq = pf2.fq
-        expect = BivariatePoly(fq, [SPoly(fq, {2: fq.one()}),
-                                    SPoly(fq, {}),
-                                    SPoly(fq, {0: fq.one()})])
+        expect = [SPoly(fq, {2: fq.one()}), SPoly(fq, {}),
+                  SPoly(fq, {0: fq.one()})]
         assert fit == expect
-        assert str(fit) == "T^2 + t^2"
+        assert render_fitting(fit) == "T^2 + t^2"
 
     def test_sides_agree(self, pf2, pf3):
         for pf in (pf2, pf3):
@@ -302,7 +303,7 @@ class TestFittingIdeal:
                 ext = ext_of(pf.fq, n)
                 fm = fitting_ideal(E, ext, "motive")
                 fc = fitting_ideal(E, ext, "comotive")
-                assert poly_unit_equiv(fm, fc)
+                assert fm == fc
 
     def test_power_oracle_agrees(self, pf2, pf3):
         for pf in (pf2, pf3):
@@ -312,7 +313,7 @@ class TestFittingIdeal:
                 for side in ("motive", "comotive"):
                     fit = fitting_ideal(E, ext, side)
                     oracle = fitting_ideal_power_oracle(E, ext, side)
-                    assert poly_unit_equiv(oracle, fit)
+                    assert oracle == fit
 
     def test_power_oracle_matches_reference(self):
         # each step's twist is one Frobenius on the previous step's, in
@@ -359,7 +360,7 @@ class TestFittingIdeal:
         for n in (1, 2, 3):
             ext = ext_of(pf3.fq, n)
             fit = fitting_ideal(E, ext, "motive")
-            assert degree_T(fit) == 2 * n
+            assert len(fit) - 1 == 2 * n
 
     def test_basis_independence(self, pf2, pf3):
         # det(T - tau) on the power basis equals it on other F_q-bases of
@@ -377,8 +378,7 @@ class TestFittingIdeal:
                 big = restrict_in_basis(tm, ext, side, basis,
                                         coords.__getitem__)
                 lead_first = charpoly(big, SPoly.const(fq, fq.one()))
-                assert fitting_ideal(E, ext, side) == \
-                    BivariatePoly(fq, list(reversed(lead_first)))
+                assert fitting_ideal(E, ext, side) == lead_first[::-1]
 
         ext = ext_of(pf2.fq, 2)
         w, one = ext.gen(), ext.one()
@@ -398,9 +398,9 @@ class TestFittingIdeal:
         ext = ext_of(pf2.fq, 1)
         tm = [[SPoly(ext, {2: ext.one()})]]
         fit = fitting_ideal(E, ext, "motive", tau_matrix=tm)
-        assert str(fit) == "T + t^2"
+        assert render_fitting(fit) == "T + t^2"
         bf = brute_force_fitting(E, ext)
-        assert poly_unit_equiv(fit.at_T_one(), bf)
+        assert sum(fit[1:], fit[0]).monic() == bf
 
     def test_non_drinfeld_needs_matrix(self, pf2):
         E = carlitz_tensor(pf2, pf2.zero(), 2)
@@ -430,7 +430,7 @@ class TestBruteForce:
                 ext = ext_of(pf.fq, n)
                 fit = fitting_ideal(E, ext, "motive")
                 bf = brute_force_fitting(E, ext)
-                assert poly_unit_equiv(fit.at_T_one(), bf)
+                assert sum(fit[1:], fit[0]).monic() == bf
 
     def test_desk_bound(self, pf2):
         E = carlitz_tensor(pf2, pf2.zero(), 6)
@@ -446,34 +446,98 @@ class TestBruteForce:
 def test_poly_unit_equiv_needs_one_ratio(fq3):
     one, two = fq3.one(), fq3.from_int(2)
     a = SPoly(fq3, {1: one, 0: one})
-    assert poly_unit_equiv(a, SPoly(fq3, {1: two, 0: two}))
+    assert unit_equiv_reference(a, SPoly(fq3, {1: two, 0: two}))
     # the same support, with ratios 1 and 2
-    assert not poly_unit_equiv(a, SPoly(fq3, {1: one, 0: two}))
-    assert not poly_unit_equiv(a, SPoly(fq3, {1: one}))
+    assert not unit_equiv_reference(a, SPoly(fq3, {1: one, 0: two}))
+    assert not unit_equiv_reference(a, SPoly(fq3, {1: one}))
+    # coefficient lists: the support is keyed by (T-exponent, t-exponent)
+    c = SPoly(fq3, {0: one})
+    assert unit_equiv_reference([a, c], [a.scale(two), c.scale(two)])
+    assert not unit_equiv_reference([a, c], [c, a])
 
 
 class TestBivariate:
-    def test_unit_equiv(self, fq3):
-        a = BivariatePoly(fq3, [SPoly(fq3, {1: fq3.from_int(1)}),
-                                SPoly(fq3, {0: fq3.one()})])
-        b = BivariatePoly(fq3, [SPoly(fq3, {1: fq3.from_int(2)}),
-                                SPoly(fq3, {0: fq3.from_int(2)})])
-        # monic normalization makes them literally equal
-        assert a == b
-        assert poly_unit_equiv(a, b)
-        c = BivariatePoly(fq3, [SPoly(fq3, {0: fq3.from_int(2)}),
-                                SPoly(fq3, {0: fq3.one()})])
-        assert not poly_unit_equiv(a, c)
-
-    def test_init_keeps_the_callers_list(self, fq3):
-        p = SPoly(fq3, {1: fq3.one()})
-        coeffs = [p, SPoly(fq3, {})]
-        assert BivariatePoly(fq3, coeffs).coeffs == [p]
-        assert len(coeffs) == 2
+    """F_q[t][T] values: a generator is its list of F_q[t] coefficients
+    by T-exponent, monic in T."""
 
     def test_render(self, fq3):
-        p = BivariatePoly(fq3, [
-            SPoly(fq3, {1: fq3.from_int(2), 0: fq3.one()}),
-            SPoly(fq3, {}),
-            SPoly(fq3, {0: fq3.one()})])
-        assert str(p) == "T^2 + 2*t + 1"
+        p = [SPoly(fq3, {1: fq3.from_int(2), 0: fq3.one()}), SPoly(fq3, {}),
+             SPoly(fq3, {0: fq3.one()})]
+        assert render_fitting(p) == "T^2 + 2*t + 1"
+
+    def test_cli_verdict_matches_the_reference_rule(self, capsys, tmp_path):
+        """Over seeded finite-base manifests, some with declared blocks:
+        every route's generator ends in 1, and the ``consistent:`` line
+        is the verdict of the rule the routes were once compared by,
+        equality up to F_q^x.  Some consistent cases have a det(1 - tau)
+        that is not monic, so the CLI's ``.monic()`` is exercised."""
+        verdicts, non_monic_yes = set(), 0
+        for seed in range(200):
+            text, n = seeded_lseries_manifest(random.Random(seed))
+            man = parse_manifest(text)
+            ext = manifest_ext_field(man, n)
+            blocks = {side: manifest_tau_matrix(man, side, ext)
+                      for side in ("motive", "comotive")}
+            derived = drinfeld_tau_matrix(man.module, ext)
+            fit_m = fitting_ideal(man.module, ext, "motive",
+                                  tau_matrix=blocks["motive"] or derived)
+            fit_c = fitting_ideal(man.module, ext, "comotive",
+                                  tau_matrix=blocks["comotive"] or derived)
+            routes = [fit_m, fit_c]
+            if blocks["motive"] is None:
+                routes.append(fitting_ideal_power_oracle(
+                    man.module, ext, "motive", tau_matrix=derived))
+            assert all(f[-1].is_one() for f in routes), seed
+            at_one = sum(fit_m[1:], fit_m[0])
+            verdict = all(unit_equiv_reference(f, fit_m) for f in routes) \
+                and unit_equiv_reference(at_one,
+                                         brute_force_fitting(man.module, ext))
+            path = tmp_path / "{}.man".format(seed)
+            path.write_text(text)
+            code = cli.main(["lseries", str(path), "--ext-degree", str(n)])
+            out = capsys.readouterr().out
+            assert "consistent: {}\n".format("yes" if verdict else "no") \
+                in out, (seed, text, out)
+            assert code == (0 if verdict else 3)
+            verdicts.add(verdict)
+            non_monic_yes += verdict and not at_one.leading().is_one()
+        assert verdicts == {True, False}
+        assert non_monic_yes
+
+
+LSERIES_UNITS = {2: ["1"], 3: ["1", "2"], 4: ["1", "z", "z + 1"],
+                 5: ["1", "2", "3", "4"]}
+
+
+def seeded_lseries_manifest(rng):
+    """A Drinfeld manifest of rank 1-3 over a finite base F_q, q <= 5, and
+    an ext degree n <= 3.  About a third declare tau-matrix blocks, for
+    one side or both: either the derived matrix, rendered, or random
+    entries over F_q[t], with w (k's generator) in some of them."""
+    q = rng.choice(sorted(LSERIES_UNITS))
+    units = LSERIES_UNITS[q]
+    r, n = rng.randrange(1, 4), rng.randrange(1, 4)
+    g = [rng.choice(units + ["0"]) for _ in range(r - 1)]
+    man = cli.example_drinfeld(q=q, r=r, g_texts=g + [rng.choice(units)])
+    man.base = "finite-field"
+    man.theta_text = rng.choice(units + ["0"])
+    text = render_manifest(man)
+    if rng.random() < 0.35:
+        derived = None
+        if rng.random() < 0.5:
+            parsed = parse_manifest(text)
+            ext = manifest_ext_field(parsed, n)
+            derived = drinfeld_tau_matrix(parsed.module, ext)
+        for side in ("motive", "comotive"):
+            if rng.random() < 0.3:
+                continue
+            text += "tau_matrix_{}:\n".format(side)
+            for i in range(r):
+                entries = [str(e) for e in derived[i]] if derived else [
+                    " + ".join(["({})*t^{}".format(rng.choice(units), e)
+                                for e in range(rng.randrange(3))]
+                               + (["w"] if n > 1 and rng.random() < 0.3
+                                  else [])) or "0"
+                    for _ in range(r)]
+                text += "row: {}\n".format(" | ".join(entries))
+    return text, n
