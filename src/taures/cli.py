@@ -23,9 +23,9 @@ from types import SimpleNamespace
 from .errors import FieldError, SkewParseError, TauresError
 from . import anderson, lseries, pairing
 from .fields import Fq, _factor_prime_power, find_irreducible
-from .parsing import (Manifest, manifest_ext_field, manifest_tau_matrix,
-                      parse_manifest, parse_skew_expr, parse_skew_row,
-                      render_manifest)
+from .parsing import (Manifest, manifest_ext_degree, manifest_ext_field,
+                      manifest_tau_matrix, parse_manifest, parse_skew_expr,
+                      parse_skew_row, render_manifest)
 from .skewmat import SkewMatrix, invert_series_matrix
 
 EXIT_VALIDATION = 3
@@ -224,10 +224,12 @@ def cmd_lseries(args):
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_VALIDATION
+    # E(k) past the desk bound is refused before k is built
+    lseries.check_desk_bound(module.dim,
+                             manifest_ext_degree(man, args.ext_degree))
     ext = manifest_ext_field(man, args.ext_degree)
     tau_mot = manifest_tau_matrix(man, "motive", ext)
     tau_com = manifest_tau_matrix(man, "comotive", ext)
-    # E(k) past the desk bound is refused before any Fitting ideal
     bf = lseries.brute_force_fitting(module, ext)
     run_oracle = tau_mot is None
     if run_oracle:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import random
 from math import gcd as gcd_int
 
 from .errors import FieldError
@@ -113,6 +114,35 @@ def power(base, n, one):
         base = base * base
         n >>= 1
     return result
+
+
+def powers(x, n):
+    """[1, x, .., x^(n-1)]."""
+    out = [x.field.one()]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _inverse_of_columns(cols, zero, one):
+    """The inverse of the square matrix over a field whose columns are
+    ``cols``, by Gauss-Jordan elimination; None when they are dependent."""
+    n = len(cols)
+    rows = [[col[i] for col in cols] + [one if k == i else zero
+                                        for k in range(n)]
+            for i in range(n)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = rows[c][c].inverse()
+        rows[c] = [x * inv for x in rows[c]]
+        for r, row in enumerate(rows):
+            f = row[c]
+            if f and r != c:
+                rows[r] = [x - f * y for x, y in zip(row, rows[c])]
+    return [row[n:] for row in rows]
 
 
 class FqElement:
@@ -609,12 +639,14 @@ def render_poly_in_var(terms, var, coeff_is_one):
 
 
 def irreducible_over(field, poly):
-    """Irreducibility over a finite coefficient field F_Q: no root, then
-    Rabin's test.  With h_k = x^(Q^k) mod f, a monic f of degree n is
-    irreducible iff gcd(h_(n/l) - x, f) = 1 for each prime l | n and
-    h_n = x.  Q-th powers fix F_Q, so h_(k+1) = sum_i h_k[i] x^(iQ) mod f
-    combines the n residues x^(iQ) mod f.  The root test and those
-    residues cost about Q*n^3 field operations, which is capped."""
+    """Irreducibility over a finite coefficient field F_Q: no root, then,
+    from degree 4 on, Rabin's test (a reducible f of degree <= 3 has a
+    factor of degree 1, hence a root).  With h_k = x^(Q^k) mod f, a monic
+    f of degree n is irreducible iff gcd(h_(n/l) - x, f) = 1 for each
+    prime l | n and h_n = x.  Q-th powers fix F_Q, so h_(k+1) =
+    sum_i h_k[i] x^(iQ) mod f combines the n residues x^(iQ) mod f.  The
+    root test and those residues cost about Q*n^3 field operations, which
+    is capped."""
     n = poly.degree()
     if n <= 1:
         return n == 1
@@ -630,6 +662,8 @@ def irreducible_over(field, poly):
             acc = acc * a + c
         if not acc:
             return False
+    if n <= 3:
+        return True
     residues = [SPoly(field, {i * size: one}) % f for i in range(n)]
     x = h = SPoly.gen(field)
     for k in range(1, n + 1):
@@ -658,8 +692,9 @@ def find_irreducible(field, degree):
 class ExtField:
     """Extension k = F_q[w]/(ext modulus): the base field for L-series.
 
-    Elements are tuples of FqElement in the power basis (1, w, .., w^(n-1)),
-    which is exactly the F_q-basis restriction of scalars works over.
+    Elements are tuples of FqElement in the power basis (1, w, .., w^(n-1)).
+    Restriction of scalars works over ``normal_basis``, on which the
+    Frobenius is a cyclic shift.
     """
 
     gen_name = "w"
@@ -710,6 +745,44 @@ class ExtField:
         """Every element, the coefficient of 1 varying fastest."""
         for coeffs in itertools.product(self.base.elements(), repeat=self.n):
             yield ExtElement(self, coeffs[::-1])
+
+    def normal_basis(self):
+        """The normal basis beta_a = beta^(q^a), a < n, of k over F_q, on
+        which the Frobenius is the cyclic shift beta_a -> beta_(a+1),
+        indices mod n.  Every finite field has one; beta is the first
+        candidate of a fixed-seed sequence whose n conjugates are
+        independent over F_q, so each field with this modulus gets the
+        same basis.  Found on first use, with the coordinate map of
+        ``normal_coords``, and kept."""
+        return self._normal[0]
+
+    def normal_coords(self, x):
+        """The F_q coordinates of x on ``normal_basis``."""
+        zero = self.base.zero()
+        return [sum((m * c for m, c in zip(row, x.coeffs) if c), zero)
+                for row in self._normal[1]]
+
+    @functools.cached_property
+    def _normal(self):
+        """(normal basis, power -> normal coordinate map)."""
+        n, fq = self.n, self.base
+        zero = fq.zero()
+        # column a of the Frobenius matrix is (w^a)^q = (w^q)^a; F_q is
+        # Frobenius-fixed, so x^q = sum_a x_a (w^a)^q
+        frob = [x.coeffs for x in powers(self.gen().q_power_iter(1), n)]
+        rng = random.Random(0)
+        while True:
+            conj = [[fq.element([rng.randrange(fq.p) for _ in range(fq.m)])
+                     for _ in range(n)]]
+            for _ in range(n - 1):
+                x = [zero] * n
+                for c, col in zip(conj[-1], frob):
+                    if c:
+                        x = [a + c * b for a, b in zip(x, col)]
+                conj.append(x)
+            to_normal = _inverse_of_columns(conj, zero, fq.one())
+            if to_normal is not None:
+                return [ExtElement(self, c) for c in conj], to_normal
 
     def _mul(self, a, b):
         if a.in_base():

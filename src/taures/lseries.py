@@ -6,7 +6,10 @@ T-deformation is det(T - tau) on the motive (or comotive) after
 restricting scalars from k[t] to F_q[t].  tau is q-semilinear on the
 motive and q^(-1)-semilinear on the comotive; restriction of scalars
 turns either into an honest F_q[t]-linear operator on a module of rank
-r * d_k whose characteristic polynomial in T is the generator.  A
+r * d_k whose characteristic polynomial in T is the generator.  It is
+restricted on a normal basis of k, where tau moves each basis element
+to the next (or the previous) one, so an F_q coefficient gives one
+nonzero entry per column and the Berkowitz products stay sparse.  A
 generator is its list of F_q[t] coefficients by T-exponent, monic in T:
 its last entry is 1.  A tau-matrix is its list of rows over k[t]; which
 side it acts on, and so which way it twists scalars, is the ``side``
@@ -18,14 +21,15 @@ t-action on E(k) = k^dim as an F_q-space.  ``taures lseries`` is
 consistent when the motive and comotive generators are equal, the
 power oracle equals the motive one, and det(1 - tau), the sum of the
 coefficients made monic, equals E(k)'s characteristic polynomial.  It
-checks E(k)'s desk bound before any Fitting ideal is computed.
+checks E(k)'s desk bound on dim * d_k before k is built.  Both oracles
+stay on the power basis of k.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, FieldError
 from .anderson import AndersonModule, twist
-from .fields import ExtElement, ExtField, SPoly, needs_parens
+from .fields import ExtField, SPoly, needs_parens, powers
 from .linalg import charpoly, mat_mul
 
 DESK_BOUND = 16  # max dim * [k:F_q] for the brute-force oracle
@@ -89,39 +93,37 @@ def _side_twist(side):
     return 1 if side == "motive" else -1
 
 
-def _powers(x: ExtElement, n):
-    """[1, x, .., x^(n-1)]."""
-    out = [x.field.one()]
-    for _ in range(n - 1):
-        out.append(out[-1] * x)
-    return out
-
-
 def restrict_tau(tau_matrix, ext: ExtField, side):
     """The F_q[t]-matrix of the semilinear tau, given by its rows
-    ``tau_matrix`` over k[t], on the basis (e_i w^a).
+    ``tau_matrix`` over k[t], on the basis (e_i beta_a), beta_a =
+    beta^(q^a) the normal basis of k (``ExtField.normal_basis``).
 
-    Motive side twists scalars by q, comotive by q^(-1); either way
-    tau(w^a e_i) = twist(w^a) * sum_l M[l][i] e_l, decomposed over F_q by
-    its coefficient tuple.  F_q is Frobenius-fixed, so twist(w^a) =
-    twist(w)^a: the twisted power basis is the powers of one Frobenius
-    power of w.
+    Motive side twists scalars by q, comotive by q^(-1), so with j = 1 or
+    -1, tau(beta_a e_i) = beta_(a+j) * sum_l M[l][i] e_l, indices mod n.
+    An F_q coefficient c of M[l][i] just moves beta_(a+j): it is the one
+    entry c in row l*n + a+j of column i*n + a.  Only a coefficient
+    outside F_q needs the basis itself: c * beta_(a+j) is read off its
+    normal coordinates.
     """
     n = ext.n
-    twisted = _powers(ext.gen().q_power_iter(_side_twist(side)), n)
-    r = len(tau_matrix)
-    fq = ext.base
-    size = r * n
+    j = _side_twist(side)
+    size = len(tau_matrix) * n
     # terms[row][col]: the t-exponent -> F_q coefficient dict of one entry
     terms = [[{} for _ in range(size)] for _ in range(size)]
-    for i in range(r):
-        for a in range(n):
-            for l in range(r):
-                for te, c in tau_matrix[l][i].terms.items():
-                    for ap, comp in enumerate((twisted[a] * c).coeffs):
+    for l, row in enumerate(tau_matrix):
+        for i, entry in enumerate(row):
+            for te, c in entry.terms.items():
+                if c.in_base():
+                    for a in range(n):
+                        terms[l * n + (a + j) % n][i * n + a][te] = \
+                            c.coeffs[0]
+                    continue
+                for a in range(n):
+                    image = c * ext.normal_basis()[(a + j) % n]
+                    for ap, comp in enumerate(ext.normal_coords(image)):
                         if comp:
                             terms[l * n + ap][i * n + a][te] = comp
-    return [[SPoly(fq, entry) for entry in row] for row in terms]
+    return [[SPoly(ext.base, entry) for entry in row] for row in terms]
 
 
 def fitting_ideal(module: AndersonModule, ext: ExtField, side="motive",
@@ -172,16 +174,22 @@ def fitting_ideal_power_oracle(module: AndersonModule, ext: ExtField,
     return out
 
 
+def check_desk_bound(dim, n):
+    """Refuse an E(k) = k^dim of F_q-dimension dim * n past the desk
+    bound; it needs only n = [k:F_q], not k."""
+    if dim * n > DESK_BOUND:
+        raise DimensionError(
+            "E(k) dimension {} exceeds the desk bound {}".format(
+                dim * n, DESK_BOUND))
+
+
 def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
     """Characteristic polynomial of the t-action on E(k) = k^dim as an
     F_q-space: the 0th Fitting ideal generator of E(k) as an A-module."""
     _require_finite(module)
     d = module.dim
     n = ext.n
-    if d * n > DESK_BOUND:
-        raise DimensionError(
-            "E(k) dimension {} exceeds the desk bound {}".format(
-                d * n, DESK_BOUND))
+    check_desk_bound(d, n)
     fq = ext.base
     size = d * n
     twists = {}  # i -> [(w^a)^(q^i) for a < n], as (w^(q^i))^a
@@ -194,7 +202,7 @@ def brute_force_fitting(module: AndersonModule, ext: ExtField) -> SPoly:
                 val = ext.zero()
                 for i, coeff in sorted(entry.coeffs.items()):
                     if i not in twists:
-                        twists[i] = _powers(ext.gen().q_power_iter(i), n)
+                        twists[i] = powers(ext.gen().q_power_iter(i), n)
                     val = val + ext.embed(coeff.as_fq()) * twists[i][a]
                 for ap in range(n):
                     col[l * n + ap] = col[l * n + ap] + val.coeffs[ap]

@@ -473,6 +473,17 @@ def _build(man: Manifest, locations):
         motive_basis=motive, comotive_basis=comotive)
 
 
+def manifest_ext_degree(man: Manifest, degree=None) -> int:
+    """[k:F_q] of ``manifest_ext_field``'s k, read without building k."""
+    if degree is not None:
+        return degree
+    if man.ext_modulus_text is not None:
+        text, line, col = man.ext_modulus_text
+        return _parse_modulus(text, man.field, ExtField.gen_name, line,
+                              col).degree()
+    return man.ext_degree or 1
+
+
 def manifest_ext_field(man: Manifest, degree=None) -> ExtField:
     """The L-series extension field k: of ``degree`` over F_q when given,
     else from ``ext_modulus:``, else of degree ``ext_degree:``, else F_q."""
@@ -484,8 +495,7 @@ def manifest_ext_field(man: Manifest, degree=None) -> ExtField:
             return ExtField(fq, poly)
         except FieldError as err:
             raise SkewParseError(err.args[0], line, col) from None
-    return ext_field_of_degree(
-        fq, (man.ext_degree or 1) if degree is None else degree)
+    return ext_field_of_degree(fq, manifest_ext_degree(man, degree))
 
 
 def ext_field_of_degree(fq: Fq, degree) -> ExtField:

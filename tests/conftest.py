@@ -729,6 +729,26 @@ def irreducible_reference(field, poly):
     return True
 
 
+def rank_reference(vectors):
+    """Test-only reference for the independence test of
+    ``ExtField.normal_basis``: the rank over a field of a list of
+    coefficient sequences, by row echelon form."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][c].inverse()
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inv
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def det_reference(rows, zero):
     """Test-only reference for ``linalg.det``: the Leibniz sum over every
     permutation, zero entries included."""

@@ -598,6 +598,30 @@ row: t + 1
             3, "", "error[field]: tau-matrix auto-derivation needs a "
                    "Drinfeld module; declare tau_matrix blocks instead\n")
 
+    @pytest.mark.parametrize("declared,argv,n", [
+        ("", ("--ext-degree", "24"), 24),
+        ("", ("--ext-degree", "40"), 40),
+        ("ext_degree: 24\n", (), 24),
+        # w^17 - 1 is reducible; the bound is read off its degree first
+        ("ext_modulus: w^17 - 1\n", (), 17),
+        # a tau block that does not parse: the desk bound comes first
+        ("ext_degree: 17\ntau_matrix_motive:\nrow: t +\n", (), 17),
+    ])
+    def test_desk_bound_needs_only_the_degree(self, capsys, tmp_path,
+                                              declared, argv, n):
+        """The desk bound is checked on dim * n before k is built: at
+        q = 101, building k of degree 24 took 0.9 s, and degree 40 is past
+        the cap of Rabin's test."""
+        man = cli.example_carlitz(101)
+        man.base, man.theta_text = "finite-field", "1"
+        path = write(tmp_path, "car.man", cli.render_manifest(man)
+                     + declared)
+        start = time.monotonic()
+        result = run(capsys, "lseries", path, *argv)
+        assert time.monotonic() - start < 1.0
+        assert result == (3, "", "error[dimension]: E(k) dimension {} "
+                                 "exceeds the desk bound 16\n".format(n))
+
     def test_pair_sigma_rejected(self, capsys, tmp_path):
         path = write(tmp_path, "car.man", CARLITZ_Q2)
         code, _, err = run(capsys, "pair", path, "--m", "sigma", "--n", "1")

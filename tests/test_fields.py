@@ -19,7 +19,8 @@ from conftest import (divmod_reference, fq_str_reference,
                       perf_canonical_reference,
                       perf_op_reference, perf_str_reference,
                       q_power_iter_reference, rand_fq, rand_perf,
-                      rand_perf_nonzero, spoly_mul_reference)
+                      rand_perf_nonzero, rank_reference,
+                      spoly_mul_reference)
 
 
 def field_of(q):
@@ -631,6 +632,37 @@ class TestExtField:
                 assert ext.embed(c).q_power_iter(j) == ext.embed(c)
 
 
+class TestNormalBasis:
+    # every n = p*m here makes x^n - 1 a product with repeated factors
+    @pytest.mark.parametrize("q,degrees", [
+        (2, range(1, 11)), (3, (1, 2, 3, 6, 9)), (4, (2, 3, 4, 6, 8)),
+        (5, (2, 5, 10)), (9, (3, 6))])
+    def test_frobenius_shifts_an_independent_basis(self, q, degrees):
+        fq = field_of(q)
+        rng = random.Random(q)
+        for n in degrees:
+            ext = ext_field_of_degree(fq, n)
+            basis = ext.normal_basis()
+            assert len(basis) == n
+            for a, b in enumerate(basis):
+                assert b.q_power_iter(1) == basis[(a + 1) % n]
+            assert rank_reference([b.coeffs for b in basis]) == n
+            for _ in range(4):
+                x = ext.element([rand_fq(rng, fq) for _ in range(n)])
+                total = ext.zero()
+                for c, b in zip(ext.normal_coords(x), basis):
+                    total = total + ext.embed(c) * b
+                assert total == x
+
+    def test_same_basis_on_every_call(self, fq3):
+        modulus = find_irreducible(fq3, 4)
+        ext = ExtField(fq3, modulus)
+        first = ext.normal_basis()
+        assert ext.normal_basis() is first
+        again = ExtField(fq3, modulus).normal_basis()
+        assert [b.coeffs for b in again] == [b.coeffs for b in first]
+
+
 def monic_polys(field, degree):
     """Every monic polynomial of the degree, constant term varying
     fastest: the order ``find_irreducible`` searches in."""
@@ -650,6 +682,21 @@ class TestIrreducible:
             for poly in monic_polys(field, n):
                 assert irreducible_over(field, poly) == \
                     irreducible_reference(field, poly), poly
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_degree_at_most_3_needs_only_the_root_test(self, q,
+                                                        monkeypatch):
+        # a reducible f of degree <= 3 has a linear factor, hence a root,
+        # so Rabin's test (its residues are remainders) never runs
+        field = field_of(q)
+        polys = [p for n in (2, 3) for p in monic_polys(field, n)]
+        expected = [irreducible_reference(field, p) for p in polys]
+
+        def no_division(self, other):
+            raise AssertionError("Rabin's test ran")
+
+        monkeypatch.setattr(SPoly, "divmod", no_division)
+        assert [irreducible_over(field, p) for p in polys] == expected
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_search_returns_first_irreducible(self, q):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from taures import cli
+from taures import cli, linalg
 from taures.anderson import carlitz, carlitz_tensor, drinfeld
 from taures.errors import DimensionError, FieldError
 from taures.fields import ExtField, Fq, PerfField, SPoly, find_irreducible
@@ -249,17 +249,40 @@ class TestTauMatrices:
             drinfeld_tau_matrix(E, ext_of(pf3.fq, 1))
 
 
+def coords_on(ext, basis):
+    """Test-only coordinates on an F_q-basis of k: a lookup over all
+    F_q-combinations of ``basis``, element -> coordinate tuple."""
+    coords = {}
+    for cs in itertools.product(list(ext.base.elements()), repeat=ext.n):
+        v = ext.zero()
+        for c, b in zip(cs, basis):
+            v = v + ext.embed(c) * b
+        coords[v] = cs
+    return coords.__getitem__
+
+
+def power_basis_fitting(tau_matrix, ext, side):
+    """det(T - tau) restricted on the power basis (e_i w^a): the same
+    generator as ``fitting_ideal``'s, through a dense restriction."""
+    big = restrict_in_basis(tau_matrix, ext, side,
+                            [ext.gen() ** a for a in range(ext.n)],
+                            lambda x: x.coeffs)
+    fq = ext.base
+    return charpoly(big, SPoly.const(fq, fq.one()))[::-1]
+
+
 class TestRestrictTau:
     @pytest.mark.parametrize("q,modulus", [(2, None), (3, None),
                                            (4, [1, 1, 1]), (5, None)])
-    def test_power_basis_matches_explicit_basis(self, q, modulus):
-        # restrict_tau twists w once and takes powers of twist(w); the
-        # reference twists each w^a on its own
+    def test_normal_basis_matches_explicit_basis(self, q, modulus):
+        # restrict_tau moves each F_q coefficient by an index shift; the
+        # reference twists each normal basis element on its own and reads
+        # every image's coordinates off a lookup
         rng = random.Random(q)
         fq = Fq(q, modulus)
         pf = PerfField(fq)
         units = [c for c in fq.elements() if c]
-        for n in range(1, 7):
+        for n in range(1, 6 if q < 5 else 5):
             ext = ext_of(fq, n)
             E = drinfeld(pf, pf.from_fq(rng.choice(units)),
                          [pf.from_fq(rng.choice(units)) for _ in range(2)])
@@ -267,11 +290,71 @@ class TestRestrictTau:
             scaled = [[e.scale(ext.element([rand_fq(rng, fq)
                                             for _ in range(n)]))
                        for e in row] for row in tau]
-            basis = [ext.gen() ** a for a in range(n)]
+            basis = ext.normal_basis()
+            coords = coords_on(ext, basis)
             for side, tm in itertools.product(("motive", "comotive"),
                                               (tau, scaled)):
                 assert restrict_tau(tm, ext, side) == restrict_in_basis(
-                    tm, ext, side, basis, lambda x: x.coeffs)
+                    tm, ext, side, basis, coords)
+
+    def test_charpoly_matches_power_basis_route(self):
+        # seeded Drinfeld matrices have F_q coefficients; their gauge
+        # scalings by units of k do not, so those read normal coordinates
+        rng = random.Random(7)
+        for q, modulus in ((2, None), (3, None), (4, [1, 1, 1]), (5, None)):
+            fq = Fq(q, modulus)
+            pf = PerfField(fq)
+            nonzero = [c for c in fq.elements() if c]
+            for _ in range(3):
+                r = rng.randrange(1, 4)
+                g = [pf.from_fq(rand_fq(rng, fq)) for _ in range(r - 1)]
+                g.append(pf.from_fq(rng.choice(nonzero)))
+                E = drinfeld(pf, pf.from_fq(rng.choice(nonzero)), g)
+                n = rng.randrange(1, 6)
+                ext = ext_of(fq, n)
+                tau = drinfeld_tau_matrix(E, ext)
+                for side in ("motive", "comotive"):
+                    for tm in (tau, gauge_scaled(rng, tau, ext, side)):
+                        assert fitting_ideal(E, ext, side, tau_matrix=tm) \
+                            == power_basis_fitting(tm, ext, side)
+
+    def test_drinfeld_matrix_is_a_block_shift(self):
+        # each nonzero tau entry has F_q coefficients and becomes n
+        # entries, one per column of its block (51 of them, not 24, on the
+        # power basis at n = 8)
+        pf = PerfField(Fq(3))
+        E = drinfeld(pf, pf.from_int(1), [pf.from_int(2), pf.one()])
+        for n in (1, 4, 8):
+            ext = ext_of(pf.fq, n)
+            tau = drinfeld_tau_matrix(E, ext)
+            entries = sum(1 for row in tau for e in row if e)
+            for side in ("motive", "comotive"):
+                big = restrict_tau(tau, ext, side)
+                assert sum(1 for row in big for e in row if e) == \
+                    n * entries
+
+    def test_berkowitz_pair_count(self, monkeypatch):
+        """Entry pairs the Berkowitz dot products of one fitting_ideal are
+        given, Drinfeld rank 2 over F_3 with [k:F_3] = 8: on the power
+        basis they were 944 on the motive side and 1106 on the
+        comotive."""
+        pf = PerfField(Fq(3))
+        E = drinfeld(pf, pf.from_int(1), [pf.from_int(2), pf.one()])
+        ext = ext_of(pf.fq, 8)
+        count = [0]
+        original = linalg._berkowitz
+
+        def counted(rows, one, dot, neg):
+            def counting_dot(pairs):
+                count[0] += len(pairs)
+                return dot(pairs)
+            return original(rows, one, counting_dot, neg)
+
+        monkeypatch.setattr(linalg, "_berkowitz", counted)
+        for side, pairs in (("motive", 79), ("comotive", 113)):
+            count[0] = 0
+            fitting_ideal(E, ext, side)
+            assert count[0] == pairs, side
 
 
 class TestFittingIdeal:
@@ -363,20 +446,15 @@ class TestFittingIdeal:
             assert len(fit) - 1 == 2 * n
 
     def test_basis_independence(self, pf2, pf3):
-        # det(T - tau) on the power basis equals it on other F_q-bases of
-        # k, whose coordinates are looked up among all their combinations
+        # det(T - tau) on the normal basis equals it on other F_q-bases
+        # of k, whose coordinates are looked up among all their
+        # combinations
         def check(E, ext, basis, sides):
             fq = ext.base
-            coords = {}
-            for cs in itertools.product(list(fq.elements()), repeat=ext.n):
-                v = ext.zero()
-                for c, b in zip(cs, basis):
-                    v = v + ext.embed(c) * b
-                coords[v] = cs
+            coords = coords_on(ext, basis)
             tm = drinfeld_tau_matrix(E, ext)
             for side in sides:
-                big = restrict_in_basis(tm, ext, side, basis,
-                                        coords.__getitem__)
+                big = restrict_in_basis(tm, ext, side, basis, coords)
                 lead_first = charpoly(big, SPoly.const(fq, fq.one()))
                 assert fitting_ideal(E, ext, side) == lead_first[::-1]
 
